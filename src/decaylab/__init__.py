@@ -4,7 +4,8 @@ Core pieces:
 
 * spectral    -- energy densities (Cauchy-Lorentz family, half-line exponential,
                  user tables) and their half-line masses
-* oscint      -- oscillatory Fourier integrals of densities with controlled error
+* oscint      -- oscillatory Fourier integrals of densities with controlled error,
+                 for the linear phase and for monotone phases W
 * pocket      -- ramp-coupled qubit (x) continuum model: exact reduced dephasing
                  dynamics and positivity of the grid Hamiltonian
 * gkls        -- two-level dephasing semigroup, closed-form propagation, and
@@ -38,7 +39,6 @@ from .oscint import (
     global_survival_series,
     halfline_amplitude,
     mass_integral,
-    phase_fourier,
     restricted_amplitude,
 )
 from .pocket import (
@@ -46,6 +46,7 @@ from .pocket import (
     PositivityGrid,
     QubitState,
     apply_dephasing,
+    dephased_states,
     dephasing_factor,
     positivity_check,
     reduced_state,

@@ -162,7 +162,10 @@ def _write_table(path: str, fmt: str, columns, params) -> None:
         raise UsageError(f"format must be 'csv' or 'structured-text', got {fmt!r}")
 
 
-def _write_failure_manifest(out_path: str, exc: SeriesFailure, params) -> None:
+def _partial_output(path: str, fmt: str, columns, echo: dict, exc: SeriesFailure) -> int:
+    """Write the partial table (failed points hold their best estimates) and
+    a .failures manifest of the failed points; returns the exit code."""
+    _write_table(path, fmt, columns, echo)
     sections = []
     for i, f in enumerate(exc.failures):
         est = complex(f.estimate)
@@ -175,7 +178,9 @@ def _write_failure_manifest(out_path: str, exc: SeriesFailure, params) -> None:
                 ("detail", f.detail),
             ])
         )
-    output.write_report(out_path + ".failures", params, sections)
+    output.write_report(path + ".failures", echo, sections)
+    print(f"{echo['command']}: {exc}", file=sys.stderr)
+    return NUMERICAL_ERROR
 
 
 def _echo(cfg: dict, command: str) -> dict:
@@ -226,10 +231,7 @@ def cmd_survival(cfg: dict) -> int:
     try:
         series = oscint.amplitude_series(d, grid, qcfg)
     except SeriesFailure as exc:
-        _write_table(cfg["out"], cfg["format"], _series_columns(exc.series), echo)
-        _write_failure_manifest(cfg["out"], exc, echo)
-        print(f"survival: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return _partial_output(cfg["out"], cfg["format"], _series_columns(exc.series), echo, exc)
     _write_table(cfg["out"], cfg["format"], _series_columns(series), echo)
     return 0
 
@@ -249,13 +251,8 @@ def cmd_reduced(cfg: dict) -> int:
     echo = _echo(cfg, "reduced")
 
     def rows(series):
-        states = []
-        for t, f in zip(series.times, series.values):
-            if t == 0:
-                states.append(rho0)
-            else:
-                states.append(pocket.apply_dephasing(rho0, f))
-        cols = [
+        states = pocket.dephased_states(rho0, series)
+        return [
             ("t", series.times),
             ("rho00", np.array([s.rho00 for s in states])),
             ("rho11", np.array([s.rho11 for s in states])),
@@ -263,15 +260,11 @@ def cmd_reduced(cfg: dict) -> int:
             ("im_rho01", np.array([s.rho01.imag for s in states])),
             ("sigma_x", np.array([2.0 * s.rho01.real for s in states])),
         ]
-        return cols
 
     try:
         series = oscint.amplitude_series(model.environment_density, grid, qcfg)
     except SeriesFailure as exc:
-        _write_table(cfg["out"], cfg["format"], rows(exc.series), echo)
-        _write_failure_manifest(cfg["out"], exc, echo)
-        print(f"reduced: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return _partial_output(cfg["out"], cfg["format"], rows(exc.series), echo, exc)
     _write_table(cfg["out"], cfg["format"], rows(series), echo)
     return 0
 
@@ -283,16 +276,21 @@ def cmd_gkls_compare(cfg: dict) -> int:
     qcfg = _quad_config(cfg)
     model = pocket.PocketModel(params)
     echo = _echo(cfg, "gkls-compare")
-    comparisons = []
-    for mode in gkls.CONVENTIONS:
-        gen = gkls.generator_from_params(params, mode)
-        comparisons.append(gkls.compare_exact_vs_semigroup(model, gen, rho0, grid, qcfg))
-    for comp in comparisons:
-        echo[f"max_distance_{comp.convention}"] = output.fmt(comp.max_distance)
-    columns = [("t", grid)] + [
-        (f"distance_{comp.convention}", comp.distances) for comp in comparisons
-    ]
-    _write_table(cfg["out"], cfg["format"], columns, echo)
+
+    def columns(series):
+        gens = [gkls.generator_from_params(params, mode) for mode in gkls.CONVENTIONS]
+        comparisons = [gkls.compare_series_vs_semigroup(g, rho0, series) for g in gens]
+        for comp in comparisons:
+            echo[f"max_distance_{comp.convention}"] = output.fmt(comp.max_distance)
+        return [("t", series.times)] + [
+            (f"distance_{comp.convention}", comp.distances) for comp in comparisons
+        ]
+
+    try:
+        series = oscint.amplitude_series(model.environment_density, grid, qcfg)
+    except SeriesFailure as exc:
+        return _partial_output(cfg["out"], cfg["format"], columns(exc.series), echo, exc)
+    _write_table(cfg["out"], cfg["format"], columns(series), echo)
     return 0
 
 
@@ -347,10 +345,7 @@ def cmd_pw(cfg: dict) -> int:
             longtime_value=float(abs(series.values[-1])),
         )
     except SeriesFailure as exc:
-        _write_table(cfg["out"], "csv", _series_columns(exc.series), echo)
-        _write_failure_manifest(cfg["out"], exc, echo)
-        print(f"pw: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return _partial_output(cfg["out"], "csv", _series_columns(exc.series), echo, exc)
     sections = [
         ("pw", [(f"T={output.fmt(T)}", v) for T, v in report.pw_values]),
         ("classification", [
@@ -404,11 +399,10 @@ def cmd_potential(cfg: dict) -> int:
     echo["fit_rate"] = output.fmt(fit.rate)
     echo["fit_amplitude"] = output.fmt(fit.amplitude)
     echo["fit_residual"] = output.fmt(fit.residual)
-    output.write_csv(prefix + "_factor.csv", _series_columns(series), echo)
+    columns = _series_columns(series)
     if failures is not None:
-        _write_failure_manifest(prefix + "_factor.csv", failures, echo)
-        print(f"potential: {failures}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return _partial_output(prefix + "_factor.csv", "csv", columns, echo, failures)
+    output.write_csv(prefix + "_factor.csv", columns, echo)
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +61,6 @@ class DecayReport:
     longtime_value: float
 
 
-def _amp_magnitude(amplitude) -> Callable[[float], float]:
-    if isinstance(amplitude, ComplexTimeSeries):
-        raise TypeError("use the series path")
-    def mag(t: float) -> float:
-        return abs(amplitude(t))
-    return mag
-
-
 def _pw_segment(t0: float, t1: float, l0: float, l1: float) -> float:
     """int_{t0}^{t1} L(t)/(1+t^2) dt for L linear with L(t0)=l0, L(t1)=l1."""
     if t1 == t0:
@@ -92,22 +84,7 @@ def paley_wiener_integral(amplitude, T: float, cfg: QuadratureConfig | None = No
     on each sample interval with log-linear interpolation of |a|; callable
     input goes through adaptive quadrature.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    cfg = cfg or QuadratureConfig()
-    if isinstance(amplitude, ComplexTimeSeries):
-        return _pw_from_series(amplitude, 0.0, T)
-    mag = _amp_magnitude(amplitude)
-
-    def integrand(t: float) -> float:
-        return _neglog(mag(t)) / (1.0 + t * t)
-
-    # decade break points keep the adaptive subdivision shallow on long ranges
-    pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if p < T] or None
-    val, err, ok = _quad(integrand, 0.0, T, cfg.abs_tol / 2, cfg.rel_tol, cfg.max_subdivisions, pts)
-    if not ok and err > cfg.target(val):
-        raise QuadratureFailure("Paley-Wiener integrand did not converge", 2 * val, 2 * err)
-    return 2.0 * val
+    return pw_sweep(amplitude, [T], cfg)[-1][1]
 
 
 def _pw_from_series(series: ComplexTimeSeries, t_lo: float, t_hi: float) -> float:
@@ -144,14 +121,14 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
         for T in Ts:
             out.append((T, _pw_from_series(amplitude, 0.0, T)))
         return out
-    mag = _amp_magnitude(amplitude)
 
     def integrand(t: float) -> float:
-        return _neglog(mag(t)) / (1.0 + t * t)
+        return _neglog(abs(amplitude(t))) / (1.0 + t * t)
 
     acc = 0.0
     prev = 0.0
     for T in Ts:
+        # decade break points keep the adaptive subdivision shallow on long ranges
         pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if prev < p < T] or None
         val, err, ok = _quad(
             integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg.max_subdivisions, pts

@@ -1,14 +1,19 @@
 """Oscillatory Fourier integrals of spectral densities with controlled error.
 
-The central object is a(t) = int exp(-i E t) p(E) dE over full-line,
-half-line, and compact supports.  Infinite oscillatory pieces are integrated
-over half-periods of the kernel (cells of phase length pi), with adaptive
-Gauss-Kronrod quadrature inside each cell and Wynn epsilon acceleration of
-the alternating cell sums.  This gives uniform accuracy in t without
-Filon-type weight tables; heavy algebraic tails converge through the
-acceleration instead of an (infeasibly large) explicit cutoff, and the
-analytic tail mass only enters the error bound when a sum is truncated
-without convergence.
+The central object is a(t) = int exp(-i t W(E)) p(E) dE over full-line,
+half-line, and compact supports, with W the identity (the plain Fourier
+transform of a density) or a strictly increasing phase of range R (the
+generalized potentials).  One transform, restricted_amplitude, serves both:
+t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
+tables have an exact transform and finite windows use QUADPACK's oscillatory
+weights.  Infinite pieces are integrated over half-periods of the kernel
+(cells of phase length pi), with adaptive Gauss-Kronrod quadrature inside
+each cell and Wynn epsilon acceleration of the alternating cell sums; the
+piece below the split point is reflected onto an upward one.  This gives
+uniform accuracy in t without Filon-type weight tables; heavy algebraic
+tails converge through the acceleration instead of an (infeasibly large)
+explicit cutoff, and the analytic tail mass only enters the error bound
+when a sum is truncated without convergence.
 
 Everything here is pure and deterministic: identical inputs and config
 produce bit-identical results, so concurrent and sequential evaluation of
@@ -261,6 +266,16 @@ def _wynn_estimate(row: list) -> complex:
     return row[n]
 
 
+def _qawo(weight, a, b, t, epsabs, epsrel, limit):
+    """int_a^b weight(x) exp(-i t x) dx by QUADPACK's cos/sin weight kernels;
+    returns (value, abserr, converged)."""
+    re = quad(weight, a, b, weight="cos", wvar=t, epsabs=epsabs,
+              epsrel=epsrel, limit=limit, full_output=1)
+    im = quad(weight, a, b, weight="sin", wvar=t, epsabs=epsabs,
+              epsrel=epsrel, limit=limit, full_output=1)
+    return complex(re[0], -im[0]), re[1] + im[1], len(re) == 3 and len(im) == 3
+
+
 def _linear_head(weight, t, x0, boundary, cfg, points):
     """[x0, boundary] for the linear phase: QUADPACK oscillatory weights,
     segmented at the feature points (QAWO handles any oscillation count but
@@ -271,12 +286,9 @@ def _linear_head(weight, t, x0, boundary, cfg, points):
     err_sum = 0.0
     seg_tol = head_tol / (2 * (len(cuts) - 1))
     for a, b in zip(cuts, cuts[1:]):
-        re = quad(weight, a, b, weight="cos", wvar=t, epsabs=seg_tol,
-                  epsrel=1e-12, limit=cfg.max_subdivisions, full_output=1)
-        im = quad(weight, a, b, weight="sin", wvar=t, epsabs=seg_tol,
-                  epsrel=1e-12, limit=cfg.max_subdivisions, full_output=1)
-        total += complex(re[0], -im[0])
-        err_sum += re[1] + im[1]
+        val, err, _ = _qawo(weight, a, b, t, seg_tol, 1e-12, cfg.max_subdivisions)
+        total += val
+        err_sum += err
     return total, err_sum
 
 
@@ -385,47 +397,29 @@ def _semi_infinite_osc(
     )
 
 
-def phase_fourier(
-    weight: Callable[[float], float],
-    t: float,
-    cfg: QuadratureConfig,
-    split: float = 0.0,
-    phase: Callable[[float], float] | None = None,
-    phase_inv: Callable[[float], float] | None = None,
-    points: Sequence[float] = (),
-    tail_mass: Callable[[float], float] | None = None,
-) -> complex:
-    """Full-line int weight(x) exp(-i t phase(x)) dx, split at `split`.
-
-    phase must be strictly increasing with range R (identity when omitted);
-    weight must be real-valued and integrable.  t < 0 is handled by
-    conjugation, t = 0 is not accepted here (integrate the weight directly).
-    """
-    if t == 0:
-        raise ValueError("phase_fourier requires t != 0")
-    if t < 0:
-        return complex(phase_fourier(weight, -t, cfg, split, phase, phase_inv, points, tail_mass)).conjugate()
-    up, e_up = _semi_infinite_osc(weight, t, split, cfg, phase, phase_inv, points, tail_mass)
-    if phase is None:
-        r_phase = r_inv = None
-    else:
-        r_phase = lambda y: -phase(-y)
-        r_inv = lambda u: -phase_inv(-u)
-    r_weight = lambda y: weight(-y)
-    r_points = tuple(-p for p in points)
-    # the tail-mass bound is oriented for the upward piece only
-    dn, e_dn = _semi_infinite_osc(r_weight, t, -split, cfg, r_phase, r_inv, r_points, None)
-    return up + complex(dn).conjugate()
-
-
 # ---------------------------------------------------------------------------
 # density-facing operations
 
 
 def restricted_amplitude(
-    d: SpectralDensity, lo: float, hi: float, t: float, cfg: QuadratureConfig
+    d: SpectralDensity,
+    lo: float,
+    hi: float,
+    t: float,
+    cfg: QuadratureConfig,
+    phase: Callable[[float], float] | None = None,
+    phase_inv: Callable[[float], float] | None = None,
 ) -> complex:
-    """int_lo^hi exp(-i E t) d(E) dE, clipped to the density's support."""
+    """int_lo^hi exp(-i t phase(E)) d(E) dE, clipped to the density's support.
+
+    phase must be strictly increasing with range R and phase_inv its inverse;
+    omitted, the phase is the identity (the plain Fourier transform, exact
+    for tables and by QUADPACK weights on finite windows).  t = 0 is the
+    mass integral and t < 0 the conjugate of the transform at -t.  Infinite
+    ranges are summed in half-period cells from a split point (the finite
+    end, or d.center on the full line); the piece below it is integrated
+    reflected, x -> -x, and conjugated.
+    """
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
@@ -433,44 +427,45 @@ def restricted_amplitude(
     if t == 0:
         return complex(mass_integral(d, lo, hi, cfg))
     if t < 0:
-        return complex(restricted_amplitude(d, lo, hi, -t, cfg)).conjugate()
-    if d.table is not None:
+        return complex(restricted_amplitude(d, lo, hi, -t, cfg, phase, phase_inv)).conjugate()
+    if d.table is not None and phase is None:
         return _table_transform(d, lo, hi, t)
+    if math.isfinite(lo) and math.isfinite(hi):
+        if phase is not None:
+            raise ValueError("a nonlinear phase needs an infinite range")
+        val, err, ok = _qawo(d.density, lo, hi, t, cfg.abs_tol / 2, cfg.rel_tol,
+                             cfg.max_subdivisions)
+        if not ok and err > cfg.target(val):
+            raise QuadratureFailure(
+                "finite-window oscillatory integral did not converge", val, err, t=t
+            )
+        return val
 
     def tail_mass(x):
         loose = QuadratureConfig(1e-6, 1e-6, cfg.max_subdivisions)
         return mass_integral(d, x, math.inf, loose)
 
-    if math.isinf(lo) and math.isinf(hi):
-        c = min(max(d.center, slo), shi)
-        return restricted_amplitude(d, lo, c, t, cfg) + restricted_amplitude(d, c, hi, t, cfg)
-    if math.isinf(hi):
-        val, err = _semi_infinite_osc(
-            d.density, t, lo, cfg, points=d.feature_points, tail_mass=tail_mass
-        )
-        return val
-    if math.isinf(lo):
-        # reflect: int_{-inf}^{hi} d(E) e^{-iEt} dE = conj(int_{-hi}^{inf} d(-y) e^{-iyt} dy)
+    def upward(x0):
+        return _semi_infinite_osc(d.density, t, x0, cfg, phase, phase_inv,
+                                  d.feature_points, tail_mass)[0]
+
+    def reflected(x0):
+        # int_{-inf}^{x0} w(x) e^{-it phase(x)} dx
+        #   = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy),  r(y) = -phase(-y)
+        r_phase = r_inv = None
+        if phase is not None:
+            r_phase = lambda y: -phase(-y)
+            r_inv = lambda u: -phase_inv(-u)
         refl = lambda y: d.density(-y)
         pts = tuple(-p for p in d.feature_points)
-        val, err = _semi_infinite_osc(refl, t, -hi, cfg, points=pts)
+        val, _ = _semi_infinite_osc(refl, t, -x0, cfg, r_phase, r_inv, pts)
         return complex(val).conjugate()
-    # finite window: QUADPACK oscillatory weight kernels
-    re = quad(
-        d.density, lo, hi, weight="cos", wvar=t,
-        epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    im = quad(
-        d.density, lo, hi, weight="sin", wvar=t,
-        epsabs=cfg.abs_tol / 2, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions,
-        full_output=1,
-    )
-    val = complex(re[0], -im[0])
-    err = re[1] + im[1]
-    if (len(re) > 3 or len(im) > 3) and err > cfg.target(val):
-        raise QuadratureFailure("finite-window oscillatory integral did not converge", val, err, t=t)
-    return val
+
+    if math.isfinite(lo):
+        return upward(lo)
+    if math.isfinite(hi):
+        return reflected(hi)
+    return reflected(d.center) + upward(d.center)
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -535,9 +530,8 @@ def halfline_amplitude(
     if ramp_side == "negative":
         frozen = mass_integral(d, 0.0, math.inf, cfg)
         # eigenvalue of the negative-side ramp is -x >= 0 on the active side:
-        # int_0^inf e^{-iEt} d(-E) dE = conj of the restricted transform below 0
-        active = complex(restricted_amplitude(d, -math.inf, 0.0, t, cfg)).conjugate()
-        return frozen + active
+        # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
+        return frozen + restricted_amplitude(d, -math.inf, 0.0, -t, cfg)
     raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
 
 

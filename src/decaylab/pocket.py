@@ -158,6 +158,13 @@ def reduced_state(m: PocketModel, rho0: QubitState, t: float, cfg: QuadratureCon
     return apply_dephasing(rho0, dephasing_factor(m, t, cfg))
 
 
+def dephased_states(rho0: QubitState, series: oscint.ComplexTimeSeries) -> list[QubitState]:
+    """Reduced states along a series of dephasing factors f(t); the point
+    t = 0 returns rho0 exactly, as in reduced_state."""
+    return [rho0 if t == 0 else apply_dephasing(rho0, f)
+            for t, f in zip(series.times, series.values)]
+
+
 def sigma_x_expectation(m: PocketModel, rho0: QubitState, t: float, cfg: QuadratureConfig) -> float:
     """<sigma_x(t)> = 2 Re(f(t) rho01(0)); decays as exp(-gamma t/2) when omega0 = 0."""
     if rho0.rho01 == 0:

@@ -263,17 +263,8 @@ def generalized_dephasing_factor(
     tolerance when phi is the transported state.
     """
     state = state or build_initial_state(p, params)
-    d = state.density
-    if t == 0:
-        return complex(oscint.mass_integral(d, -math.inf, math.inf, cfg))
-    return oscint.phase_fourier(
-        d.density,
-        t,
-        cfg,
-        split=d.center,
-        phase=p.W,
-        phase_inv=p.W_inverse,
-        points=d.feature_points,
+    return oscint.restricted_amplitude(
+        state.density, -math.inf, math.inf, t, cfg, phase=p.W, phase_inv=p.W_inverse
     )
 
 

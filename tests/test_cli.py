@@ -117,6 +117,21 @@ def test_gkls_compare_summary(tmp_path):
     assert cols["distance_literal"][i] == pytest.approx(0.2356, abs=1e-4)
 
 
+def test_gkls_compare_computes_one_series(tmp_path, monkeypatch):
+    calls = []
+    real = cli.oscint.amplitude_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.oscint, "amplitude_series", counting)
+    for n in ("3", "5"):
+        assert run("gkls-compare", "--t-start", "0", "--t-end", "2", "--n-points", n,
+                   "--out", str(tmp_path / f"g{n}.csv")) == 0
+    assert len(calls) == 2
+
+
 def test_pw_dephasing_report(tmp_path):
     out = tmp_path / "pw.txt"
     assert run("pw", "--amplitude", "dephasing", "--gamma", "1", "--out", str(out)) == 0
@@ -236,7 +251,8 @@ def test_structured_text_format(tmp_path):
     assert "[data]" in text and "t = 0,1,2" in text
 
 
-def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["survival", "reduced", "gkls-compare"])
+def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, command):
     out = tmp_path / "f.csv"
 
     def fake_series(d, times, cfg, meta=None):
@@ -245,7 +261,7 @@ def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch):
         raise SeriesFailure(series, [QuadratureFailure("stub", 0.5 + 0.0j, 1e-3, t=float(t[-1]))])
 
     monkeypatch.setattr(cli.oscint, "amplitude_series", fake_series)
-    code = run("survival", "--t-start", "0", "--t-end", "2", "--n-points", "3",
+    code = run(command, "--t-start", "0", "--t-end", "2", "--n-points", "3",
                "--out", str(out))
     assert code == 3
     assert out.exists()

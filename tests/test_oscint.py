@@ -193,6 +193,18 @@ def test_split_identity_against_analytic_full_line():
             assert abs(lower + upper - lorentz_exact(gamma, omega0, t)) <= 2 * CFG.abs_tol
 
 
+def test_restricted_amplitude_phase_is_rescaled_time():
+    # the phase 2x at time t is the identity phase at time 2t, on each range
+    d = lorentzian_density(DephasingParams(1.0, 0.5))
+    doubled = dict(phase=lambda x: 2.0 * x, phase_inv=lambda u: u / 2.0)
+    for lo, hi in [(-math.inf, math.inf), (0.2, math.inf), (-math.inf, 0.2)]:
+        for t in (-1.3, 0.0, 0.7, 4.0):
+            got = restricted_amplitude(d, lo, hi, t, CFG, **doubled)
+            assert abs(got - restricted_amplitude(d, lo, hi, 2.0 * t, CFG)) <= 2 * CFG.abs_tol
+    with pytest.raises(ValueError):
+        restricted_amplitude(d, -1.0, 1.0, 1.0, CFG, **doubled)
+
+
 def test_global_survival_basics():
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     assert global_survival((1.0, 0.0), d, 0.0, CFG) == pytest.approx(1.0, abs=1e-9)
