@@ -7,13 +7,17 @@ generalized potentials).  One transform, restricted_amplitude, serves both:
 t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
 tables have an exact transform and finite windows use QUADPACK's oscillatory
 weights.  Infinite pieces are integrated over half-periods of the kernel
-(cells of phase length pi), with adaptive Gauss-Kronrod quadrature inside
-each cell and Wynn epsilon acceleration of the alternating cell sums; the
-piece below the split point is reflected onto an upward one.  This gives
-uniform accuracy in t without Filon-type weight tables; heavy algebraic
-tails converge through the acceleration instead of an (infeasibly large)
-explicit cutoff, and the analytic tail mass only enters the error bound
-when a sum is truncated without convergence.
+(cells of phase length pi), with Wynn epsilon acceleration of the
+alternating cell sums; the piece below the split point is reflected onto an
+upward one.  Each tail cell gets QUADPACK's 21-point Gauss-Kronrod rule
+(dqk21) in numpy, eight cells per pass by default (min_cells +
+stable_steps), with the integrand evaluated once per node; adaptive quad
+runs only on cells where QUADPACK's own first-pass test (dqagse's) fails.  The rule keeps
+QUADPACK's order of operations, so each cell's value is the one quad would
+return.  This gives uniform accuracy in t without Filon-type weight
+tables; heavy algebraic tails converge through the acceleration instead of
+an (infeasibly large) explicit cutoff, and the analytic tail mass only
+enters the error bound when a sum is truncated without convergence.
 
 Everything here is pure and deterministic: identical inputs and config
 produce bit-identical results, so concurrent and sequential evaluation of
@@ -241,6 +245,102 @@ def _table_transform(d: SpectralDensity, lo: float, hi: float, t: float) -> comp
 
 
 # ---------------------------------------------------------------------------
+# 21-point Gauss-Kronrod cells in blocks (QUADPACK dqk21 + dqagse first pass)
+
+# Kronrod abscissae on [0, 1], descending; the odd entries are the 10-point
+# Gauss abscissae, the last is the centre
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# dqk21 evaluates the centre, then the Gauss pairs, then the Kronrod-only
+# pairs, at centre -+ half_length * x, and adds its terms in that order;
+# resasc visits the pairs by abscissa instead.  Nodes here: the centre, the
+# ten lower nodes, the ten upper nodes, pairs in dqk21's order.
+_PAIRS = np.r_[1:10:2, 0:10:2]
+_GK21_NODES = np.concatenate(([0.0], -_XGK[_PAIRS], _XGK[_PAIRS]))
+_KRONROD = _WGK[_PAIRS][:, None]
+_BY_ABSCISSA = np.r_[0, 1 + np.argsort(_PAIRS), 11 + np.argsort(_PAIRS)]
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+
+def _in_order(centre, weights, g):
+    """centre + sum over pairs of weights * (g(lower) + g(upper)), added
+    left to right as dqk21's loops do (accumulate fixes the order)."""
+    terms = weights * (g[1:11] + g[11:])
+    terms[0] += centre
+    return np.add.accumulate(terms)[-1]
+
+
+def _first_pass(resk, resg, resabs, resasc, hlgth, epsabs, epsrel):
+    """The end of dqk21 (scaling, error estimate) and dqagse's test whether
+    its first pass stands, for one real integral: (result, abserr, ok)."""
+    dhlgth = abs(hlgth)
+    result = resk * hlgth
+    resabs *= dhlgth
+    resasc *= dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0 and abserr != 0:
+        ratio = 200.0 * abserr / resasc
+        # min(1, ratio**1.5) by libm's pow, as QUADPACK's
+        abserr = resasc * (1.0 if ratio >= 1.0 else math.pow(ratio, 1.5))
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    errbnd = max(epsabs, epsrel * abs(result))
+    roundoff = abserr <= (100.0 * _EPMACH) * resabs and abserr > errbnd
+    ok = not roundoff and ((abserr <= errbnd and abserr != resasc) or abserr == 0)
+    return result, abserr, ok
+
+
+def _qk21_cells(values, half_lengths, epsabs, epsrel):
+    """QUADPACK's dqk21 rule and dqagse's first-pass test on a block of cells.
+
+    values[:, i] is the complex integrand at centre_i + half_lengths[i] *
+    _GK21_NODES.  As quad(complex_func=True) does, the real and imaginary
+    parts are integrated as two real integrals, each with dqk21's arithmetic
+    in dqk21's order, so a cell's value and error estimate are quad's to the
+    bit.  Returns one (value, error, accepted) per cell: the Kronrod value,
+    the summed error estimates of both parts, and whether QUADPACK would
+    return both parts' first pass unrefined (ier = 0); other cells need the
+    adaptive quad.
+    """
+    n = len(half_lengths)
+    f = np.concatenate((values.real, values.imag), axis=1)
+    wc = _WGK[10]
+    resk = _in_order(wc * f[0], _KRONROD, f)
+    resg = np.add.accumulate(_WG[:, None] * (f[1:6] + f[11:16]))[-1]
+    absf = np.abs(f)
+    resabs = _in_order(wc * absf[0], _KRONROD, absf)
+    dev = np.abs(f - resk * 0.5)[_BY_ABSCISSA]
+    resasc = _in_order(wc * dev[0], _WGK[:10, None], dev)
+    parts = [
+        _first_pass(*row, epsabs, epsrel)
+        for row in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(),
+                       half_lengths.tolist() * 2)
+    ]
+    return [(re[0] + 1j * im[0], re[1] + im[1], re[2] and im[2])
+            for re, im in zip(parts[:n], parts[n:])]
+
+
+# ---------------------------------------------------------------------------
 # half-period cells + Wynn epsilon acceleration
 
 
@@ -307,6 +407,9 @@ def _semi_infinite_osc(
     The range up to the last feature point (the density bulk) is integrated
     as a single head piece; only the clean alternating tail beyond it feeds
     the epsilon table, so a far-off peak cannot poison the extrapolation.
+    Tail cells are evaluated in blocks (_qk21_cells): for the linear phase
+    weight takes the whole block as one float64 array, for a monotone phase
+    the integrand is evaluated node by node.
     Returns (value, error_bound).  Raises QuadratureFailure when the tail sum
     does not stabilize within the truncation policy's cell budget.
     """
@@ -350,38 +453,54 @@ def _semi_infinite_osc(
             a = boundary
             u0 = u0 + k_clear * h
 
+    def cell_values(x):
+        if phase is None:
+            return weight(x) * np.exp(-1j * t * x)
+        return np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
+
     row: list = [partial] if partial != 0 else []
     est_prev = None
     stable = 0
     negligible = 0
-    for k in range(pol.max_cells):
-        b = pin(u0 + (k + 1) * h)
-        val, err, _ = _quad(
-            f, a, b, cell_tol, 1e-12, cfg.max_subdivisions, None, complex_valued=True
-        )
-        quad_err += err
-        partial += val
-        row = _wynn_row(row, partial)
-        est = _wynn_estimate(row)
-        if not cmath.isfinite(est):
-            est = partial
-        # truncated-tail stop: consecutive negligible cells
-        if abs(val) < pol.negligible_factor * cfg.abs_tol:
-            negligible += 1
-            if negligible >= 2 and k + 1 >= pol.min_cells:
-                return partial, quad_err + 3.0 * abs(val)
-        else:
-            negligible = 0
-        if est_prev is not None and k + 1 >= pol.min_cells:
-            delta = abs(est - est_prev)
-            if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
-                stable += 1
-                if stable >= pol.stable_steps:
-                    return est, quad_err + delta
+    k = 0
+    while k < pol.max_cells:
+        # blocks of min_cells + stable_steps cells: the first one reaches
+        # the earliest Wynn-stable stop; cells past a stop are discarded
+        m = min(pol.min_cells + pol.stable_steps, pol.max_cells - k)
+        edges = np.array([a] + [pin(u0 + (k + j + 1) * h) for j in range(m)])
+        centr = 0.5 * (edges[1:] + edges[:-1])
+        hlgth = 0.5 * (edges[1:] - edges[:-1])
+        x = centr + hlgth * _GK21_NODES[:, None]
+        cells = _qk21_cells(cell_values(x), hlgth, cell_tol, 1e-12)
+        for b, (val, err, ok) in zip(edges[1:].tolist(), cells):
+            if not ok:
+                val, err, _ = _quad(
+                    f, a, b, cell_tol, 1e-12, cfg.max_subdivisions, None, complex_valued=True
+                )
+            quad_err += err
+            partial += val
+            row = _wynn_row(row, partial)
+            est = _wynn_estimate(row)
+            if not cmath.isfinite(est):
+                est = partial
+            # truncated-tail stop: consecutive negligible cells
+            if abs(val) < pol.negligible_factor * cfg.abs_tol:
+                negligible += 1
+                if negligible >= 2 and k + 1 >= pol.min_cells:
+                    return partial, quad_err + 3.0 * abs(val)
             else:
-                stable = 0
-        est_prev = est
-        a = b
+                negligible = 0
+            if est_prev is not None and k + 1 >= pol.min_cells:
+                delta = abs(est - est_prev)
+                if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
+                    stable += 1
+                    if stable >= pol.stable_steps:
+                        return est, quad_err + delta
+                else:
+                    stable = 0
+            est_prev = est
+            a = b
+            k += 1
     best = est_prev if est_prev is not None else partial
     bound = quad_err + abs(best - partial)
     if tail_mass is not None:
@@ -418,7 +537,9 @@ def restricted_amplitude(
     mass integral and t < 0 the conjugate of the transform at -t.  Infinite
     ranges are summed in half-period cells from a split point (the finite
     end, or d.center on the full line); the piece below it is integrated
-    reflected, x -> -x, and conjugated.
+    reflected, x -> -x, and conjugated.  When a piece fails, the one
+    QuadratureFailure raised carries the sum of both pieces' estimates, with
+    the same conjugations, under the sum of their error bounds.
     """
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
@@ -427,7 +548,11 @@ def restricted_amplitude(
     if t == 0:
         return complex(mass_integral(d, lo, hi, cfg))
     if t < 0:
-        return complex(restricted_amplitude(d, lo, hi, -t, cfg, phase, phase_inv)).conjugate()
+        try:
+            return complex(restricted_amplitude(d, lo, hi, -t, cfg, phase, phase_inv)).conjugate()
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(exc.detail, complex(exc.estimate).conjugate(),
+                                    exc.error_bound, t=t) from None
     if d.table is not None and phase is None:
         return _table_transform(d, lo, hi, t)
     if math.isfinite(lo) and math.isfinite(hi):
@@ -441,31 +566,43 @@ def restricted_amplitude(
             )
         return val
 
-    def tail_mass(x):
-        loose = QuadratureConfig(1e-6, 1e-6, cfg.max_subdivisions)
-        return mass_integral(d, x, math.inf, loose)
+    loose = QuadratureConfig(1e-6, 1e-6, cfg.max_subdivisions)
 
-    def upward(x0):
-        return _semi_infinite_osc(d.density, t, x0, cfg, phase, phase_inv,
-                                  d.feature_points, tail_mass)[0]
-
-    def reflected(x0):
-        # int_{-inf}^{x0} w(x) e^{-it phase(x)} dx
-        #   = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy),  r(y) = -phase(-y)
-        r_phase = r_inv = None
-        if phase is not None:
-            r_phase = lambda y: -phase(-y)
-            r_inv = lambda u: -phase_inv(-u)
-        refl = lambda y: d.density(-y)
-        pts = tuple(-p for p in d.feature_points)
-        val, _ = _semi_infinite_osc(refl, t, -x0, cfg, r_phase, r_inv, pts)
-        return complex(val).conjugate()
+    def half(x0, lower):
+        """(value, error bound, failure detail or None) of the piece above x0,
+        or below it when lower; a failed piece gives its best estimate."""
+        weight, ph, inv, pts = d.density, phase, phase_inv, d.feature_points
+        tail_mass = lambda x: mass_integral(d, x, math.inf, loose)
+        if lower:
+            # int_{-inf}^{x0} w(x) e^{-it phase(x)} dx
+            #   = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy),  r(y) = -phase(-y)
+            weight = lambda y: d.density(-y)
+            if phase is not None:
+                ph = lambda y: -phase(-y)
+                inv = lambda u: -phase_inv(-u)
+            pts = tuple(-p for p in d.feature_points)
+            tail_mass = lambda y: mass_integral(d, -math.inf, -y, loose)
+            x0 = -x0
+        try:
+            val, err = _semi_infinite_osc(weight, t, x0, cfg, ph, inv, pts, tail_mass)
+            detail = None
+        except QuadratureFailure as exc:
+            val, err, detail = exc.estimate, exc.error_bound, exc.detail
+        val = complex(val)
+        return (val.conjugate() if lower else val), err, detail
 
     if math.isfinite(lo):
-        return upward(lo)
-    if math.isfinite(hi):
-        return reflected(hi)
-    return reflected(d.center) + upward(d.center)
+        pieces = [half(lo, False)]
+    elif math.isfinite(hi):
+        pieces = [half(hi, True)]
+    else:
+        pieces = [half(d.center, True), half(d.center, False)]
+    vals, errs, details = zip(*pieces)
+    value = sum(vals[1:], vals[0])
+    failed = [detail for detail in details if detail is not None]
+    if failed:
+        raise QuadratureFailure(failed[0], value, sum(errs), t=t)
+    return value
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -523,16 +660,25 @@ def halfline_amplitude(
     max(+-x, 0): one half-line is frozen at phase 1, the other contributes the
     Fourier integral of the density in the ramp's eigenvalue coordinate.
     """
-    if ramp_side == "positive":
-        frozen = mass_integral(d, -math.inf, 0.0, cfg)
-        active = restricted_amplitude(d, 0.0, math.inf, t, cfg)
-        return frozen + active
-    if ramp_side == "negative":
-        frozen = mass_integral(d, 0.0, math.inf, cfg)
-        # eigenvalue of the negative-side ramp is -x >= 0 on the active side:
-        # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
-        return frozen + restricted_amplitude(d, -math.inf, 0.0, -t, cfg)
-    raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
+    return _halfline_amplitude(d, ramp_side, t, cfg, {})
+
+
+def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict) -> complex:
+    """halfline_amplitude; frozen caches the frozen half-line mass by ramp
+    side, so the points of one series integrate it once."""
+    # (frozen half, active half, time of the active transform): the
+    # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
+    # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
+    sides = {
+        "positive": ((-math.inf, 0.0), (0.0, math.inf), t),
+        "negative": ((0.0, math.inf), (-math.inf, 0.0), -t),
+    }
+    if ramp_side not in sides:
+        raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
+    still, active, t_active = sides[ramp_side]
+    if ramp_side not in frozen:
+        frozen[ramp_side] = mass_integral(d, *still, cfg)
+    return frozen[ramp_side] + restricted_amplitude(d, *active, t_active, cfg)
 
 
 def global_survival(
@@ -540,23 +686,29 @@ def global_survival(
 ) -> complex:
     """Survival amplitude of the factorized pure state chi (x) phi:
     w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>."""
+    return _global_survival(chi_weights, d, t, cfg, {})
+
+
+def _global_survival(chi_weights, d, t, cfg, frozen: dict) -> complex:
     w0, w1 = chi_weights
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
     out = 0.0 + 0.0j
     if w0:
-        out += w0 * halfline_amplitude(d, "positive", t, cfg)
+        out += w0 * _halfline_amplitude(d, "positive", t, cfg, frozen)
     if w1:
-        out += w1 * halfline_amplitude(d, "negative", t, cfg)
+        out += w1 * _halfline_amplitude(d, "negative", t, cfg, frozen)
     return out
 
 
 def global_survival_series(
     chi_weights, d: SpectralDensity, times, cfg: QuadratureConfig
 ) -> ComplexTimeSeries:
-    """global_survival on a time grid, with SeriesFailure semantics."""
+    """global_survival on a time grid, with SeriesFailure semantics; the
+    frozen half-line masses do not depend on t and are integrated once."""
+    frozen: dict = {}
     return _batch(
-        lambda t: global_survival(chi_weights, d, t, cfg),
+        lambda t: _global_survival(chi_weights, d, t, cfg, frozen),
         times,
         d,
         cfg,

@@ -16,6 +16,10 @@ import numpy as np
 
 TAIL_CLASSES = ("heavy", "exponential", "compact")
 
+# math.exp over an array: numpy's vectorized exp differs from it by an ulp
+# on some arguments, and an array call must match the scalar calls exactly
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
 
 @dataclass(frozen=True)
 class DephasingParams:
@@ -53,6 +57,12 @@ class SpectralDensity:
 
     Immutable after construction; evaluation is pure, so instances are safe
     for unrestricted concurrent use.
+
+    density takes a float.  A density that can reach the half-period cells
+    of the linear phase (infinite support, no table) must also take a float64
+    array and return its values elementwise: the cells evaluate it once per
+    block of nodes.  Lorentzian and exponential densities do; tables never
+    reach the cells.
     """
 
     density: Callable[[float], float]
@@ -143,6 +153,8 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
         raise ValueError(f"rate must be strictly positive, got {rate}")
 
     def dens(e):
+        if isinstance(e, np.ndarray):
+            return rate * np.asarray(_libm_exp(-rate * e), dtype=float)
         return rate * math.exp(-rate * e)
 
     return SpectralDensity(

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from decaylab import (
     ComplexTimeSeries,
     DephasingParams,
@@ -14,6 +16,7 @@ from decaylab import (
     exponential_density,
     fourier_amplitude,
     global_survival,
+    global_survival_series,
     half_line_mass,
     halfline_amplitude,
     lorentzian_density,
@@ -21,6 +24,7 @@ from decaylab import (
     restricted_amplitude,
     table_density,
 )
+from decaylab import oscint
 
 CFG = QuadratureConfig()
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
@@ -321,3 +325,90 @@ def test_time_series_validation():
     s = ComplexTimeSeries(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 3], dtype=complex))
     w = s.window(0.5, 2.0)
     assert list(w.times) == [1.0, 2.0]
+
+
+def test_failure_estimate_sums_both_halves_under_their_bounds():
+    # six cells per half cannot stabilize; the failure must still bracket
+    # the true value: conjugated lower estimate + upper estimate, under the
+    # sum of both halves' bounds including the truncated tail masses
+    starved = QuadratureConfig(truncation_policy=TruncationPolicy(max_cells=6, min_cells=6))
+    d = lorentzian_density(DephasingParams(1.0, 0.5))
+    for t in (1.0, -1.0):
+        with pytest.raises(QuadratureFailure) as exc_info:
+            fourier_amplitude(d, t, starved)
+        failure = exc_info.value
+        assert abs(failure.estimate - lorentz_exact(1.0, 0.5, t)) <= failure.error_bound
+
+
+def test_global_survival_series_integrates_frozen_masses_once(monkeypatch):
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    times = np.linspace(0.5, 20.0, 25)
+    pointwise = [global_survival((0.3, 0.7), d, float(t), CFG) for t in times]
+    calls = []
+    real_mass = oscint.mass_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_mass(*args, **kwargs)
+
+    monkeypatch.setattr(oscint, "mass_integral", counting)
+    series = global_survival_series((0.3, 0.7), d, times, CFG)
+    assert len(calls) <= 2
+    assert list(series.values) == pointwise  # bit-identical to the pointwise values
+
+
+def _gk21_cell_values(f, a, b):
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    return f(centre + half * oscint._GK21_NODES[:, None]), half
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_qk21_cells_match_quad_first_pass(tol):
+    # cells as the tail sums them: cell_tol = abs_tol / 64, epsrel 1e-12
+    cell_tol = tol / 64.0
+    clean_cells = 0
+    for d in (lorentzian_density(DephasingParams(1.0, 0.5)), exponential_density(2.0)):
+        for t in (0.3, 1.0, 4.0, 17.0):
+            edges = 0.1 + (math.pi / t) * np.arange(13)
+            a, b = edges[:-1], edges[1:]
+
+            def f(x):
+                return d.density(x) * np.exp(-1j * t * x)
+
+            cells = oscint._qk21_cells(*_gk21_cell_values(f, a, b), cell_tol, 1e-12)
+            for i, (val, err, accepted) in enumerate(cells):
+                parts = [
+                    quad(lambda x, g=g: g(f(x)), a[i], b[i], epsabs=cell_tol, epsrel=1e-12,
+                         limit=200, full_output=1)
+                    for g in (np.real, np.imag)
+                ]
+                clean = all(len(r) == 3 and r[2]["neval"] == 21 for r in parts)
+                assert accepted == clean
+                if clean:
+                    clean_cells += 1
+                    # same arithmetic in the same order: equal to the bit
+                    assert val == parts[0][0] + 1j * parts[1][0]
+                    assert err == parts[0][1] + parts[1][1]
+    assert clean_cells >= 48  # most of the 96 cells pass on the first try
+
+
+def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
+    # a narrow peak inside the first (wide) cell: QUADPACK subdivides it, so
+    # the block rule must hand that cell to quad
+    d = lorentzian_density(DephasingParams(1e-3, 2.0))
+    t, h = 0.5, 2.0 * math.pi
+    values, half = _gk21_cell_values(lambda x: d.density(x) * np.exp(-1j * t * x),
+                                     np.array([0.0]), np.array([h]))
+    [(_, _, accepted)] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
+    assert not accepted
+    got, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+
+    # reference: every cell through adaptive quad
+    block_rule = oscint._qk21_cells
+
+    def reject_all(*args):
+        return [(val, err, False) for val, err, _ in block_rule(*args)]
+
+    monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
+    want, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+    assert got == want  # accepted cells are quad's to the bit

@@ -26,6 +26,17 @@ def test_lorentzian_peak_values():
     assert d2(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "d",
+    [lorentzian_density(DephasingParams(0.7, -1.5)), exponential_density(2.5)],
+    ids=["lorentzian", "exponential"],
+)
+def test_density_on_array_equals_elementwise_scalar_calls(d):
+    # the half-period cells evaluate the density once per block of nodes
+    x = np.concatenate((np.linspace(0.0, 40.0, 401), [1e-300, 3.7e5]))
+    assert list(d.density(x)) == [d.density(float(xi)) for xi in x]
+
+
 def test_gamma_validation():
     with pytest.raises(ValueError):
         DephasingParams(0.0, 0.0)
