@@ -32,7 +32,6 @@ from .oscint import (
     QuadratureConfig,
     QuadratureFailure,
     SeriesFailure,
-    TruncationPolicy,
     amplitude_series,
     fourier_amplitude,
     global_survival,
@@ -62,7 +61,6 @@ from .gkls import (
     trace_distance,
 )
 from .diagnostics import (
-    DecayReport,
     ExponentialFit,
     GrowthFit,
     classify_growth,

@@ -338,29 +338,23 @@ def cmd_pw(cfg: dict) -> int:
             lo, hi = float(series.times[0]), float(series.times[-1])
         growth = diagnostics.fit_pw_growth(amplitude, Ts, qcfg)
         fit = diagnostics.exponential_fit(series, (lo, hi))
-        report = diagnostics.DecayReport(
-            pw_values=growth.pw_values,
-            growth_class=growth.growth_class,
-            fit=fit,
-            longtime_value=float(abs(series.values[-1])),
-        )
     except SeriesFailure as exc:
         return _partial_output(cfg["out"], "csv", _series_columns(exc.series), echo, exc)
     sections = [
-        ("pw", [(f"T={output.fmt(T)}", v) for T, v in report.pw_values]),
+        ("pw", [(f"T={output.fmt(T)}", v) for T, v in growth.pw_values]),
         ("classification", [
-            ("class", report.growth_class),
+            ("class", growth.growth_class),
             ("c0", growth.c0),
             ("c1", growth.c1),
             ("rel_residual", growth.rel_residual),
         ]),
         ("fit", [
             ("window", f"{output.fmt(lo)},{output.fmt(hi)}"),
-            ("rate", report.fit.rate),
-            ("amplitude", report.fit.amplitude),
-            ("residual", report.fit.residual),
+            ("rate", fit.rate),
+            ("amplitude", fit.amplitude),
+            ("residual", fit.residual),
         ]),
-        ("longtime", [("abs_amplitude", report.longtime_value)]),
+        ("longtime", [("abs_amplitude", float(abs(series.values[-1])))]),
     ]
     output.write_report(cfg["out"], echo, sections)
     return 0

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscint import ComplexTimeSeries, QuadratureConfig, QuadratureFailure, _quad
+from .oscint import (_MAX_SUBDIVISIONS, ComplexTimeSeries, QuadratureConfig,
+                     QuadratureFailure, _quad)
 
 # classifier thresholds, calibrated on the two closed-form reference cases:
 # the pure exponential fits c0 + c1 ln(1+T^2) to machine precision and keeps
@@ -49,16 +50,6 @@ class GrowthFit:
     c1: float
     rel_residual: float
     pw_values: tuple
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Summary of a decay-law analysis for one amplitude."""
-
-    pw_values: tuple
-    growth_class: str
-    fit: ExponentialFit | None
-    longtime_value: float
 
 
 def _pw_segment(t0: float, t1: float, l0: float, l1: float) -> float:
@@ -131,7 +122,7 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
         # decade break points keep the adaptive subdivision shallow on long ranges
         pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if prev < p < T] or None
         val, err, ok = _quad(
-            integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg.max_subdivisions, pts
+            integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, _MAX_SUBDIVISIONS, pts
         )
         if not ok and err > cfg.target(val):
             raise QuadratureFailure("Paley-Wiener sweep increment did not converge", val, err)

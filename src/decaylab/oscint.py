@@ -9,15 +9,16 @@ tables have an exact transform and finite windows use QUADPACK's oscillatory
 weights.  Infinite pieces are integrated over half-periods of the kernel
 (cells of phase length pi), with Wynn epsilon acceleration of the
 alternating cell sums; the piece below the split point is reflected onto an
-upward one.  Each tail cell gets QUADPACK's 21-point Gauss-Kronrod rule
-(dqk21) in numpy, eight cells per pass by default (min_cells +
-stable_steps), with the integrand evaluated once per node; adaptive quad
-runs only on cells where QUADPACK's own first-pass test (dqagse's) fails.  The rule keeps
-QUADPACK's order of operations, so each cell's value is the one quad would
-return.  This gives uniform accuracy in t without Filon-type weight
-tables; heavy algebraic tails converge through the acceleration instead of
-an (infeasibly large) explicit cutoff, and the analytic tail mass only
-enters the error bound when a sum is truncated without convergence.
+upward one.  Each tail cell, and each head cell of a monotone phase, gets
+QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells eight
+per pass by default (min_cells + 2), with the integrand evaluated once per
+node; adaptive quad runs only on cells where QUADPACK's own first-pass test
+(dqagse's) fails or that a feature point splits.  The rule keeps QUADPACK's
+order of operations, so each cell's value is the one quad would return.
+This gives uniform accuracy in t without Filon-type weight tables; heavy
+algebraic tails converge through the acceleration instead of an
+(infeasibly large) explicit cutoff, and the analytic tail mass only enters
+the error bound when a sum is truncated without convergence.
 
 Everything here is pure and deterministic: identical inputs and config
 produce bit-identical results, so concurrent and sequential evaluation of
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,39 +38,36 @@ from scipy.integrate import quad
 from .spectral import SpectralDensity
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Tail handling for the cell sums.
-
-    max_cells caps the number of half-period cells; min_cells delays the
-    convergence checks until the sum has seen a few oscillations (and passed
-    all density feature points); negligible_factor * abs_tol is the size
-    below which consecutive cell contributions are treated as a truncated
-    tail, bounded and folded into the error estimate.
-    """
-
-    max_cells: int = 400
-    min_cells: int = 6
-    negligible_factor: float = 0.02
-    stable_steps: int = 2
-
-    def __post_init__(self):
-        if self.max_cells < self.min_cells or self.min_cells < 1:
-            raise ValueError("need max_cells >= min_cells >= 1")
+# fixed settings of the engine, described in QuadratureConfig
+_MAX_SUBDIVISIONS = 200
+_NEGLIGIBLE_FACTOR = 0.02
+_STABLE_STEPS = 2
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances and the cell budget of every integral.
+
+    abs_tol and rel_tol are the target accuracy.  max_cells caps the number
+    of half-period cells in an infinite piece's tail; min_cells delays the
+    convergence checks until the sum has seen a few oscillations.
+
+    Fixed, not settable: every adaptive QUADPACK call gets at most
+    _MAX_SUBDIVISIONS (200) subintervals; a tail sum stops as truncated after
+    two consecutive cells below _NEGLIGIBLE_FACTOR (0.02) * abs_tol, and as
+    converged after _STABLE_STEPS (2) consecutive Wynn-stable estimates.
+    """
+
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    truncation_policy: TruncationPolicy = TruncationPolicy()
+    max_cells: int = 400
+    min_cells: int = 6
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if self.max_cells < self.min_cells or self.min_cells < 1:
+            raise ValueError("need max_cells >= min_cells >= 1")
 
     def target(self, value: complex) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -113,7 +111,6 @@ class ComplexTimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -130,7 +127,7 @@ class ComplexTimeSeries:
 
     def window(self, t_min: float, t_max: float) -> "ComplexTimeSeries":
         sel = (self.times >= t_min) & (self.times <= t_max)
-        return ComplexTimeSeries(self.times[sel], self.values[sel], dict(self.meta))
+        return ComplexTimeSeries(self.times[sel], self.values[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +176,12 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
             return d.density(ch.x_of_u(u)) * ch.dxdu(u)
 
         pts = _interior_points((ch.u_of_x(p) for p in d.feature_points), ulo, uhi)
-        val, err, ok = _quad(g, ulo, uhi, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions, pts)
+        val, err, ok = _quad(g, ulo, uhi, cfg.abs_tol, cfg.rel_tol, _MAX_SUBDIVISIONS, pts)
     else:
         pts = None
         if math.isfinite(lo) and math.isfinite(hi):
             pts = _interior_points(d.feature_points, lo, hi)
-        val, err, ok = _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions, pts)
+        val, err, ok = _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, _MAX_SUBDIVISIONS, pts)
     if not ok and err > cfg.target(val):
         raise QuadratureFailure("mass integral did not converge", val, err)
     return val
@@ -386,7 +383,7 @@ def _linear_head(weight, t, x0, boundary, cfg, points):
     err_sum = 0.0
     seg_tol = head_tol / (2 * (len(cuts) - 1))
     for a, b in zip(cuts, cuts[1:]):
-        val, err, _ = _qawo(weight, a, b, t, seg_tol, 1e-12, cfg.max_subdivisions)
+        val, err, _ = _qawo(weight, a, b, t, seg_tol, 1e-12, _MAX_SUBDIVISIONS)
         total += val
         err_sum += err
     return total, err_sum
@@ -407,14 +404,14 @@ def _semi_infinite_osc(
     The range up to the last feature point (the density bulk) is integrated
     as a single head piece; only the clean alternating tail beyond it feeds
     the epsilon table, so a far-off peak cannot poison the extrapolation.
-    Tail cells are evaluated in blocks (_qk21_cells): for the linear phase
-    weight takes the whole block as one float64 array, for a monotone phase
-    the integrand is evaluated node by node.
+    Cells are evaluated in blocks (_qk21_cells): for the linear phase weight
+    takes the whole block as one float64 array, for a monotone phase the
+    integrand is evaluated node by node.  The linear head goes to QAWO; the
+    monotone head is one block of half-period cells.
     Returns (value, error_bound).  Raises QuadratureFailure when the tail sum
-    does not stabilize within the truncation policy's cell budget.
+    does not stabilize within cfg.max_cells cells.
     """
     pin = phase_inv if phase is not None else (lambda u: u)
-    pol = cfg.truncation_policy
     u0 = phase(x0) if phase is not None else x0
     h = math.pi / t
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
@@ -422,6 +419,27 @@ def _semi_infinite_osc(
     def f(x):
         px = phase(x) if phase is not None else x
         return weight(x) * cmath.exp(-1j * t * px)
+
+    def cells(a, k, m, tol, points=None):
+        """The m cells from a, the j-th ending at pin(u0 + (k + j + 1) h), by
+        the block rule; yields (end, value, error).  A cell that fails the
+        rule's first-pass test, or that a feature point splits, goes to
+        adaptive quad."""
+        edges = np.array([a] + [pin(u0 + (k + j + 1) * h) for j in range(m)])
+        centr = 0.5 * (edges[1:] + edges[:-1])
+        hlgth = 0.5 * (edges[1:] - edges[:-1])
+        x = centr + hlgth * _GK21_NODES[:, None]
+        if phase is None:
+            values = weight(x) * np.exp(-1j * t * x)
+        else:
+            values = np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
+        for b, (val, err, ok) in zip(edges[1:].tolist(), _qk21_cells(values, hlgth, tol, 1e-12)):
+            pts = _interior_points(points, a, b) if points else None
+            if pts or not ok:
+                val, err, _ = _quad(f, a, b, tol, 1e-12, _MAX_SUBDIVISIONS, pts,
+                                    complex_valued=True)
+            yield b, val, err
+            a = b
 
     partial = 0.0 + 0.0j
     quad_err = 0.0
@@ -441,42 +459,23 @@ def _semi_infinite_osc(
             else:
                 # nonlinear phase: sum the head cells plainly (they stay out
                 # of the epsilon table, which only extrapolates the tail)
-                cell_tol_head = max(cfg.abs_tol / (8.0 * k_clear), 1e-15)
-                for k in range(k_clear):
-                    b = pin(u0 + (k + 1) * h)
-                    pts = _interior_points(points, a, b)
-                    val, err, _ = _quad(f, a, b, cell_tol_head, 1e-12,
-                                        cfg.max_subdivisions, pts, complex_valued=True)
+                head_tol = max(cfg.abs_tol / (8.0 * k_clear), 1e-15)
+                for _, val, err in cells(x0, 0, k_clear, head_tol, points):
                     partial += val
                     quad_err += err
-                    a = b
             a = boundary
             u0 = u0 + k_clear * h
-
-    def cell_values(x):
-        if phase is None:
-            return weight(x) * np.exp(-1j * t * x)
-        return np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
 
     row: list = [partial] if partial != 0 else []
     est_prev = None
     stable = 0
     negligible = 0
     k = 0
-    while k < pol.max_cells:
-        # blocks of min_cells + stable_steps cells: the first one reaches
+    while k < cfg.max_cells:
+        # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
         # the earliest Wynn-stable stop; cells past a stop are discarded
-        m = min(pol.min_cells + pol.stable_steps, pol.max_cells - k)
-        edges = np.array([a] + [pin(u0 + (k + j + 1) * h) for j in range(m)])
-        centr = 0.5 * (edges[1:] + edges[:-1])
-        hlgth = 0.5 * (edges[1:] - edges[:-1])
-        x = centr + hlgth * _GK21_NODES[:, None]
-        cells = _qk21_cells(cell_values(x), hlgth, cell_tol, 1e-12)
-        for b, (val, err, ok) in zip(edges[1:].tolist(), cells):
-            if not ok:
-                val, err, _ = _quad(
-                    f, a, b, cell_tol, 1e-12, cfg.max_subdivisions, None, complex_valued=True
-                )
+        m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
+        for b, val, err in cells(a, k, m, cell_tol):
             quad_err += err
             partial += val
             row = _wynn_row(row, partial)
@@ -484,17 +483,17 @@ def _semi_infinite_osc(
             if not cmath.isfinite(est):
                 est = partial
             # truncated-tail stop: consecutive negligible cells
-            if abs(val) < pol.negligible_factor * cfg.abs_tol:
+            if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
                 negligible += 1
-                if negligible >= 2 and k + 1 >= pol.min_cells:
+                if negligible >= 2 and k + 1 >= cfg.min_cells:
                     return partial, quad_err + 3.0 * abs(val)
             else:
                 negligible = 0
-            if est_prev is not None and k + 1 >= pol.min_cells:
+            if est_prev is not None and k + 1 >= cfg.min_cells:
                 delta = abs(est - est_prev)
                 if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
                     stable += 1
-                    if stable >= pol.stable_steps:
+                    if stable >= _STABLE_STEPS:
                         return est, quad_err + delta
                 else:
                     stable = 0
@@ -509,7 +508,7 @@ def _semi_infinite_osc(
         except Exception:
             bound = math.inf
     raise QuadratureFailure(
-        f"oscillatory cell sum did not stabilize within {pol.max_cells} cells",
+        f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells",
         best,
         bound,
         t=t,
@@ -559,14 +558,14 @@ def restricted_amplitude(
         if phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
         val, err, ok = _qawo(d.density, lo, hi, t, cfg.abs_tol / 2, cfg.rel_tol,
-                             cfg.max_subdivisions)
+                             _MAX_SUBDIVISIONS)
         if not ok and err > cfg.target(val):
             raise QuadratureFailure(
                 "finite-window oscillatory integral did not converge", val, err, t=t
             )
         return val
 
-    loose = QuadratureConfig(1e-6, 1e-6, cfg.max_subdivisions)
+    loose = QuadratureConfig(1e-6, 1e-6)
 
     def half(x0, lower):
         """(value, error bound, failure detail or None) of the piece above x0,
@@ -616,19 +615,17 @@ def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> co
     return restricted_amplitude(d, -math.inf, math.inf, t, cfg)
 
 
-def amplitude_series(
-    d: SpectralDensity, times, cfg: QuadratureConfig, meta: dict | None = None
-) -> ComplexTimeSeries:
+def amplitude_series(d: SpectralDensity, times, cfg: QuadratureConfig) -> ComplexTimeSeries:
     """fourier_amplitude evaluated on a strictly increasing time grid.
 
     Per-point quadrature failures are collected (with the failing time
     attached) and re-raised as a SeriesFailure that still carries the full
     series with best estimates in place.
     """
-    return _batch(lambda t: fourier_amplitude(d, t, cfg), times, d, cfg, "fourier_amplitude", meta)
+    return _batch(lambda t: fourier_amplitude(d, t, cfg), times)
 
 
-def _batch(f, times, d, cfg, op, meta=None):
+def _batch(f, times):
     t = np.asarray(list(times), dtype=float)
     vals = np.zeros(t.shape, dtype=complex)
     failures = []
@@ -640,14 +637,7 @@ def _batch(f, times, d, cfg, op, meta=None):
                 QuadratureFailure(exc.detail, exc.estimate, exc.error_bound, t=float(ti))
             )
             vals[i] = complex(exc.estimate)
-    info = {
-        "density": d.label,
-        "operation": op,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-    }
-    info.update(meta or {})
-    series = ComplexTimeSeries(t, vals, info)
+    series = ComplexTimeSeries(t, vals)
     if failures:
         raise SeriesFailure(series, failures)
     return series
@@ -665,7 +655,8 @@ def halfline_amplitude(
 
 def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict) -> complex:
     """halfline_amplitude; frozen caches the frozen half-line mass by ramp
-    side, so the points of one series integrate it once."""
+    side, so the points of one series integrate it once.  A failure's
+    estimate includes the frozen mass."""
     # (frozen half, active half, time of the active transform): the
     # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
     # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
@@ -678,14 +669,20 @@ def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict) -> complex:
     still, active, t_active = sides[ramp_side]
     if ramp_side not in frozen:
         frozen[ramp_side] = mass_integral(d, *still, cfg)
-    return frozen[ramp_side] + restricted_amplitude(d, *active, t_active, cfg)
+    try:
+        return frozen[ramp_side] + restricted_amplitude(d, *active, t_active, cfg)
+    except QuadratureFailure as exc:
+        raise QuadratureFailure(exc.detail, frozen[ramp_side] + complex(exc.estimate),
+                                exc.error_bound, t=t) from None
 
 
 def global_survival(
     chi_weights: tuple[float, float], d: SpectralDensity, t: float, cfg: QuadratureConfig
 ) -> complex:
     """Survival amplitude of the factorized pure state chi (x) phi:
-    w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>."""
+    w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>.  When a side fails, the one
+    QuadratureFailure raised carries the weighted sum of both sides' values
+    or estimates under the weighted sum of their error bounds."""
     return _global_survival(chi_weights, d, t, cfg, {})
 
 
@@ -694,10 +691,19 @@ def _global_survival(chi_weights, d, t, cfg, frozen: dict) -> complex:
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
     out = 0.0 + 0.0j
-    if w0:
-        out += w0 * _halfline_amplitude(d, "positive", t, cfg, frozen)
-    if w1:
-        out += w1 * _halfline_amplitude(d, "negative", t, cfg, frozen)
+    bound = 0.0
+    failed = []
+    for w, side in ((w0, "positive"), (w1, "negative")):
+        if not w:
+            continue
+        try:
+            out += w * _halfline_amplitude(d, side, t, cfg, frozen)
+        except QuadratureFailure as exc:
+            out += w * complex(exc.estimate)
+            bound += w * exc.error_bound
+            failed.append(exc.detail)
+    if failed:
+        raise QuadratureFailure(failed[0], out, bound, t=t)
     return out
 
 
@@ -707,11 +713,4 @@ def global_survival_series(
     """global_survival on a time grid, with SeriesFailure semantics; the
     frozen half-line masses do not depend on t and are integrated once."""
     frozen: dict = {}
-    return _batch(
-        lambda t: _global_survival(chi_weights, d, t, cfg, frozen),
-        times,
-        d,
-        cfg,
-        "global_survival",
-        {"weights": tuple(chi_weights)},
-    )
+    return _batch(lambda t: _global_survival(chi_weights, d, t, cfg, frozen), times)

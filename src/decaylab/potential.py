@@ -68,10 +68,6 @@ class MonotonePotential:
     W_inverse: Callable[[float], float]
     label: str = "potential"
 
-    @property
-    def has_analytic_derivative(self) -> bool:
-        return self.V_prime is not None
-
 
 def _eval_or_raise(V, x: float) -> float:
     v = float(V(x))
@@ -239,7 +235,6 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
         density=SpectralDensity(
             density=dens,
             support=(-math.inf, math.inf),
-            tail_decay="heavy",
             center=center,
             change_of_variable=change,
             feature_points=features,
@@ -277,11 +272,4 @@ def generalized_factor_series(
 ):
     """generalized_dephasing_factor on a time grid, with SeriesFailure semantics."""
     state = state or build_initial_state(p, params)
-    return oscint._batch(
-        lambda t: generalized_dephasing_factor(p, params, t, cfg, state),
-        times,
-        state.density,
-        cfg,
-        "generalized_dephasing_factor",
-        {"potential": p.label},
-    )
+    return oscint._batch(lambda t: generalized_dephasing_factor(p, params, t, cfg, state), times)

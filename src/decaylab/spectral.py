@@ -2,19 +2,17 @@
 
 A spectral density is the probability density of energy in a given state.
 All densities here are absolutely continuous and carry enough metadata
-(support, tail class, an optional change of variable) for the quadrature
-engine to integrate them reliably on infinite supports.
+(support, center, feature points, an optional change of variable) for the
+quadrature engine to integrate them reliably on infinite supports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-TAIL_CLASSES = ("heavy", "exponential", "compact")
 
 # math.exp over an array: numpy's vectorized exp differs from it by an ulp
 # on some arguments, and an array call must match the scalar calls exactly
@@ -53,7 +51,7 @@ class VariableChange:
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Probability density of energy with declared support and tail class.
+    """Probability density of energy with declared support.
 
     Immutable after construction; evaluation is pure, so instances are safe
     for unrestricted concurrent use.
@@ -67,36 +65,23 @@ class SpectralDensity:
 
     density: Callable[[float], float]
     support: tuple[float, float] = (-math.inf, math.inf)
-    tail_decay: str = "heavy"
     center: float = 0.0
     change_of_variable: VariableChange | None = None
     feature_points: tuple[float, ...] = ()
     label: str = "density"
     # piecewise-linear knot table (energies, values); enables exact transforms
     table: tuple | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"empty support {self.support}")
-        if self.tail_decay not in TAIL_CLASSES:
-            raise ValueError(
-                f"tail_decay must be one of {TAIL_CLASSES}, got {self.tail_decay!r}"
-            )
 
-    def __call__(self, energy):
-        """Evaluate the density; zero outside the declared support."""
+    def __call__(self, energy: float) -> float:
+        """Evaluate the density at one energy; zero outside the declared support."""
         lo, hi = self.support
-        e = np.asarray(energy, dtype=float)
-        inside = (e >= lo) & (e <= hi)
-        if e.ndim == 0:
-            return float(self.density(float(e))) if inside else 0.0
-        out = np.zeros_like(e)
-        if np.any(inside):
-            vals = np.asarray([self.density(float(x)) for x in e[inside]])
-            out[inside] = vals
-        return out
+        e = float(energy)
+        return float(self.density(e)) if lo <= e <= hi else 0.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +124,6 @@ def lorentzian_density(params: DephasingParams) -> SpectralDensity:
     return SpectralDensity(
         density=dens,
         support=(-math.inf, math.inf),
-        tail_decay="heavy",
         center=omega0,
         change_of_variable=change,
         feature_points=(omega0 - gamma, omega0, omega0 + gamma),
@@ -160,7 +144,6 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
     return SpectralDensity(
         density=dens,
         support=(0.0, math.inf),
-        tail_decay="exponential",
         center=0.0,
         feature_points=(1.0 / rate,),
         label=f"exponential(rate={rate:g})",
@@ -197,7 +180,6 @@ def table_density(
     return SpectralDensity(
         density=dens,
         support=(lo, hi),
-        tail_decay="compact",
         center=float(0.5 * (e[0] + e[-1])),
         feature_points=tuple(float(x) for x in e[1:-1][:20]),
         label="user-table",

@@ -255,7 +255,7 @@ def test_structured_text_format(tmp_path):
 def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, command):
     out = tmp_path / "f.csv"
 
-    def fake_series(d, times, cfg, meta=None):
+    def fake_series(d, times, cfg):
         t = np.asarray(list(times), dtype=float)
         series = ComplexTimeSeries(t, np.ones(t.shape, dtype=complex))
         raise SeriesFailure(series, [QuadratureFailure("stub", 0.5 + 0.0j, 1e-3, t=float(t[-1]))])

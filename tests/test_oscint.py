@@ -11,7 +11,6 @@ from decaylab import (
     QuadratureConfig,
     QuadratureFailure,
     SeriesFailure,
-    TruncationPolicy,
     amplitude_series,
     exponential_density,
     fourier_amplitude,
@@ -24,7 +23,7 @@ from decaylab import (
     restricted_amplitude,
     table_density,
 )
-from decaylab import oscint
+from decaylab import build_initial_state, exp_potential, oscint
 
 CFG = QuadratureConfig()
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
@@ -289,11 +288,7 @@ def test_table_restricted_window():
 
 
 def test_quadrature_failure_carries_estimate():
-    starved = QuadratureConfig(
-        abs_tol=1e-9,
-        rel_tol=1e-9,
-        truncation_policy=TruncationPolicy(max_cells=3, min_cells=1),
-    )
+    starved = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_cells=3, min_cells=1)
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     with pytest.raises(QuadratureFailure) as exc_info:
         fourier_amplitude(d, 5.0, starved)
@@ -303,11 +298,7 @@ def test_quadrature_failure_carries_estimate():
 
 
 def test_series_failure_keeps_partial_data():
-    starved = QuadratureConfig(
-        abs_tol=1e-9,
-        rel_tol=1e-9,
-        truncation_policy=TruncationPolicy(max_cells=3, min_cells=1),
-    )
+    starved = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_cells=3, min_cells=1)
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     with pytest.raises(SeriesFailure) as exc_info:
         amplitude_series(d, [0.0, 5.0], starved)
@@ -327,17 +318,49 @@ def test_time_series_validation():
     assert list(w.times) == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"abs_tol": 0.0}, {"abs_tol": -1e-9}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
+    {"min_cells": 0}, {"max_cells": 5, "min_cells": 6},
+])
+def test_quadrature_config_validation(kwargs):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**kwargs)
+
+
+def test_quadrature_config_defaults():
+    cfg = QuadratureConfig()
+    assert (cfg.abs_tol, cfg.rel_tol, cfg.max_cells, cfg.min_cells) == (1e-9, 1e-9, 400, 6)
+
+
 def test_failure_estimate_sums_both_halves_under_their_bounds():
     # six cells per half cannot stabilize; the failure must still bracket
     # the true value: conjugated lower estimate + upper estimate, under the
     # sum of both halves' bounds including the truncated tail masses
-    starved = QuadratureConfig(truncation_policy=TruncationPolicy(max_cells=6, min_cells=6))
+    starved = QuadratureConfig(max_cells=6, min_cells=6)
     d = lorentzian_density(DephasingParams(1.0, 0.5))
     for t in (1.0, -1.0):
         with pytest.raises(QuadratureFailure) as exc_info:
             fourier_amplitude(d, t, starved)
         failure = exc_info.value
         assert abs(failure.estimate - lorentz_exact(1.0, 0.5, t)) <= failure.error_bound
+
+
+def test_halfline_and_global_failures_bracket_the_value():
+    # starved halves fail; the raised estimate must still include the frozen
+    # half-line mass, the spin weights and the other ramp side
+    starved = QuadratureConfig(max_cells=6, min_cells=6)
+    d = lorentzian_density(DephasingParams(1.0, 0.5))
+    for t in (0.5, 1.0, 3.0):
+        cases = [(lambda c, w=w: global_survival(w, d, t, c))
+                 for w in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.3, 0.7))]
+        cases += [(lambda c, side=side: halfline_amplitude(d, side, t, c))
+                  for side in ("positive", "negative")]
+        for amplitude in cases:
+            with pytest.raises(QuadratureFailure) as exc_info:
+                amplitude(starved)
+            failure = exc_info.value
+            assert failure.t == t
+            assert abs(failure.estimate - amplitude(TIGHT)) <= failure.error_bound
 
 
 def test_global_survival_series_integrates_frozen_masses_once(monkeypatch):
@@ -412,3 +435,34 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
     want, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
     assert got == want  # accepted cells are quad's to the bit
+
+
+def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
+    # exp potential, x0 below the feature points: the head cells, three of
+    # them split by a feature point, go through the block rule
+    p = exp_potential()
+    d = build_initial_state(p, DephasingParams(1.0, 0.5)).density
+    x0, t = -1.5, 5.0
+    quad_calls = []
+    adaptive = oscint._quad
+
+    def counting(*args, **kwargs):
+        quad_calls.append(args[1:3])
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(oscint, "_quad", counting)
+    got, got_err = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
+                                             d.feature_points)
+    # only the cells a feature point splits needed adaptive quad
+    assert quad_calls
+    assert all(any(a < x < b for x in d.feature_points) for a, b in quad_calls)
+
+    block_rule = oscint._qk21_cells
+
+    def reject_all(*args):
+        return [(val, err, False) for val, err, _ in block_rule(*args)]
+
+    monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
+    want, want_err = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
+                                               d.feature_points)
+    assert (got, got_err) == (want, want_err)  # accepted cells are quad's to the bit

@@ -66,7 +66,6 @@ def test_unnormalized_density_integrates_to_its_mass():
     doubled = SpectralDensity(
         density=lambda e: 2.0 * base.density(e),
         support=base.support,
-        tail_decay=base.tail_decay,
         center=base.center,
         change_of_variable=base.change_of_variable,
         feature_points=base.feature_points,
@@ -163,7 +162,5 @@ def test_initial_state_spec_defaults_to_zero_phase():
 
 
 def test_tail_class_validation():
-    with pytest.raises(ValueError):
-        SpectralDensity(density=lambda e: 1.0, support=(0.0, 1.0), tail_decay="algebraic")
     with pytest.raises(ValueError):
         SpectralDensity(density=lambda e: 1.0, support=(1.0, 1.0))
