@@ -162,12 +162,19 @@ def _write_table(path: str, fmt: str, columns, params) -> None:
         raise UsageError(f"format must be 'csv' or 'structured-text', got {fmt!r}")
 
 
-def _partial_output(path: str, fmt: str, columns, echo: dict, exc: SeriesFailure) -> int:
-    """Write the partial table (failed points hold their best estimates) and
-    a .failures manifest of the failed points; returns the exit code."""
-    _write_table(path, fmt, columns, echo)
+def _write_series(path: str, fmt: str, compute, columns, echo: dict) -> int:
+    """Write the table columns(series) of the series compute() returns and
+    return the exit code.  When points fail (SeriesFailure), the table holds
+    their best estimates, a .failures manifest lists them, and the code is 3."""
+    try:
+        series, failure = compute(), None
+    except SeriesFailure as exc:
+        series, failure = exc.series, exc
+    _write_table(path, fmt, columns(series), echo)
+    if failure is None:
+        return 0
     sections = []
-    for i, f in enumerate(exc.failures):
+    for i, f in enumerate(failure.failures):
         est = complex(f.estimate)
         sections.append(
             (f"failure {i}", [
@@ -179,7 +186,7 @@ def _partial_output(path: str, fmt: str, columns, echo: dict, exc: SeriesFailure
             ])
         )
     output.write_report(path + ".failures", echo, sections)
-    print(f"{echo['command']}: {exc}", file=sys.stderr)
+    print(f"{echo['command']}: {failure}", file=sys.stderr)
     return NUMERICAL_ERROR
 
 
@@ -228,12 +235,8 @@ def cmd_survival(cfg: dict) -> int:
     qcfg = _quad_config(cfg)
     echo = _echo(cfg, "survival")
     echo["density_label"] = d.label
-    try:
-        series = oscint.amplitude_series(d, grid, qcfg)
-    except SeriesFailure as exc:
-        return _partial_output(cfg["out"], cfg["format"], _series_columns(exc.series), echo, exc)
-    _write_table(cfg["out"], cfg["format"], _series_columns(series), echo)
-    return 0
+    compute = lambda: oscint.amplitude_series(d, grid, qcfg)
+    return _write_series(cfg["out"], cfg["format"], compute, _series_columns, echo)
 
 
 def _qubit_from_cfg(cfg: dict) -> pocket.QubitState:
@@ -261,12 +264,8 @@ def cmd_reduced(cfg: dict) -> int:
             ("sigma_x", np.array([2.0 * s.rho01.real for s in states])),
         ]
 
-    try:
-        series = oscint.amplitude_series(model.environment_density, grid, qcfg)
-    except SeriesFailure as exc:
-        return _partial_output(cfg["out"], cfg["format"], rows(exc.series), echo, exc)
-    _write_table(cfg["out"], cfg["format"], rows(series), echo)
-    return 0
+    compute = lambda: oscint.amplitude_series(model.environment_density, grid, qcfg)
+    return _write_series(cfg["out"], cfg["format"], compute, rows, echo)
 
 
 def cmd_gkls_compare(cfg: dict) -> int:
@@ -286,12 +285,8 @@ def cmd_gkls_compare(cfg: dict) -> int:
             (f"distance_{comp.convention}", comp.distances) for comp in comparisons
         ]
 
-    try:
-        series = oscint.amplitude_series(model.environment_density, grid, qcfg)
-    except SeriesFailure as exc:
-        return _partial_output(cfg["out"], cfg["format"], columns(exc.series), echo, exc)
-    _write_table(cfg["out"], cfg["format"], columns(series), echo)
-    return 0
+    compute = lambda: oscint.amplitude_series(model.environment_density, grid, qcfg)
+    return _write_series(cfg["out"], cfg["format"], compute, columns, echo)
 
 
 def _pw_amplitude(cfg: dict, qcfg: QuadratureConfig):
@@ -331,15 +326,18 @@ def cmd_pw(cfg: dict) -> int:
     echo = _echo(cfg, "pw")
     try:
         amplitude, series = _pw_amplitude(cfg, qcfg)
-        fit_window = cfg.get("fit_window")
-        if fit_window:
-            lo, hi = (float(x) for x in str(fit_window).split(","))
-        else:
-            lo, hi = float(series.times[0]), float(series.times[-1])
-        growth = diagnostics.fit_pw_growth(amplitude, Ts, qcfg)
-        fit = diagnostics.exponential_fit(series, (lo, hi))
     except SeriesFailure as exc:
-        return _partial_output(cfg["out"], "csv", _series_columns(exc.series), echo, exc)
+        def partial():
+            raise exc
+        # no report without the series: its partial values as a table
+        return _write_series(cfg["out"], "csv", partial, _series_columns, echo)
+    fit_window = cfg.get("fit_window")
+    if fit_window:
+        lo, hi = (float(x) for x in str(fit_window).split(","))
+    else:
+        lo, hi = float(series.times[0]), float(series.times[-1])
+    growth = diagnostics.fit_pw_growth(amplitude, Ts, qcfg)
+    fit = diagnostics.exponential_fit(series, (lo, hi))
     sections = [
         ("pw", [(f"T={output.fmt(T)}", v) for T, v in growth.pw_values]),
         ("classification", [
@@ -383,21 +381,16 @@ def cmd_potential(cfg: dict) -> int:
     output.write_csv(prefix + "_roundtrip.csv", [("x", xr), ("roundtrip_residual", resid)], echo)
 
     grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
-    failures = None
-    try:
-        series = potential.generalized_factor_series(pot, params, grid, qcfg, state)
-    except SeriesFailure as exc:
-        series = exc.series
-        failures = exc
-    fit = diagnostics.exponential_fit(series, (float(grid[0]), float(grid[-1])))
-    echo["fit_rate"] = output.fmt(fit.rate)
-    echo["fit_amplitude"] = output.fmt(fit.amplitude)
-    echo["fit_residual"] = output.fmt(fit.residual)
-    columns = _series_columns(series)
-    if failures is not None:
-        return _partial_output(prefix + "_factor.csv", "csv", columns, echo, failures)
-    output.write_csv(prefix + "_factor.csv", columns, echo)
-    return 0
+
+    def columns(series):
+        fit = diagnostics.exponential_fit(series, (float(grid[0]), float(grid[-1])))
+        echo["fit_rate"] = output.fmt(fit.rate)
+        echo["fit_amplitude"] = output.fmt(fit.amplitude)
+        echo["fit_residual"] = output.fmt(fit.residual)
+        return _series_columns(series)
+
+    compute = lambda: potential.generalized_factor_series(pot, params, grid, qcfg, state)
+    return _write_series(prefix + "_factor.csv", "csv", compute, columns, echo)
 
 
 # ---------------------------------------------------------------------------

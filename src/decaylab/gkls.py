@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import cmath
+import math
 
 import numpy as np
 
@@ -84,9 +85,10 @@ def propagate(g: GKLSGenerator, rho0: QubitState, t: float) -> QubitState:
 
 
 def trace_distance(a: QubitState, b: QubitState) -> float:
-    """(1/2) trace-norm of the difference of two qubit states."""
-    eigs = np.linalg.eigvalsh(a.as_matrix() - b.as_matrix())
-    return float(0.5 * np.sum(np.abs(eigs)))
+    """(1/2) trace-norm of the difference of two qubit states.  The difference
+    of two trace-one states is traceless, with eigenvalues
+    +-hypot(delta rho00, |delta rho01|), so that is the distance."""
+    return math.hypot(a.rho00 - b.rho00, abs(a.rho01 - b.rho01))
 
 
 @dataclass(frozen=True)

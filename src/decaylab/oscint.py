@@ -20,6 +20,14 @@ algebraic tails converge through the acceleration instead of an
 (infeasibly large) explicit cutoff, and the analytic tail mass only enters
 the error bound when a sum is truncated without convergence.
 
+Every piece (a half-line's cell sum, a mass integral, a frozen half-line
+mass, a ramp side) gives a (value, error bound, detail) triple; detail is
+None on success and otherwise names the failure, whose value is the best
+estimate.  Parts combine by one rule: values add with their conjugations
+and weights, all bounds add, and the first failed part's detail is kept.
+Each public function raises the one QuadratureFailure of its combined
+triple, carrying its t; batches collect those failures as raised.
+
 Everything here is pure and deterministic: identical inputs and config
 produce bit-identical results, so concurrent and sequential evaluation of
 batches agree exactly.
@@ -159,14 +167,36 @@ def _interior_points(points, a, b):
     return pts or None
 
 
+def _checked(t, value, bound, detail):
+    """value, or the one QuadratureFailure that carries it, its error bound
+    and the time t when detail names a failure (detail is None on success)."""
+    if detail is not None:
+        raise QuadratureFailure(detail, value, bound, t=t)
+    return value
+
+
+def _combine(parts):
+    """One (value, error bound, detail) triple from the triples of parts whose
+    values are already conjugated and weighted: values add in order, all
+    bounds add, and the first failed part's detail is kept."""
+    values, bounds, details = zip(*parts)
+    failed = [detail for detail in details if detail is not None]
+    return sum(values[1:], values[0]), sum(bounds), (failed[0] if failed else None)
+
+
 def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfig) -> float:
     """Non-oscillatory integral of the density over [lo, hi] (within support)."""
+    return _checked(None, *_mass(d, lo, hi, cfg))
+
+
+def _mass(d, lo, hi, cfg):
+    """mass_integral as a (value, error bound, detail) triple."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
-        return 0.0
+        return 0.0, 0.0, None
     if d.table is not None:
-        return _table_mass(d, lo, hi)
+        return _table_mass(d, lo, hi), 0.0, None
     if d.change_of_variable is not None:
         ch = d.change_of_variable
         ulo = ch.u_lo if lo == slo else ch.u_of_x(lo)
@@ -182,9 +212,8 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
         if math.isfinite(lo) and math.isfinite(hi):
             pts = _interior_points(d.feature_points, lo, hi)
         val, err, ok = _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, _MAX_SUBDIVISIONS, pts)
-    if not ok and err > cfg.target(val):
-        raise QuadratureFailure("mass integral did not converge", val, err)
-    return val
+    failed = not ok and err > cfg.target(val)
+    return val, err, ("mass integral did not converge" if failed else None)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +437,9 @@ def _semi_infinite_osc(
     takes the whole block as one float64 array, for a monotone phase the
     integrand is evaluated node by node.  The linear head goes to QAWO; the
     monotone head is one block of half-period cells.
-    Returns (value, error_bound).  Raises QuadratureFailure when the tail sum
-    does not stabilize within cfg.max_cells cells.
+    Returns (value, error bound, detail); detail names the failure when the
+    head spans too many oscillations or the tail sum does not stabilize
+    within cfg.max_cells cells, and the value is then the best estimate.
     """
     pin = phase_inv if phase is not None else (lambda u: u)
     u0 = phase(x0) if phase is not None else x0
@@ -450,9 +480,7 @@ def _semi_infinite_osc(
         k_clear = int(math.ceil((u_clear - u0) / h))
         if k_clear > 0:
             if k_clear > (200_000 if phase is None else 20_000):
-                raise QuadratureFailure(
-                    f"head region spans {k_clear} oscillations", 0.0, math.inf, t=t
-                )
+                return 0.0, math.inf, f"head region spans {k_clear} oscillations"
             boundary = pin(u0 + k_clear * h)
             if phase is None:
                 partial, quad_err = _linear_head(weight, t, x0, boundary, cfg, points)
@@ -486,7 +514,7 @@ def _semi_infinite_osc(
             if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
                 negligible += 1
                 if negligible >= 2 and k + 1 >= cfg.min_cells:
-                    return partial, quad_err + 3.0 * abs(val)
+                    return partial, quad_err + 3.0 * abs(val), None
             else:
                 negligible = 0
             if est_prev is not None and k + 1 >= cfg.min_cells:
@@ -494,7 +522,7 @@ def _semi_infinite_osc(
                 if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
                     stable += 1
                     if stable >= _STABLE_STEPS:
-                        return est, quad_err + delta
+                        return est, quad_err + delta, None
                 else:
                     stable = 0
             est_prev = est
@@ -507,12 +535,7 @@ def _semi_infinite_osc(
             bound += abs(tail_mass(a))
         except Exception:
             bound = math.inf
-    raise QuadratureFailure(
-        f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells",
-        best,
-        bound,
-        t=t,
-    )
+    return best, bound, f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells"
 
 
 # ---------------------------------------------------------------------------
@@ -540,36 +563,36 @@ def restricted_amplitude(
     QuadratureFailure raised carries the sum of both pieces' estimates, with
     the same conjugations, under the sum of their error bounds.
     """
+    return _checked(t, *_amplitude(d, lo, hi, t, cfg, phase, phase_inv))
+
+
+def _amplitude(d, lo, hi, t, cfg, phase=None, phase_inv=None):
+    """restricted_amplitude as a (value, error bound, detail) triple."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0, None
     if t == 0:
-        return complex(mass_integral(d, lo, hi, cfg))
+        val, err, detail = _mass(d, lo, hi, cfg)
+        return complex(val), err, detail
     if t < 0:
-        try:
-            return complex(restricted_amplitude(d, lo, hi, -t, cfg, phase, phase_inv)).conjugate()
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(exc.detail, complex(exc.estimate).conjugate(),
-                                    exc.error_bound, t=t) from None
+        val, err, detail = _amplitude(d, lo, hi, -t, cfg, phase, phase_inv)
+        return val.conjugate(), err, detail
     if d.table is not None and phase is None:
-        return _table_transform(d, lo, hi, t)
+        return _table_transform(d, lo, hi, t), 0.0, None
     if math.isfinite(lo) and math.isfinite(hi):
         if phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
         val, err, ok = _qawo(d.density, lo, hi, t, cfg.abs_tol / 2, cfg.rel_tol,
                              _MAX_SUBDIVISIONS)
-        if not ok and err > cfg.target(val):
-            raise QuadratureFailure(
-                "finite-window oscillatory integral did not converge", val, err, t=t
-            )
-        return val
+        failed = not ok and err > cfg.target(val)
+        return val, err, ("finite-window oscillatory integral did not converge"
+                          if failed else None)
 
     loose = QuadratureConfig(1e-6, 1e-6)
 
     def half(x0, lower):
-        """(value, error bound, failure detail or None) of the piece above x0,
-        or below it when lower; a failed piece gives its best estimate."""
+        """The triple of the piece above x0, or below it when lower."""
         weight, ph, inv, pts = d.density, phase, phase_inv, d.feature_points
         tail_mass = lambda x: mass_integral(d, x, math.inf, loose)
         if lower:
@@ -582,26 +605,15 @@ def restricted_amplitude(
             pts = tuple(-p for p in d.feature_points)
             tail_mass = lambda y: mass_integral(d, -math.inf, -y, loose)
             x0 = -x0
-        try:
-            val, err = _semi_infinite_osc(weight, t, x0, cfg, ph, inv, pts, tail_mass)
-            detail = None
-        except QuadratureFailure as exc:
-            val, err, detail = exc.estimate, exc.error_bound, exc.detail
+        val, err, detail = _semi_infinite_osc(weight, t, x0, cfg, ph, inv, pts, tail_mass)
         val = complex(val)
         return (val.conjugate() if lower else val), err, detail
 
     if math.isfinite(lo):
-        pieces = [half(lo, False)]
-    elif math.isfinite(hi):
-        pieces = [half(hi, True)]
-    else:
-        pieces = [half(d.center, True), half(d.center, False)]
-    vals, errs, details = zip(*pieces)
-    value = sum(vals[1:], vals[0])
-    failed = [detail for detail in details if detail is not None]
-    if failed:
-        raise QuadratureFailure(failed[0], value, sum(errs), t=t)
-    return value
+        return half(lo, False)
+    if math.isfinite(hi):
+        return half(hi, True)
+    return _combine([half(d.center, True), half(d.center, False)])
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -633,9 +645,7 @@ def _batch(f, times):
         try:
             vals[i] = f(float(ti))
         except QuadratureFailure as exc:
-            failures.append(
-                QuadratureFailure(exc.detail, exc.estimate, exc.error_bound, t=float(ti))
-            )
+            failures.append(exc)
             vals[i] = complex(exc.estimate)
     series = ComplexTimeSeries(t, vals)
     if failures:
@@ -650,13 +660,13 @@ def halfline_amplitude(
     max(+-x, 0): one half-line is frozen at phase 1, the other contributes the
     Fourier integral of the density in the ramp's eigenvalue coordinate.
     """
-    return _halfline_amplitude(d, ramp_side, t, cfg, {})
+    return _checked(t, *_halfline_amplitude(d, ramp_side, t, cfg, {}))
 
 
-def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict) -> complex:
-    """halfline_amplitude; frozen caches the frozen half-line mass by ramp
-    side, so the points of one series integrate it once.  A failure's
-    estimate includes the frozen mass."""
+def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict):
+    """halfline_amplitude as a (value, error bound, detail) triple, the frozen
+    half-line mass one of its parts; frozen caches that part by ramp side,
+    so the points of one series integrate it once."""
     # (frozen half, active half, time of the active transform): the
     # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
     # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
@@ -668,12 +678,8 @@ def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict) -> complex:
         raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
     still, active, t_active = sides[ramp_side]
     if ramp_side not in frozen:
-        frozen[ramp_side] = mass_integral(d, *still, cfg)
-    try:
-        return frozen[ramp_side] + restricted_amplitude(d, *active, t_active, cfg)
-    except QuadratureFailure as exc:
-        raise QuadratureFailure(exc.detail, frozen[ramp_side] + complex(exc.estimate),
-                                exc.error_bound, t=t) from None
+        frozen[ramp_side] = _mass(d, *still, cfg)
+    return _combine([frozen[ramp_side], _amplitude(d, *active, t_active, cfg)])
 
 
 def global_survival(
@@ -683,28 +689,19 @@ def global_survival(
     w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>.  When a side fails, the one
     QuadratureFailure raised carries the weighted sum of both sides' values
     or estimates under the weighted sum of their error bounds."""
-    return _global_survival(chi_weights, d, t, cfg, {})
+    return _checked(t, *_global_survival(chi_weights, d, t, cfg, {}))
 
 
-def _global_survival(chi_weights, d, t, cfg, frozen: dict) -> complex:
+def _global_survival(chi_weights, d, t, cfg, frozen: dict):
     w0, w1 = chi_weights
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
-    out = 0.0 + 0.0j
-    bound = 0.0
-    failed = []
+    parts = []
     for w, side in ((w0, "positive"), (w1, "negative")):
-        if not w:
-            continue
-        try:
-            out += w * _halfline_amplitude(d, side, t, cfg, frozen)
-        except QuadratureFailure as exc:
-            out += w * complex(exc.estimate)
-            bound += w * exc.error_bound
-            failed.append(exc.detail)
-    if failed:
-        raise QuadratureFailure(failed[0], out, bound, t=t)
-    return out
+        if w:
+            value, bound, detail = _halfline_amplitude(d, side, t, cfg, frozen)
+            parts.append((w * value, w * bound, detail))
+    return _combine(parts)
 
 
 def global_survival_series(
@@ -713,4 +710,5 @@ def global_survival_series(
     """global_survival on a time grid, with SeriesFailure semantics; the
     frozen half-line masses do not depend on t and are integrated once."""
     frozen: dict = {}
-    return _batch(lambda t: _global_survival(chi_weights, d, t, cfg, frozen), times)
+    return _batch(lambda t: _checked(t, *_global_survival(chi_weights, d, t, cfg, frozen)),
+                  times)

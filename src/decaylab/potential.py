@@ -145,24 +145,20 @@ def induced_map(
     def W_inverse(y: float) -> float:
         if not math.isfinite(y):
             raise ValueError(f"W_inverse needs a finite target, got {y}")
-        lo, hi = -1.0, 1.0
+        bracket = [-1.0, 1.0]
         doublings = 0
-        while _w_guarded(hi) < y:
-            hi *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise RangeError(
-                    f"W never reaches {y:g}: bracket expansion failed after "
-                    f"{_MAX_DOUBLINGS} doublings (bounded potential?)"
-                )
-        while _w_guarded(lo) > y:
-            lo *= 2.0
-            doublings += 1
-            if doublings > _MAX_DOUBLINGS:
-                raise RangeError(
-                    f"W never reaches {y:g}: bracket expansion failed after "
-                    f"{_MAX_DOUBLINGS} doublings (bounded potential?)"
-                )
+        # double the upper end while W(hi) < y, then the lower end while
+        # W(lo) > y, which is -W(lo) < -y
+        for end, sign in ((1, 1.0), (0, -1.0)):
+            while sign * _w_guarded(bracket[end]) < sign * y:
+                bracket[end] *= 2.0
+                doublings += 1
+                if doublings > _MAX_DOUBLINGS:
+                    raise RangeError(
+                        f"W never reaches {y:g}: bracket expansion failed after "
+                        f"{_MAX_DOUBLINGS} doublings (bounded potential?)"
+                    )
+        lo, hi = bracket
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:

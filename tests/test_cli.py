@@ -251,18 +251,33 @@ def test_structured_text_format(tmp_path):
     assert "[data]" in text and "t = 0,1,2" in text
 
 
-@pytest.mark.parametrize("command", ["survival", "reduced", "gkls-compare"])
-def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, command):
-    out = tmp_path / "f.csv"
+# command -> (module, series function the command calls, position of its
+# time grid, extra flags, file of the partial table for --out f.csv)
+SERIES_JOBS = {
+    "survival": (cli.oscint, "amplitude_series", 1, (), "f.csv"),
+    "reduced": (cli.oscint, "amplitude_series", 1, (), "f.csv"),
+    "gkls-compare": (cli.oscint, "amplitude_series", 1, (), "f.csv"),
+    # the factor's exponential fit needs at least 8 points
+    "potential": (cli.potential, "generalized_factor_series", 2, ("--n-points", "8"),
+                  "f.csv_factor.csv"),
+    "pw": (cli.oscint, "global_survival_series", 2, ("--amplitude", "global-survival"),
+           "f.csv"),
+}
 
-    def fake_series(d, times, cfg):
-        t = np.asarray(list(times), dtype=float)
+
+@pytest.mark.parametrize("command", list(SERIES_JOBS))
+def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, command):
+    module, name, grid_arg, flags, written = SERIES_JOBS[command]
+    out = tmp_path / written
+
+    def fake_series(*args):
+        t = np.asarray(list(args[grid_arg]), dtype=float)
         series = ComplexTimeSeries(t, np.ones(t.shape, dtype=complex))
         raise SeriesFailure(series, [QuadratureFailure("stub", 0.5 + 0.0j, 1e-3, t=float(t[-1]))])
 
-    monkeypatch.setattr(cli.oscint, "amplitude_series", fake_series)
+    monkeypatch.setattr(module, name, fake_series)
     code = run(command, "--t-start", "0", "--t-end", "2", "--n-points", "3",
-               "--out", str(out))
+               "--out", str(tmp_path / "f.csv"), *flags)
     assert code == 3
     assert out.exists()
     manifest = (str(out) + ".failures")

@@ -78,6 +78,22 @@ def test_trace_and_hermiticity_preserved():
         assert np.allclose(mat, mat.conj().T)
 
 
+def test_trace_distance_matches_eigenvalues():
+    # reference: half the summed |eigenvalues| of the difference matrix
+    rng = np.random.default_rng(3)
+
+    def state():
+        p = rng.uniform()
+        r = rng.uniform() * math.sqrt(p * (1.0 - p))
+        return QubitState(p, 1.0 - p, r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+    for _ in range(500):
+        a, b = state(), state()
+        eigs = np.linalg.eigvalsh(a.as_matrix() - b.as_matrix())
+        want = 0.5 * float(np.sum(np.abs(eigs)))
+        assert trace_distance(a, b) == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+
 def test_distance_contractive_in_time():
     g = generator_from_params(DephasingParams(1.0, 0.0), "matched")
     a = QubitState(0.5, 0.5, 0.5)

@@ -380,6 +380,71 @@ def test_global_survival_series_integrates_frozen_masses_once(monkeypatch):
     assert list(series.values) == pointwise  # bit-identical to the pointwise values
 
 
+def test_global_survival_series_integrates_frozen_parts_once(monkeypatch):
+    # the frozen half-line masses are parts of each point's triple, taken
+    # from the private mass integral
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    times = np.linspace(0.5, 20.0, 25)
+    pointwise = [global_survival((0.3, 0.7), d, float(t), CFG) for t in times]
+    calls = []
+    real_mass = oscint._mass
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_mass(*args, **kwargs)
+
+    monkeypatch.setattr(oscint, "_mass", counting)
+    series = global_survival_series((0.3, 0.7), d, times, CFG)
+    assert sorted(calls) == [(-math.inf, 0.0), (0.0, math.inf)]
+    assert list(series.values) == pointwise
+
+
+def _not_converged(monkeypatch):
+    """Make every adaptive quad call report non-convergence."""
+    adaptive = oscint._quad
+
+    def failing(*args, **kwargs):
+        val, _, _ = adaptive(*args, **kwargs)
+        return val, 1.0, False
+
+    monkeypatch.setattr(oscint, "_quad", failing)
+
+
+def test_point_failure_carries_its_time(monkeypatch):
+    # a mass-integral failure at t = 0 reports that t
+    d = lorentzian_density(DephasingParams(1.0, 0.0))
+    _not_converged(monkeypatch)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        fourier_amplitude(d, 0.0, CFG)
+    failure = exc_info.value
+    assert failure.t == 0.0
+    assert failure.detail == "mass integral did not converge"
+    assert failure.error_bound == 1.0
+    assert failure.estimate == pytest.approx(1.0, abs=1e-8)
+
+
+def test_series_failure_holds_the_raised_failures(monkeypatch):
+    d = lorentzian_density(DephasingParams(1.0, 0.0))
+    _not_converged(monkeypatch)
+    raised = []
+    point = oscint.fourier_amplitude
+
+    def recording(*args):
+        try:
+            return point(*args)
+        except QuadratureFailure as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(oscint, "fourier_amplitude", recording)
+    with pytest.raises(SeriesFailure) as exc_info:
+        amplitude_series(d, [0.0, 1.0], CFG)
+    failures = exc_info.value.failures
+    assert raised and len(failures) == len(raised)
+    assert all(got is want for got, want in zip(failures, raised))
+    assert failures[0].t == 0.0
+
+
 def _gk21_cell_values(f, a, b):
     centre, half = 0.5 * (a + b), 0.5 * (b - a)
     return f(centre + half * oscint._GK21_NODES[:, None]), half
@@ -424,7 +489,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
                                      np.array([0.0]), np.array([h]))
     [(_, _, accepted)] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
     assert not accepted
-    got, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+    got, _, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
 
     # reference: every cell through adaptive quad
     block_rule = oscint._qk21_cells
@@ -433,7 +498,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    want, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+    want, _, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
     assert got == want  # accepted cells are quad's to the bit
 
 
@@ -451,8 +516,8 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(oscint, "_quad", counting)
-    got, got_err = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
-                                             d.feature_points)
+    got, got_err, _ = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
+                                                d.feature_points)
     # only the cells a feature point splits needed adaptive quad
     assert quad_calls
     assert all(any(a < x < b for x in d.feature_points) for a, b in quad_calls)
@@ -463,6 +528,6 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    want, want_err = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
-                                               d.feature_points)
+    want, want_err, _ = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
+                                                  d.feature_points)
     assert (got, got_err) == (want, want_err)  # accepted cells are quad's to the bit
