@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -464,9 +465,27 @@ _COMMANDS = {
 }
 
 
+# a negative number in any spelling; argparse before Python 3.13 reads one in
+# scientific notation ("-4.46e-05") as an option string
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _attach_negative_numbers(argv):
+    """argv with each negative number that follows an --option written as
+    --option=value, the form argparse accepts for every spelling."""
+    joined = []
+    for arg in argv:
+        if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                and _NEGATIVE_NUMBER.fullmatch(arg)):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge(args.command, args)
         return _COMMANDS[args.command](cfg)

@@ -13,8 +13,8 @@ upward one.  Each tail cell, and each head cell of a monotone phase, gets
 QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells eight
 per pass by default (min_cells + 2), with the integrand evaluated once per
 node; adaptive quad runs only on cells where QUADPACK's own first-pass test
-(dqagse's) fails or that a feature point splits.  The rule keeps QUADPACK's
-order of operations, so each cell's value is the one quad would return.
+(dqagse's) fails or that a feature point splits.  The rule's sums are
+matrix-vector products, so a cell's value agrees with quad's to rounding.
 This gives uniform accuracy in t without Filon-type weight tables; heavy
 algebraic tails converge through the acceleration instead of an
 (infeasibly large) explicit cutoff, and the analytic tail mass only enters
@@ -291,49 +291,18 @@ _WGK = np.array([
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
 ])
-_WG = np.array([
+_WG = np.zeros(11)
+_WG[1::2] = [
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-])
-# dqk21 evaluates the centre, then the Gauss pairs, then the Kronrod-only
-# pairs, at centre -+ half_length * x, and adds its terms in that order;
-# resasc visits the pairs by abscissa instead.  Nodes here: the centre, the
-# ten lower nodes, the ten upper nodes, pairs in dqk21's order.
-_PAIRS = np.r_[1:10:2, 0:10:2]
-_GK21_NODES = np.concatenate(([0.0], -_XGK[_PAIRS], _XGK[_PAIRS]))
-_KRONROD = _WGK[_PAIRS][:, None]
-_BY_ABSCISSA = np.r_[0, 1 + np.argsort(_PAIRS), 11 + np.argsort(_PAIRS)]
+]
+# the 21 nodes in ascending order, and the Kronrod (row 0) and Gauss (row 1)
+# weights on them, the Gauss weights zero at the Kronrod-only nodes
+_GK21_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_GK21_WEIGHTS = np.array([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
 _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
-
-
-def _in_order(centre, weights, g):
-    """centre + sum over pairs of weights * (g(lower) + g(upper)), added
-    left to right as dqk21's loops do (accumulate fixes the order)."""
-    terms = weights * (g[1:11] + g[11:])
-    terms[0] += centre
-    return np.add.accumulate(terms)[-1]
-
-
-def _first_pass(resk, resg, resabs, resasc, hlgth, epsabs, epsrel):
-    """The end of dqk21 (scaling, error estimate) and dqagse's test whether
-    its first pass stands, for one real integral: (result, abserr, ok)."""
-    dhlgth = abs(hlgth)
-    result = resk * hlgth
-    resabs *= dhlgth
-    resasc *= dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0 and abserr != 0:
-        ratio = 200.0 * abserr / resasc
-        # min(1, ratio**1.5) by libm's pow, as QUADPACK's
-        abserr = resasc * (1.0 if ratio >= 1.0 else math.pow(ratio, 1.5))
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    errbnd = max(epsabs, epsrel * abs(result))
-    roundoff = abserr <= (100.0 * _EPMACH) * resabs and abserr > errbnd
-    ok = not roundoff and ((abserr <= errbnd and abserr != resasc) or abserr == 0)
-    return result, abserr, ok
 
 
 def _qk21_cells(values, half_lengths, epsabs, epsrel):
@@ -341,29 +310,35 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
 
     values[:, i] is the complex integrand at centre_i + half_lengths[i] *
     _GK21_NODES.  As quad(complex_func=True) does, the real and imaginary
-    parts are integrated as two real integrals, each with dqk21's arithmetic
-    in dqk21's order, so a cell's value and error estimate are quad's to the
-    bit.  Returns one (value, error, accepted) per cell: the Kronrod value,
-    the summed error estimates of both parts, and whether QUADPACK would
-    return both parts' first pass unrefined (ier = 0); other cells need the
-    adaptive quad.
+    parts are integrated as two real integrals, with dqk21's error estimate
+    and dqagse's acceptance test as array expressions; the sums are plain
+    matrix-vector products, so a cell's value agrees with quad's to rounding
+    and its error estimate to the cancellation in the Kronrod-Gauss
+    difference.  Returns one (value, error, accepted) per cell: the Kronrod
+    value, the summed error estimates of both parts, and whether both parts'
+    first pass passes dqagse's test (ier = 0 with no refinement); other cells
+    need the adaptive quad.
     """
     n = len(half_lengths)
     f = np.concatenate((values.real, values.imag), axis=1)
-    wc = _WGK[10]
-    resk = _in_order(wc * f[0], _KRONROD, f)
-    resg = np.add.accumulate(_WG[:, None] * (f[1:6] + f[11:16]))[-1]
-    absf = np.abs(f)
-    resabs = _in_order(wc * absf[0], _KRONROD, absf)
-    dev = np.abs(f - resk * 0.5)[_BY_ABSCISSA]
-    resasc = _in_order(wc * dev[0], _WGK[:10, None], dev)
-    parts = [
-        _first_pass(*row, epsabs, epsrel)
-        for row in zip(resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(),
-                       half_lengths.tolist() * 2)
-    ]
-    return [(re[0] + 1j * im[0], re[1] + im[1], re[2] and im[2])
-            for re, im in zip(parts[:n], parts[n:])]
+    hlgth = np.tile(half_lengths, 2)
+    dhlgth = np.abs(hlgth)
+    kronrod = _GK21_WEIGHTS[0]
+    resk, resg = _GK21_WEIGHTS @ f
+    resabs = (kronrod @ np.abs(f)) * dhlgth
+    resasc = (kronrod @ np.abs(f - 0.5 * resk)) * dhlgth
+    result = resk * hlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    ratio = np.divide(200.0 * abserr, resasc, out=np.zeros_like(resasc), where=resasc != 0)
+    abserr = np.where(resasc != 0, resasc * np.minimum(1.0, ratio**1.5), abserr)
+    abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                      np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    roundoff = (abserr <= (100.0 * _EPMACH) * resabs) & (abserr > errbnd)
+    ok = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0))
+    value = result[:n] + 1j * result[n:]
+    return list(zip(value.tolist(), (abserr[:n] + abserr[n:]).tolist(),
+                    (ok[:n] & ok[n:]).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-# math.exp over an array: numpy's vectorized exp differs from it by an ulp
-# on some arguments, and an array call must match the scalar calls exactly
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 @dataclass(frozen=True)
 class DephasingParams:
     """Decay rate gamma > 0 (1/time) and center frequency omega0 (1/time)."""
@@ -58,9 +53,9 @@ class SpectralDensity:
 
     density takes a float.  A density that can reach the half-period cells
     of the linear phase (infinite support, no table) must also take a float64
-    array and return its values elementwise: the cells evaluate it once per
-    block of nodes.  Lorentzian and exponential densities do; tables never
-    reach the cells.
+    array and return its values elementwise, to an ulp or two: the cells
+    evaluate it once per block of nodes.  Lorentzian and exponential
+    densities do; tables never reach the cells.
     """
 
     density: Callable[[float], float]
@@ -138,7 +133,7 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
 
     def dens(e):
         if isinstance(e, np.ndarray):
-            return rate * np.asarray(_libm_exp(-rate * e), dtype=float)
+            return rate * np.exp(-rate * e)
         return rate * math.exp(-rate * e)
 
     return SpectralDensity(

@@ -291,6 +291,21 @@ def test_argparse_usage_error_is_exit_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (["survival", "--omega0", "-4.46e-05"], ["survival", "--omega0=-4.46e-05"]),
+    (["reduced", "--re-rho01", "-1e-1", "--im-rho01", "-1.5E-1", "--t-start", "-2e0"],
+     ["reduced", "--re-rho01=-1e-1", "--im-rho01=-1.5E-1", "--t-start=-2e0"]),
+], ids=["survival", "reduced"])
+def test_negative_scientific_values_parse(tmp_path, spaced, joined):
+    # argparse alone reads "-4.46e-05" as an option and exits 2
+    outputs = []
+    for argv in (spaced, joined):
+        out = tmp_path / f"{len(argv)}.csv"
+        assert run(*argv, "--t-end", "2", "--n-points", "3", "--out", str(out)) == 0
+        outputs.append(out.read_text().replace(str(out), "<out>"))
+    assert outputs[0] == outputs[1]
+
+
 def test_log_spacing_grid(tmp_path):
     out = tmp_path / "log.csv"
     assert run("survival", "--t-start", "0.1", "--t-end", "10", "--n-points", "5",
