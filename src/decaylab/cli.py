@@ -8,7 +8,9 @@ byte-identical files.
 Exit codes: 0 success; 2 invalid input; 3 numerical (quadrature) failure,
 in which case partial output plus a .failures manifest is still written.
 
-Flag precedence: command line > --config file (JSON) > built-in defaults.
+A command's flags are its DEFAULTS keys with '-' for '_' (t_end is
+--t-end), plus --out and --config.  Flag precedence: command line >
+--config file (JSON) > built-in defaults.
 """
 
 from __future__ import annotations
@@ -398,61 +400,46 @@ def cmd_potential(cfg: dict) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser, with_format: bool = True) -> None:
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--omega0", type=float)
-    sub.add_argument("--t-start", dest="t_start", type=float)
-    sub.add_argument("--t-end", dest="t_end", type=float)
-    sub.add_argument("--n-points", dest="n_points", type=int)
-    sub.add_argument("--spacing", choices=("linear", "log"))
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--out")
-    sub.add_argument("--config")
-    if with_format:
-        sub.add_argument("--format", choices=("csv", "structured-text"))
+_CHOICES = {
+    "spacing": ("linear", "log"),
+    "format": ("csv", "structured-text"),
+    "amplitude": ("dephasing", "halfline-exp", "constant", "global-survival"),
+}
 
-
-def _add_qubit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rho00", type=float)
-    sub.add_argument("--re-rho01", dest="re_rho01", type=float)
-    sub.add_argument("--im-rho01", dest="im_rho01", type=float)
+_HELP = {
+    "survival": "survival amplitude a(t) of a spectral density",
+    "reduced": "exact reduced qubit state under dephasing",
+    "gkls-compare": "exact dynamics vs semigroup, both conventions",
+    "pw": "Paley-Wiener sweep, growth class, exponential fit",
+    "potential": "generalized potential: state, round trip, factor",
+    "--density": "density spec: JSON object or path to a JSON file",
+    "--potential": "ramp | exp | expr:<expression> | JSON spec",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per DEFAULTS entry, one flag per config key (plus
+    --out and --config): --key with '-' for '_', its type that of the
+    default, a bool default an on-switch.  Unset flags parse to None."""
     parser = argparse.ArgumentParser(
         prog="decaylab",
         description="Reproducible decay-law numerics: survival amplitudes, reduced "
                     "dephasing dynamics, semigroup comparison, and Paley-Wiener reports.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("survival", help="survival amplitude a(t) of a spectral density")
-    _add_common(s)
-    s.add_argument("--density", help="density spec: JSON object or path to a JSON file")
-
-    s = subs.add_parser("reduced", help="exact reduced qubit state under dephasing")
-    _add_common(s)
-    _add_qubit_flags(s)
-
-    s = subs.add_parser("gkls-compare", help="exact dynamics vs semigroup, both conventions")
-    _add_common(s)
-    _add_qubit_flags(s)
-
-    s = subs.add_parser("pw", help="Paley-Wiener sweep, growth class, exponential fit")
-    _add_common(s, with_format=False)
-    s.add_argument("--amplitude", choices=("dephasing", "halfline-exp", "constant",
-                                           "global-survival"))
-    s.add_argument("--rate", type=float)
-    s.add_argument("--T-values", dest="T_values")
-    s.add_argument("--w0", type=float)
-    s.add_argument("--fit-window", dest="fit_window")
-
-    s = subs.add_parser("potential", help="generalized potential: state, round trip, factor")
-    _add_common(s, with_format=False)
-    s.add_argument("--potential", help="ramp | exp | expr:<expression> | JSON spec")
-    s.add_argument("--fd-derivative", dest="fd_derivative", action="store_const", const=True)
-
+    for command, defaults in DEFAULTS.items():
+        sub = subs.add_parser(command, help=_HELP[command])
+        for key, default in {**defaults, "out": None, "config": None}.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                kind = {"action": "store_const", "const": True}
+            elif key in _CHOICES:
+                kind = {"choices": _CHOICES[key]}
+            elif isinstance(default, (int, float)):
+                kind = {"type": type(default)}
+            else:
+                kind = {}
+            sub.add_argument(flag, dest=key, help=_HELP.get(flag), **kind)
     return parser
 
 

@@ -5,8 +5,11 @@ half-line, and compact supports, with W the identity (the plain Fourier
 transform of a density) or a strictly increasing phase of range R (the
 generalized potentials).  One transform, restricted_amplitude, serves both:
 t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
-tables have an exact transform and finite windows use QUADPACK's oscillatory
-weights.  Infinite pieces are integrated over half-periods of the kernel
+and tables have an exact transform.  One QAWO routine, _linear_head
+(QUADPACK's oscillatory weights, cut at the feature points), integrates
+every finite interval of the linear phase: a finite window, and the head
+of a half-line up to its last feature point, however many oscillations it
+spans.  Infinite pieces are integrated over half-periods of the kernel
 (cells of phase length pi), with Wynn epsilon acceleration of the
 alternating cell sums; the piece below the split point is reflected onto an
 upward one.  Each tail cell, and each head cell of a monotone phase, gets
@@ -367,30 +370,23 @@ def _wynn_estimate(row: list) -> complex:
     return row[n]
 
 
-def _qawo(weight, a, b, t, epsabs, epsrel, limit):
-    """int_a^b weight(x) exp(-i t x) dx by QUADPACK's cos/sin weight kernels;
-    returns (value, abserr, converged)."""
-    re = quad(weight, a, b, weight="cos", wvar=t, epsabs=epsabs,
-              epsrel=epsrel, limit=limit, full_output=1)
-    im = quad(weight, a, b, weight="sin", wvar=t, epsabs=epsabs,
-              epsrel=epsrel, limit=limit, full_output=1)
-    return complex(re[0], -im[0]), re[1] + im[1], len(re) == 3 and len(im) == 3
-
-
-def _linear_head(weight, t, x0, boundary, cfg, points):
-    """[x0, boundary] for the linear phase: QUADPACK oscillatory weights,
-    segmented at the feature points (QAWO handles any oscillation count but
-    takes no break-point hints)."""
+def _linear_head(weight, t, a, b, cfg, points):
+    """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
+    weights (QAWO), a cos and a sin solve per segment, segmented at the
+    points inside (a, b), since QAWO takes no break-point hints but handles
+    any number of oscillations.  Serves the linear-phase head of a half-line
+    and the finite window; returns (value, abserr, converged)."""
     head_tol = max(cfg.abs_tol / 8.0, 1e-15)
-    cuts = [x0] + (_interior_points(points, x0, boundary) or []) + [boundary]
-    total = 0.0 + 0.0j
-    err_sum = 0.0
+    cuts = [a] + (_interior_points(points, a, b) or []) + [b]
     seg_tol = head_tol / (2 * (len(cuts) - 1))
-    for a, b in zip(cuts, cuts[1:]):
-        val, err, _ = _qawo(weight, a, b, t, seg_tol, 1e-12, _MAX_SUBDIVISIONS)
-        total += val
-        err_sum += err
-    return total, err_sum
+    total, err_sum, converged = 0.0 + 0.0j, 0.0, True
+    for lo, hi in zip(cuts, cuts[1:]):
+        re, im = (quad(weight, lo, hi, weight=kind, wvar=t, epsabs=seg_tol, epsrel=1e-12,
+                       limit=_MAX_SUBDIVISIONS, full_output=1) for kind in ("cos", "sin"))
+        total += complex(re[0], -im[0])
+        err_sum += re[1] + im[1]
+        converged = converged and len(re) == 3 and len(im) == 3
+    return total, err_sum, converged
 
 
 def _semi_infinite_osc(
@@ -410,11 +406,13 @@ def _semi_infinite_osc(
     the epsilon table, so a far-off peak cannot poison the extrapolation.
     Cells are evaluated in blocks (_qk21_cells): for the linear phase weight
     takes the whole block as one float64 array, for a monotone phase the
-    integrand is evaluated node by node.  The linear head goes to QAWO; the
-    monotone head is one block of half-period cells.
-    Returns (value, error bound, detail); detail names the failure when the
-    head spans too many oscillations or the tail sum does not stabilize
-    within cfg.max_cells cells, and the value is then the best estimate.
+    integrand is evaluated node by node.  The linear head is one
+    _linear_head call; the monotone head is one block of half-period cells,
+    at most 20,000 of them.
+    Returns (value, error bound, detail); detail names the failure when a
+    monotone head spans more cells than that or the tail sum does not
+    stabilize within cfg.max_cells cells, and the value is then the best
+    estimate.
     """
     pin = phase_inv if phase is not None else (lambda u: u)
     u0 = phase(x0) if phase is not None else x0
@@ -454,11 +452,12 @@ def _semi_infinite_osc(
         u_clear = phase(x_clear) if phase is not None else x_clear
         k_clear = int(math.ceil((u_clear - u0) / h))
         if k_clear > 0:
-            if k_clear > (200_000 if phase is None else 20_000):
+            if phase is not None and k_clear > 20_000:
                 return 0.0, math.inf, f"head region spans {k_clear} oscillations"
             boundary = pin(u0 + k_clear * h)
             if phase is None:
-                partial, quad_err = _linear_head(weight, t, x0, boundary, cfg, points)
+                # converged is ignored until the head gets finer cuts (ROADMAP item 2)
+                partial, quad_err, _ = _linear_head(weight, t, x0, boundary, cfg, points)
             else:
                 # nonlinear phase: sum the head cells plainly (they stay out
                 # of the epsilon table, which only extrapolates the tail)
@@ -558,8 +557,7 @@ def _amplitude(d, lo, hi, t, cfg, phase=None, phase_inv=None):
     if math.isfinite(lo) and math.isfinite(hi):
         if phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
-        val, err, ok = _qawo(d.density, lo, hi, t, cfg.abs_tol / 2, cfg.rel_tol,
-                             _MAX_SUBDIVISIONS)
+        val, err, ok = _linear_head(d.density, t, lo, hi, cfg, d.feature_points)
         failed = not ok and err > cfg.target(val)
         return val, err, ("finite-window oscillatory integral did not converge"
                           if failed else None)

@@ -316,3 +316,31 @@ def test_log_spacing_grid(tmp_path):
     assert np.allclose(ratios, ratios[0])
     assert run("survival", "--t-start", "0", "--t-end", "1", "--spacing", "log",
                "--out", str(out)) == 2
+
+
+_FLAG_CASES = [(command, key) for command, defaults in cli.DEFAULTS.items()
+               for key in defaults]
+
+
+@pytest.mark.parametrize("command,key", _FLAG_CASES,
+                         ids=[f"{c}-{k}" for c, k in _FLAG_CASES])
+def test_every_config_key_is_a_flag(command, key):
+    # --key with '-' for '_' reaches the merged config with the default's type
+    default = cli.DEFAULTS[command][key]
+    flag = "--" + key.replace("_", "-")
+    if isinstance(default, bool):
+        given, want = [flag], True
+    elif key in cli._CHOICES:
+        given = [flag, cli._CHOICES[key][-1]]
+        want = cli._CHOICES[key][-1]
+    elif isinstance(default, int):
+        given, want = [flag, "7"], 7
+    elif isinstance(default, float):
+        given, want = [flag, "2.5"], 2.5
+    else:
+        given, want = [flag, "a,b"], "a,b"
+    args = cli.build_parser().parse_args([command, *given, "--out", "x.csv"])
+    cfg = cli._merge(command, args)
+    assert cfg[key] == want
+    assert type(cfg[key]) is (str if default is None else type(default))
+    assert cfg["out"] == "x.csv"

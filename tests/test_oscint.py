@@ -254,6 +254,39 @@ def test_finite_window_oscillatory():
     assert abs(got - 0.36557200323307280294) <= 1e-9
 
 
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
+def test_finite_window_with_feature_points_matches_split_identity(gamma):
+    # window = full closed form minus the two half-line tails, with windows
+    # that hold some, all or none of the feature points omega0 +- gamma, omega0
+    d = lorentzian_density(DephasingParams(gamma, 0.0))
+    for lo, hi in ((-5.0, 5.0), (-0.2, 2.0), (0.5, 40.0)):
+        for t in (0.3, 2.0, 17.0, 250.0):
+            tails = (restricted_amplitude(d, -math.inf, lo, t, TIGHT)
+                     + restricted_amplitude(d, hi, math.inf, t, TIGHT))
+            want = lorentz_exact(gamma, 0.0, t) - tails
+            assert abs(restricted_amplitude(d, lo, hi, t, TIGHT) - want) <= 1e-12
+
+
+_LONG_HEADS = [
+    (f"lorentzian-gamma{gamma:g}-omega0_{ratio:g}gamma-t{t:g}",
+     lorentzian_density(DephasingParams(gamma, ratio * gamma)),
+     t, lorentz_exact(gamma, ratio * gamma, t))
+    for gamma, t in ((1.0, 1e6), (1000.0, 1000.0)) for ratio in (0.0, 0.7, -2.5)
+] + [
+    (f"exponential-t{t:g}", exponential_density(1.0), t, 1.0 / complex(1.0, t))
+    for t in (1e6, 1e7)
+]
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIGHT], ids=["1e-9", "1e-12"])
+@pytest.mark.parametrize("d,t,want", [case[1:] for case in _LONG_HEADS],
+                         ids=[case[0] for case in _LONG_HEADS])
+def test_linear_head_spanning_many_oscillations(cfg, d, t, want):
+    # the head up to the last feature point spans up to 1.6e6 oscillations;
+    # QAWO takes it whole, with no cap on their number
+    assert abs(fourier_amplitude(d, t, cfg) - want) <= cfg.target(want)
+
+
 def test_table_transform_exact_triangle():
     d = table_density([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     for t in (0.05, 0.3, 2.0, 10.0, 100.0):
@@ -364,20 +397,25 @@ def test_halfline_and_global_failures_bracket_the_value():
 
 
 def test_global_survival_series_integrates_frozen_masses_once(monkeypatch):
+    # the frozen-mass cache lives for one call: each series, and each
+    # pointwise call, integrates the two frozen half-line masses afresh
     d = lorentzian_density(DephasingParams(1.0, 0.3))
     times = np.linspace(0.5, 20.0, 25)
-    pointwise = [global_survival((0.3, 0.7), d, float(t), CFG) for t in times]
     calls = []
-    real_mass = oscint.mass_integral
+    real_mass = oscint._mass
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
         return real_mass(*args, **kwargs)
 
-    monkeypatch.setattr(oscint, "mass_integral", counting)
-    series = global_survival_series((0.3, 0.7), d, times, CFG)
-    assert len(calls) <= 2
-    assert list(series.values) == pointwise  # bit-identical to the pointwise values
+    monkeypatch.setattr(oscint, "_mass", counting)
+    first = global_survival_series((0.3, 0.7), d, times, CFG)
+    second = global_survival_series((0.3, 0.7), d, times, CFG)
+    assert len(calls) == 4
+    assert list(first.values) == list(second.values)
+    calls.clear()
+    global_survival((0.3, 0.7), d, float(times[3]), CFG)
+    assert sorted(calls) == [(-math.inf, 0.0), (0.0, math.inf)]
 
 
 def test_global_survival_series_integrates_frozen_parts_once(monkeypatch):
