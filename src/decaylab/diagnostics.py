@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscint import (_MAX_SUBDIVISIONS, ComplexTimeSeries, QuadratureConfig,
-                     QuadratureFailure, _quad)
+from .oscint import ComplexTimeSeries, QuadratureConfig, _checked, _quad
 
 # classifier thresholds, calibrated on the two closed-form reference cases:
 # the pure exponential fits c0 + c1 ln(1+T^2) to machine precision and keeps
@@ -121,12 +120,8 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
     for T in Ts:
         # decade break points keep the adaptive subdivision shallow on long ranges
         pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if prev < p < T] or None
-        val, err, ok = _quad(
-            integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, _MAX_SUBDIVISIONS, pts
-        )
-        if not ok and err > cfg.target(val):
-            raise QuadratureFailure("Paley-Wiener sweep increment did not converge", val, err)
-        acc += 2.0 * val
+        acc += 2.0 * _checked(None, *_quad(integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg,
+                                           "Paley-Wiener sweep increment", pts))
         out.append((T, acc))
         prev = T
     return out

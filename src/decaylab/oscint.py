@@ -6,22 +6,23 @@ transform of a density) or a strictly increasing phase of range R (the
 generalized potentials).  One transform, restricted_amplitude, serves both:
 t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
 and tables have an exact transform.  One QAWO routine, _linear_head
-(QUADPACK's oscillatory weights, cut at the feature points), integrates
-every finite interval of the linear phase: a finite window, and the head
-of a half-line up to its last feature point, however many oscillations it
-spans.  Infinite pieces are integrated over half-periods of the kernel
-(cells of phase length pi), with Wynn epsilon acceleration of the
-alternating cell sums; the piece below the split point is reflected onto an
-upward one.  Each tail cell, and each head cell of a monotone phase, gets
-QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells eight
-per pass by default (min_cells + 2), with the integrand evaluated once per
-node; adaptive quad runs only on cells where QUADPACK's own first-pass test
-(dqagse's) fails or that a feature point splits.  The rule's sums are
-matrix-vector products, so a cell's value agrees with quad's to rounding.
-This gives uniform accuracy in t without Filon-type weight tables; heavy
-algebraic tails converge through the acceleration instead of an
-(infeasibly large) explicit cutoff, and the analytic tail mass only enters
-the error bound when a sum is truncated without convergence.
+(QUADPACK's oscillatory weights, cut at the feature points and then
+geometrically), integrates every finite interval of the linear phase: a
+finite window, and the head of a half-line out to its farthest feature
+point, however many oscillations it spans.  _quad, the one call of scipy's
+quad, holds the one convergence rule.  Infinite pieces are integrated over
+half-periods of the kernel (cells of phase length pi), with Wynn epsilon
+acceleration of the alternating cell sums; the piece below the split point
+is reflected onto an upward one.  Each tail cell, and each head cell of a
+monotone phase, gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in
+numpy, tail cells eight per pass by default (min_cells + 2), with the
+integrand evaluated once per node; adaptive quad runs only on cells where
+QUADPACK's own first-pass test (dqagse's) fails or that a feature point
+splits.  The rule's sums are matrix-vector products, so a cell's value
+agrees with quad's to rounding.  This gives uniform accuracy in t without
+Filon-type weight tables; heavy algebraic tails converge through the
+acceleration instead of an (infeasibly large) explicit cutoff, and the
+analytic tail mass only enters the error bound of a failure.
 
 Every piece (a half-line's cell sum, a mass integral, a frozen half-line
 mass, a ramp side) gives a (value, error bound, detail) triple; detail is
@@ -145,24 +146,22 @@ class ComplexTimeSeries:
 # scalar quadrature helpers
 
 
-def _quad(f, a, b, epsabs, epsrel, limit, points=None, complex_valued=False):
-    """scipy quad with warnings silenced; returns (value, abserr, converged)."""
-    res = quad(
-        f,
-        a,
-        b,
-        epsabs=epsabs,
-        epsrel=epsrel,
-        limit=limit,
-        points=points,
-        complex_func=complex_valued,
-        full_output=1,
-    )
+def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, complex_valued=False,
+          weight=None, wvar=None):
+    """scipy's quad (QAWO for weight 'cos' or 'sin') as a (value, error,
+    detail) triple under the engine's one convergence rule: it fails, "<what>
+    did not converge", when QUADPACK did not converge (on either part of a
+    complex integrand) and its error exceeds cfg.target(value)."""
+    res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS, points=points,
+               complex_func=complex_valued, weight=weight, wvar=wvar, full_output=1)
     val, err = res[0], res[1]
+    # full_output appends a message unless QUADPACK converged, per part if complex
+    converged = len(res) == 3
     if complex_valued:
         err = abs(err.real) + abs(err.imag)
-    converged = len(res) == 3
-    return val, float(err), converged
+        converged = converged and all(len(part) == 1 for part in res[2].values())
+    failed = not converged and err > cfg.target(val)
+    return val, float(err), (f"{what} did not converge" if failed else None)
 
 
 def _interior_points(points, a, b):
@@ -209,14 +208,11 @@ def _mass(d, lo, hi, cfg):
             return d.density(ch.x_of_u(u)) * ch.dxdu(u)
 
         pts = _interior_points((ch.u_of_x(p) for p in d.feature_points), ulo, uhi)
-        val, err, ok = _quad(g, ulo, uhi, cfg.abs_tol, cfg.rel_tol, _MAX_SUBDIVISIONS, pts)
-    else:
-        pts = None
-        if math.isfinite(lo) and math.isfinite(hi):
-            pts = _interior_points(d.feature_points, lo, hi)
-        val, err, ok = _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, _MAX_SUBDIVISIONS, pts)
-    failed = not ok and err > cfg.target(val)
-    return val, err, ("mass integral did not converge" if failed else None)
+        return _quad(g, ulo, uhi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
+    pts = None
+    if math.isfinite(lo) and math.isfinite(hi):
+        pts = _interior_points(d.feature_points, lo, hi)
+    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +366,28 @@ def _wynn_estimate(row: list) -> complex:
     return row[n]
 
 
-def _linear_head(weight, t, a, b, cfg, points):
+def _linear_head(weight, t, a, b, cfg, points, what):
     """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
-    weights (QAWO), a cos and a sin solve per segment, segmented at the
-    points inside (a, b), since QAWO takes no break-point hints but handles
-    any number of oscillations.  Serves the linear-phase head of a half-line
-    and the finite window; returns (value, abserr, converged)."""
+    weights (QAWO), a cos and a sin solve per segment.  QAWO takes no
+    break-point hints but any number of oscillations, so the range is cut at
+    the points inside (a, b) and at a + 4^k s, s the distance to the farthest
+    point, lest one segment span many density scales.  Serves the linear
+    head and the finite window; returns a (value, error bound, detail) triple."""
     head_tol = max(cfg.abs_tol / 8.0, 1e-15)
-    cuts = [a] + (_interior_points(points, a, b) or []) + [b]
+    cuts = set(_interior_points(points, a, b) or ())
+    s = max([abs(p - a) for p in points], default=0.0)
+    while s and a + s < b:
+        cuts.add(a + s)
+        s *= 4.0
+    cuts = [a] + sorted(cuts) + [b]
     seg_tol = head_tol / (2 * (len(cuts) - 1))
-    total, err_sum, converged = 0.0 + 0.0j, 0.0, True
+    parts = []
     for lo, hi in zip(cuts, cuts[1:]):
-        re, im = (quad(weight, lo, hi, weight=kind, wvar=t, epsabs=seg_tol, epsrel=1e-12,
-                       limit=_MAX_SUBDIVISIONS, full_output=1) for kind in ("cos", "sin"))
-        total += complex(re[0], -im[0])
-        err_sum += re[1] + im[1]
-        converged = converged and len(re) == 3 and len(im) == 3
-    return total, err_sum, converged
+        for kind, unit in (("cos", 1.0), ("sin", -1j)):
+            val, err, detail = _quad(weight, lo, hi, seg_tol, 1e-12, cfg, what,
+                                     weight=kind, wvar=t)
+            parts.append((unit * val, err, detail))
+    return _combine(parts)
 
 
 def _semi_infinite_osc(
@@ -401,18 +402,18 @@ def _semi_infinite_osc(
 ):
     """int_{x0}^{inf} weight(x) exp(-i t phase(x)) dx for t > 0, increasing phase.
 
-    The range up to the last feature point (the density bulk) is integrated
-    as a single head piece; only the clean alternating tail beyond it feeds
-    the epsilon table, so a far-off peak cannot poison the extrapolation.
-    Cells are evaluated in blocks (_qk21_cells): for the linear phase weight
-    takes the whole block as one float64 array, for a monotone phase the
-    integrand is evaluated node by node.  The linear head is one
-    _linear_head call; the monotone head is one block of half-period cells,
-    at most 20,000 of them.
-    Returns (value, error bound, detail); detail names the failure when a
-    monotone head spans more cells than that or the tail sum does not
-    stabilize within cfg.max_cells cells, and the value is then the best
-    estimate.
+    The density bulk is integrated as a single head piece; only the clean
+    alternating tail beyond it feeds the epsilon table, so a far-off peak
+    cannot poison the extrapolation.  The linear head, one _linear_head call,
+    reaches as far from x0 as the farthest feature point on either side; the
+    monotone head, one block of at most 20,000 half-period cells, reaches the
+    last feature point.  Cells are evaluated in blocks (_qk21_cells): for the
+    linear phase weight takes the whole block as one float64 array, for a
+    monotone phase the integrand is evaluated node by node.
+    Returns (value, error bound, detail).  A head or cell that did not
+    converge (_quad's rule), a monotone head over the cap, or a tail sum not
+    stable within cfg.max_cells cells leaves by the one failure exit: the
+    best estimate, its bound plus the tail mass beyond the last cell summed.
     """
     pin = phase_inv if phase is not None else (lambda u: u)
     u0 = phase(x0) if phase is not None else x0
@@ -425,9 +426,9 @@ def _semi_infinite_osc(
 
     def cells(a, k, m, tol, points=None):
         """The m cells from a, the j-th ending at pin(u0 + (k + j + 1) h), by
-        the block rule; yields (end, value, error).  A cell that fails the
-        rule's first-pass test, or that a feature point splits, goes to
-        adaptive quad."""
+        the block rule; yields (end, value, error, detail).  A cell that
+        fails the rule's first-pass test, or that a feature point splits,
+        goes to adaptive quad."""
         edges = np.array([a] + [pin(u0 + (k + j + 1) * h) for j in range(m)])
         centr = 0.5 * (edges[1:] + edges[:-1])
         hlgth = 0.5 * (edges[1:] - edges[:-1])
@@ -438,33 +439,37 @@ def _semi_infinite_osc(
             values = np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
         for b, (val, err, ok) in zip(edges[1:].tolist(), _qk21_cells(values, hlgth, tol, 1e-12)):
             pts = _interior_points(points, a, b) if points else None
+            detail = None
             if pts or not ok:
-                val, err, _ = _quad(f, a, b, tol, 1e-12, _MAX_SUBDIVISIONS, pts,
-                                    complex_valued=True)
-            yield b, val, err
+                val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell", pts,
+                                         complex_valued=True)
+            yield b, val, err, detail
             a = b
 
-    partial = 0.0 + 0.0j
-    quad_err = 0.0
+    partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
     a = x0
-    x_clear = max([x0] + list(points))
+    if phase is None:
+        x_clear = x0 + max([abs(p - x0) for p in points], default=0.0)
+    else:
+        x_clear = max([x0] + list(points))
     if x_clear > x0:
         u_clear = phase(x_clear) if phase is not None else x_clear
         k_clear = int(math.ceil((u_clear - u0) / h))
-        if k_clear > 0:
-            if phase is not None and k_clear > 20_000:
-                return 0.0, math.inf, f"head region spans {k_clear} oscillations"
+        if phase is not None and k_clear > 20_000:
+            detail = f"head region spans {k_clear} oscillations"
+        elif k_clear > 0:
             boundary = pin(u0 + k_clear * h)
             if phase is None:
-                # converged is ignored until the head gets finer cuts (ROADMAP item 2)
-                partial, quad_err, _ = _linear_head(weight, t, x0, boundary, cfg, points)
+                partial, quad_err, detail = _linear_head(weight, t, x0, boundary, cfg, points,
+                                                         "oscillatory head integral")
             else:
                 # nonlinear phase: sum the head cells plainly (they stay out
                 # of the epsilon table, which only extrapolates the tail)
                 head_tol = max(cfg.abs_tol / (8.0 * k_clear), 1e-15)
-                for _, val, err in cells(x0, 0, k_clear, head_tol, points):
+                for _, val, err, cell_detail in cells(x0, 0, k_clear, head_tol, points):
                     partial += val
                     quad_err += err
+                    detail = detail or cell_detail
             a = boundary
             u0 = u0 + k_clear * h
 
@@ -473,13 +478,16 @@ def _semi_infinite_osc(
     stable = 0
     negligible = 0
     k = 0
-    while k < cfg.max_cells:
+    while detail is None and k < cfg.max_cells:
         # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
         # the earliest Wynn-stable stop; cells past a stop are discarded
         m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
-        for b, val, err in cells(a, k, m, cell_tol):
+        for b, val, err, detail in cells(a, k, m, cell_tol):
             quad_err += err
             partial += val
+            a = b
+            if detail is not None:
+                break
             row = _wynn_row(row, partial)
             est = _wynn_estimate(row)
             if not cmath.isfinite(est):
@@ -500,7 +508,6 @@ def _semi_infinite_osc(
                 else:
                     stable = 0
             est_prev = est
-            a = b
             k += 1
     best = est_prev if est_prev is not None else partial
     bound = quad_err + abs(best - partial)
@@ -509,7 +516,8 @@ def _semi_infinite_osc(
             bound += abs(tail_mass(a))
         except Exception:
             bound = math.inf
-    return best, bound, f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells"
+    return best, bound, (detail or
+                         f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells")
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +565,8 @@ def _amplitude(d, lo, hi, t, cfg, phase=None, phase_inv=None):
     if math.isfinite(lo) and math.isfinite(hi):
         if phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
-        val, err, ok = _linear_head(d.density, t, lo, hi, cfg, d.feature_points)
-        failed = not ok and err > cfg.target(val)
-        return val, err, ("finite-window oscillatory integral did not converge"
-                          if failed else None)
+        return _linear_head(d.density, t, lo, hi, cfg, d.feature_points,
+                            "finite-window oscillatory integral")
 
     loose = QuadratureConfig(1e-6, 1e-6)
 

@@ -344,3 +344,43 @@ def test_every_config_key_is_a_flag(command, key):
     assert cfg[key] == want
     assert type(cfg[key]) is (str if default is None else type(default))
     assert cfg["out"] == "x.csv"
+
+
+_LORENTZIAN_SPEC = json.dumps({"kind": "lorentzian", "gamma": 2.0, "omega0": 0.5})
+_TIMES = ("--t-start", "0", "--t-end", "2", "--n-points", "5")
+
+# (argv, where {file} is a JSON file holding an exponential density of rate 2,
+# the file that --out prefixes, exit code, header items, closed form of a(t))
+CLI_PATHS = {
+    "potential-fd-derivative": (
+        ("potential", "--potential", "exp", "--fd-derivative", "--n-points", "8"),
+        "_factor.csv", 0, {"potential_label": "exp+fd"}, lambda t: np.exp(-t / 2.0)),
+    "lorentzian-spec-overrides-flags": (
+        ("survival", "--gamma", "1", "--omega0", "0", "--density", _LORENTZIAN_SPEC, *_TIMES),
+        "", 0, {"density_label": "lorentzian(gamma=2, omega0=0.5)"},
+        lambda t: np.exp(-t - 0.5j * t)),
+    "density-json-file": (
+        ("survival", "--density", "{file}", *_TIMES),
+        "", 0, {"density_label": "exponential(rate=2)"}, lambda t: 2.0 / (2.0 + 1j * t)),
+    "malformed-density-json": (
+        ("survival", "--density", '{"kind": "lorentzian",', *_TIMES), "", 2, None, None),
+    "unknown-potential-kind": (
+        ("potential", "--potential", '{"kind": "cubic"}'), "_factor.csv", 2, None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_PATHS))
+def test_density_and_potential_spec_paths(tmp_path, case):
+    argv, suffix, code, header, closed_form = CLI_PATHS[case]
+    spec_file = tmp_path / "density.json"
+    spec_file.write_text(json.dumps({"kind": "exponential", "rate": 2.0}))
+    argv = [str(spec_file) if arg == "{file}" else arg for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == code
+    written = tmp_path / ("out.csv" + suffix)
+    if code:
+        assert not written.exists()
+        return
+    params, _, cols = read_csv(str(written))
+    assert {key: params[key] for key in header} == header
+    got = cols["re"] + 1j * cols["im"]
+    assert np.max(np.abs(got - closed_form(cols["t"]))) <= 1e-8

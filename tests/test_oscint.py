@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from decaylab import (
     ComplexTimeSeries,
@@ -14,12 +16,14 @@ from decaylab import (
     amplitude_series,
     exponential_density,
     fourier_amplitude,
+    generalized_dephasing_factor,
     global_survival,
     global_survival_series,
     half_line_mass,
     halfline_amplitude,
     lorentzian_density,
     mass_integral,
+    pw_sweep,
     restricted_amplitude,
     table_density,
 )
@@ -287,6 +291,108 @@ def test_linear_head_spanning_many_oscillations(cfg, d, t, want):
     assert abs(fourier_amplitude(d, t, cfg) - want) <= cfg.target(want)
 
 
+# gamma, omega0/gamma and gamma*t spanning twelve decades around every
+# density scale: tiny gamma*t puts the whole bulk inside one half-period
+_STRESS_GAMMAS = (1e-3, 1.0, 1e3)
+_STRESS_RATIOS = (-100.0, -10.0, -2.5, -1.0, 0.0, 0.7, 2.5, 10.0, 100.0)
+_STRESS_GAMMA_T = [10.0**k for k in range(-10, 7)]
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIGHT], ids=["1e-9", "1e-12"])
+@pytest.mark.parametrize("gamma", _STRESS_GAMMAS)
+def test_full_line_closed_forms_over_the_stress_grid(cfg, gamma):
+    # the Lorentzian exponential and the exponential density's rate/(rate+it)
+    cases = [(exponential_density(gamma), lambda t: gamma / complex(gamma, t))] + [
+        (lorentzian_density(DephasingParams(gamma, r * gamma)),
+         lambda t, r=r: lorentz_exact(gamma, r * gamma, t))
+        for r in _STRESS_RATIOS
+    ]
+    misses = []
+    for d, exact in cases:
+        for t in (gt / gamma for gt in _STRESS_GAMMA_T):
+            got, want = fourier_amplitude(d, t, cfg), exact(t)
+            if not abs(got - want) <= cfg.target(want):
+                misses.append((d.label, t, abs(got - want)))
+    assert misses == []
+
+
+def _exp_e1(w):
+    """e^w E1(w) on the principal branch; the asymptotic series where e^w
+    or E1 would overflow (|w| > 600, exact to rounding there)."""
+    if abs(w.real) < 600.0:
+        return cmath.exp(w) * complex(exp1(w))
+    total, term = 0.0 + 0.0j, 1.0 / w
+    for k in range(1, 60):
+        total += term
+        nxt = -term * k / w
+        if abs(nxt) >= abs(term):
+            break
+        term = nxt
+    return total
+
+
+def _pole_transform(z, t):
+    """J(z) = int_0^inf e^{-iEt} / (E - z) dE for t > 0, w = -izt."""
+    w = -1j * z * t
+    val = _exp_e1(w)
+    if z.imag < 0 and w.real < 0 and w.imag < 0:
+        # the principal branch of E1 drops the pole term in the third quadrant
+        val -= 2j * math.pi * cmath.exp(w)
+    return val
+
+
+def lorentz_positive_half(gamma, omega0, t):
+    """int_0^inf e^{-iEt} p_C(E) dE = (J(z+) - J(z-)) / (2 pi i), t > 0,
+    z+- = omega0 +- i gamma/2."""
+    zp, zm = complex(omega0, gamma / 2.0), complex(omega0, -gamma / 2.0)
+    return (_pole_transform(zp, t) - _pole_transform(zm, t)) / (2j * math.pi)
+
+
+def _half_line_cases(d, gamma, omega0, t, cfg):
+    """(piece, computed, closed form) for both half-lines of a Lorentzian,
+    both ramp sides (the frozen half's mass plus the active half's
+    transform) and the global survival with spin weights (0.3, 0.7)."""
+    mass_neg = 0.5 - math.atan(2.0 * omega0 / gamma) / math.pi
+    pos = lorentz_positive_half(gamma, omega0, t)
+    # int_{-inf}^0 e^{+iEt} p_C(E) dE: the positive half of the mirror image
+    mirrored = lorentz_positive_half(gamma, -omega0, t)
+    side_pos, side_neg = mass_neg + pos, (1.0 - mass_neg) + mirrored
+    return [
+        ("[0, inf)", restricted_amplitude(d, 0.0, math.inf, t, cfg), pos),
+        ("(-inf, 0]", restricted_amplitude(d, -math.inf, 0.0, t, cfg), mirrored.conjugate()),
+        ("positive ramp", halfline_amplitude(d, "positive", t, cfg), side_pos),
+        ("negative ramp", halfline_amplitude(d, "negative", t, cfg), side_neg),
+        ("global survival", global_survival((0.3, 0.7), d, t, cfg),
+         0.3 * side_pos + 0.7 * side_neg),
+    ]
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIGHT], ids=["1e-9", "1e-12"])
+@pytest.mark.parametrize("gamma", _STRESS_GAMMAS)
+def test_half_line_closed_forms_over_the_stress_grid(cfg, gamma):
+    misses = []
+    for r in _STRESS_RATIOS:
+        d = lorentzian_density(DephasingParams(gamma, r * gamma))
+        for t in (gt / gamma for gt in _STRESS_GAMMA_T):
+            for piece, got, want in _half_line_cases(d, gamma, r * gamma, t, cfg):
+                if not abs(got - want) <= cfg.target(want):
+                    misses.append((d.label, piece, t, abs(got - want)))
+    assert misses == []
+
+
+def test_half_line_with_its_bulk_beyond_the_finite_end():
+    # every feature point lies below 0, beyond the finite end of [0, inf),
+    # whose transform at t = 1e-8 is still its whole mass, 0.063
+    d = lorentzian_density(DephasingParams(1.0, -2.5))
+    mass_neg = 0.5 - math.atan(-5.0) / math.pi
+    want = mass_neg + lorentz_positive_half(1.0, -2.5, 1e-8)
+    assert abs(halfline_amplitude(d, "positive", 1e-8, CFG) - want) <= CFG.target(want)
+    # symmetric: each ramp side is 1/2 + the half-line transform
+    d0 = lorentzian_density(DephasingParams(1.0, 0.0))
+    want = 0.5 + lorentz_positive_half(1.0, 0.0, 1e-7)
+    assert abs(global_survival((0.5, 0.5), d0, 1e-7, CFG) - want) <= CFG.target(want)
+
+
 def test_table_transform_exact_triangle():
     d = table_density([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])
     for t in (0.05, 0.3, 2.0, 10.0, 100.0):
@@ -444,7 +550,7 @@ def _not_converged(monkeypatch):
 
     def failing(*args, **kwargs):
         val, _, _ = adaptive(*args, **kwargs)
-        return val, 1.0, False
+        return val, 1.0, f"{args[6]} did not converge"
 
     monkeypatch.setattr(oscint, "_quad", failing)
 
@@ -482,6 +588,62 @@ def test_series_failure_holds_the_raised_failures(monkeypatch):
     assert raised and len(failures) == len(raised)
     assert all(got is want for got, want in zip(failures, raised))
     assert failures[0].t == 0.0
+
+
+def _quadpack_not_converged(monkeypatch, error):
+    """Make every scipy quad call report non-convergence: QUADPACK's 4-tuple,
+    its message appended, with the given error estimate."""
+    real = oscint.quad
+
+    def failing(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return res[0], error, res[2], "The maximum number of subdivisions has been achieved."
+
+    monkeypatch.setattr(oscint, "quad", failing)
+
+
+# (integral named in the failure, its time, the call)
+_ONE_RULE = {
+    "mass_integral": ("mass integral", None, lambda: mass_integral(
+        lorentzian_density(DephasingParams(1.0, 0.3)), 0.0, math.inf, CFG)),
+    "fourier_amplitude": ("oscillatory head integral", 2.0, lambda: fourier_amplitude(
+        lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG)),
+    "finite_window": ("finite-window oscillatory integral", 3.0, lambda: restricted_amplitude(
+        lorentzian_density(DephasingParams(1.0, 0.3)), -1.0, 2.0, 3.0, CFG)),
+    # the feature points above the centre split head cells, which go to quad
+    "monotone_head_cell": ("half-period cell", 5.0, lambda: generalized_dephasing_factor(
+        exp_potential(), DephasingParams(1.0, 0.5), 5.0, CFG)),
+    "pw_sweep": ("Paley-Wiener sweep increment", None, lambda: pw_sweep(
+        lambda t: cmath.exp(-0.5 * t), [1.0, 10.0], CFG)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_RULE))
+def test_one_convergence_rule(monkeypatch, name):
+    # QUADPACK's flag fails a result only when its error estimate also
+    # exceeds cfg.target(value); the failure names the integral and its t
+    what, t, call = _ONE_RULE[name]
+    want = call()
+    _quadpack_not_converged(monkeypatch, 0.5 * CFG.abs_tol)
+    assert call() == want
+    _quadpack_not_converged(monkeypatch, 1.0)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        call()
+    assert exc_info.value.detail == f"{what} did not converge"
+    assert exc_info.value.t == t
+
+
+def test_monotone_head_over_the_cap_bounds_its_estimate():
+    # 1e5 / pi half-periods between the centre and the feature points on
+    # each side: the failure's bound is the tail mass it left out
+    params = DephasingParams(1.0, 0.3)
+    t = 1e5
+    with pytest.raises(QuadratureFailure) as exc_info:
+        generalized_dephasing_factor(exp_potential(), params, t, CFG)
+    failure = exc_info.value
+    assert failure.detail == "head region spans 31831 oscillations"
+    assert math.isfinite(failure.error_bound)
+    assert abs(failure.estimate - lorentz_exact(1.0, 0.3, t)) <= failure.error_bound
 
 
 def _gk21_cell_values(f, a, b):
