@@ -10,12 +10,18 @@ in which case partial output plus a .failures manifest is still written.
 
 A command's flags are its DEFAULTS keys with '-' for '_' (t_end is
 --t-end), plus --out and --config.  Flag precedence: command line >
---config file (JSON) > built-in defaults.
+--config file (JSON) > built-in defaults.  A config value is checked as its
+flag would be, before anything is computed: a switch takes true or false, a
+choice one of its choices, a number converts as the flag's text does.
+
+main(argv) may be called any number of times in one process: it builds the
+parser once, on the first call, and parse_args keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -208,10 +214,12 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config file is not valid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold one JSON object")
         unknown = set(loaded) - set(cfg) - {"out"}
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
-        cfg.update(loaded)
+        cfg.update({key: _config_value(key, cfg.get(key), val) for key, val in loaded.items()})
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -417,10 +425,41 @@ _HELP = {
 }
 
 
+def _flag_kind(key: str, default) -> dict:
+    """argparse keywords of the flag of a config key: a bool default is an
+    on-switch, a key in _CHOICES takes one of them, an int or float default
+    converts with its type, anything else is taken as given."""
+    if isinstance(default, bool):
+        return {"action": "store_const", "const": True}
+    if key in _CHOICES:
+        return {"choices": _CHOICES[key]}
+    if isinstance(default, (int, float)):
+        return {"type": type(default)}
+    return {}
+
+
+def _config_value(key: str, default, value):
+    """A config-file value checked by the rule of its flag (_flag_kind): a
+    switch must be a JSON true/false, a number converts as its text would."""
+    kind = _flag_kind(key, default)
+    if "const" in kind and not isinstance(value, bool):
+        raise UsageError(f"config key {key} must be true or false, got {value!r}")
+    if "choices" in kind and value not in kind["choices"]:
+        raise UsageError(f"config key {key} must be one of {list(kind['choices'])}, "
+                         f"got {value!r}")
+    if "type" in kind:
+        try:
+            return kind["type"](str(value))
+        except ValueError:
+            raise UsageError(f"config key {key}: invalid {kind['type'].__name__} "
+                             f"value: {value!r}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per DEFAULTS entry, one flag per config key (plus
-    --out and --config): --key with '-' for '_', its type that of the
-    default, a bool default an on-switch.  Unset flags parse to None."""
+    --out and --config): --key with '-' for '_', its kind from _flag_kind.
+    Unset flags parse to None."""
     parser = argparse.ArgumentParser(
         prog="decaylab",
         description="Reproducible decay-law numerics: survival amplitudes, reduced "
@@ -431,16 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command, help=_HELP[command])
         for key, default in {**defaults, "out": None, "config": None}.items():
             flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                kind = {"action": "store_const", "const": True}
-            elif key in _CHOICES:
-                kind = {"choices": _CHOICES[key]}
-            elif isinstance(default, (int, float)):
-                kind = {"type": type(default)}
-            else:
-                kind = {}
-            sub.add_argument(flag, dest=key, help=_HELP.get(flag), **kind)
+            sub.add_argument(flag, dest=key, help=_HELP.get(flag), **_flag_kind(key, default))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: every flag defaults to
+    None and parse_args returns a fresh namespace, so one serves all calls."""
+    return build_parser()
 
 
 _COMMANDS = {
@@ -471,8 +509,7 @@ def _attach_negative_numbers(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge(args.command, args)
         return _COMMANDS[args.command](cfg)

@@ -384,3 +384,95 @@ def test_density_and_potential_spec_paths(tmp_path, case):
     assert {key: params[key] for key in header} == header
     got = cols["re"] + 1j * cols["im"]
     assert np.max(np.abs(got - closed_form(cols["t"]))) <= 1e-8
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's cached parser cleared before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, fresh_parser):
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for i in range(3):
+        assert run("survival", "--t-end", "2", "--n-points", "3",
+                   "--out", str(tmp_path / f"{i}.csv")) == 0
+    assert run("pw", "--n-points", "8", "--out", str(tmp_path / "pw.txt")) == 0
+    assert len(builds) == 1
+
+
+def _exit_code(*argv):
+    try:
+        return run(*argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        return exc.code
+
+
+# (first job, its exit code, a later job that must not see the first's flags,
+# the file the later job writes for --out f.csv)
+SHARED_PARSER_JOBS = {
+    "fd-derivative-then-analytic": (
+        ("potential", "--fd-derivative", "--n-points", "8"), 0,
+        ("potential", "--n-points", "8"), "f.csv_factor.csv"),
+    "negative-omega0-then-default": (
+        ("survival", "--omega0", "-4.46e-05", "--t-end", "2", "--n-points", "3"), 0,
+        ("survival", "--t-end", "2", "--n-points", "3"), "f.csv"),
+    "argparse-rejection-then-valid": (
+        ("survival", "--spacing", "cubic"), 2,
+        ("survival", "--spacing", "log", "--t-start", "0.5", "--t-end", "2", "--n-points", "3"),
+        "f.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_PARSER_JOBS))
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, fresh_parser, case):
+    first, code, later, written = SHARED_PARSER_JOBS[case]
+    out = str(tmp_path / "f.csv")
+
+    def outputs(*argv):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        assert _exit_code(*argv, "--out", out) == 0
+        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    assert _exit_code(*first, "--out", out) == code
+    after_first = outputs(*later)
+    cli._parser.cache_clear()
+    assert after_first == outputs(*later)
+    params, _, _ = read_csv(str(tmp_path / written))
+    assert params["omega0"] == "0.0"
+    assert not params.get("potential_label", "").endswith("+fd")
+
+
+@pytest.mark.parametrize("command,config", [
+    ("survival", {"format": "xml", "n_points": 401}),
+    ("potential", {"fd_derivative": "false"}),
+    ("survival", []),
+], ids=["format-choice", "switch-not-bool", "not-an-object"])
+def test_invalid_config_value_exits_2_before_computing(tmp_path, monkeypatch, command,
+                                                       config):
+    started, cmd = [], cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: started.append(1) or cmd(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg), "--out", str(tmp_path / "f.csv")) == 2
+    assert not started
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_values_convert_like_flags(tmp_path):
+    out = tmp_path / "f.csv"
+    assert run("survival", "--gamma", "1", "--n-points", "3", "--out", str(out)) == 0
+    by_flags = out.read_bytes()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 1, "n_points": 3}))
+    assert run("survival", "--config", str(cfg), "--out", str(out)) == 0
+    assert out.read_bytes() == by_flags
