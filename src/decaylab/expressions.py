@@ -72,11 +72,15 @@ def parse_expression(src: str) -> Callable[[float], float]:
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {src!r}: {exc.msg}") from None
     _validate(tree, src)
-    code = compile(tree, "<potential-expression>", "eval")
-    env = dict(_ALLOWED_CALLS, pi=math.pi, e=math.e)
+    # compiled once as `lambda x: <expression>` whose only globals are the
+    # allowed calls and constants
+    lam = ast.parse("lambda x: 0", mode="eval")
+    lam.body.body = tree.body
+    code = compile(ast.fix_missing_locations(lam), "<potential-expression>", "eval")
+    g = eval(code, dict(_ALLOWED_CALLS, pi=math.pi, e=math.e, __builtins__={}))
 
     def f(x: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, dict(env, x=float(x))))
+        return float(g(float(x)))
 
     # probe once so structural mistakes surface at parse time; domain errors
     # (log of a negative, etc.) are legitimate at single points

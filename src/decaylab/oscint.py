@@ -5,24 +5,28 @@ half-line, and compact supports, with W the identity (the plain Fourier
 transform of a density) or a strictly increasing phase of range R (the
 generalized potentials).  One transform, restricted_amplitude, serves both:
 t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
-and tables have an exact transform.  One QAWO routine, _linear_head
-(QUADPACK's oscillatory weights, cut at the feature points and then
-geometrically), integrates every finite interval of the linear phase: a
-finite window, and the head of a half-line out to its farthest feature
-point, however many oscillations it spans.  _quad, the one call of scipy's
-quad, holds the one convergence rule.  Infinite pieces are integrated over
-half-periods of the kernel (cells of phase length pi), with Wynn epsilon
-acceleration of the alternating cell sums; the piece below the split point
-is reflected onto an upward one.  Each tail cell, and each head cell of a
-monotone phase, gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in
-numpy, tail cells eight per pass by default (min_cells + 2), with the
-integrand evaluated once per node; adaptive quad runs only on cells where
-QUADPACK's own first-pass test (dqagse's) fails or that a feature point
-splits.  The rule's sums are matrix-vector products, so a cell's value
-agrees with quad's to rounding.  This gives uniform accuracy in t without
-Filon-type weight tables; heavy algebraic tails converge through the
-acceleration instead of an (infeasibly large) explicit cutoff, and the
-analytic tail mass only enters the error bound of a failure.
+and tables have an exact transform.  The head of a half-line, the stretch
+before its extrapolated cells, has one rule for both phases, in the phase
+coordinate u: it reaches as far from u0 as the farthest feature point's
+phase, and _head_cuts cuts it at the feature points and geometrically
+beyond.  One QAWO routine, _linear_head (QUADPACK's oscillatory weights),
+integrates every finite interval of the linear phase between those cuts:
+a finite window, and the linear head however many oscillations it spans.
+The monotone head is one block of half-period cells whose edges include
+its cuts.  _quad, the one call of scipy's quad, holds the one convergence
+rule.  Infinite pieces are integrated over half-periods of the kernel
+(cells of phase length pi), with Wynn epsilon acceleration of the
+alternating cell sums; the piece below the split point is reflected onto
+an upward one.  Each tail cell, and each head cell of a monotone phase,
+gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells
+eight per pass by default (min_cells + 2), with the integrand evaluated
+once per node; adaptive quad runs only on first-pass misses, the cells
+where QUADPACK's own first-pass test (dqagse's) fails.  The rule's sums
+are matrix-vector products, so a cell's value agrees with quad's to
+rounding.  This gives uniform accuracy in t without Filon-type weight
+tables; heavy algebraic tails converge through the acceleration instead
+of an (infeasibly large) explicit cutoff, and the analytic tail mass only
+enters the error bound of a failure.
 
 Every piece (a half-line's cell sum, a mass integral, a frozen half-line
 mass, a ramp side) gives a (value, error bound, detail) triple; detail is
@@ -366,20 +370,25 @@ def _wynn_estimate(row: list) -> complex:
     return row[n]
 
 
-def _linear_head(weight, t, a, b, cfg, points, what):
-    """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
-    weights (QAWO), a cos and a sin solve per segment.  QAWO takes no
-    break-point hints but any number of oscillations, so the range is cut at
-    the points inside (a, b) and at a + 4^k s, s the distance to the farthest
-    point, lest one segment span many density scales.  Serves the linear
-    head and the finite window; returns a (value, error bound, detail) triple."""
-    head_tol = max(cfg.abs_tol / 8.0, 1e-15)
-    cuts = set(_interior_points(points, a, b) or ())
+def _head_cuts(a, b, points):
+    """The cuts of a head [a, b]: the points inside (a, b) and a + 4^k s below
+    b, s the distance from a to the farthest point, in ascending order."""
+    cuts = {p for p in points if a < p < b}
     s = max([abs(p - a) for p in points], default=0.0)
     while s and a + s < b:
         cuts.add(a + s)
         s *= 4.0
-    cuts = [a] + sorted(cuts) + [b]
+    return sorted(cuts)
+
+
+def _linear_head(weight, t, a, b, cfg, points, what):
+    """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
+    weights (QAWO), a cos and a sin solve per segment.  QAWO takes no
+    break-point hints but any number of oscillations, so the range is cut by
+    _head_cuts, lest one segment span many density scales.  Serves the linear
+    head and the finite window; returns a (value, error bound, detail) triple."""
+    head_tol = max(cfg.abs_tol / 8.0, 1e-15)
+    cuts = [a] + _head_cuts(a, b, points) + [b]
     seg_tol = head_tol / (2 * (len(cuts) - 1))
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -404,19 +413,26 @@ def _semi_infinite_osc(
 
     The density bulk is integrated as a single head piece; only the clean
     alternating tail beyond it feeds the epsilon table, so a far-off peak
-    cannot poison the extrapolation.  The linear head, one _linear_head call,
-    reaches as far from x0 as the farthest feature point on either side; the
-    monotone head, one block of at most 20,000 half-period cells, reaches the
-    last feature point.  Cells are evaluated in blocks (_qk21_cells): for the
-    linear phase weight takes the whole block as one float64 array, for a
-    monotone phase the integrand is evaluated node by node.
+    cannot poison the extrapolation.  One head rule serves both phases: the
+    head reaches from u0 = phase(x0) as far as the farthest feature point's
+    phase on either side, rounded up to whole half-periods, and is cut by
+    _head_cuts in u.  The linear head is one _linear_head call; the monotone
+    head is one block of at most 20,000 half-period cells plus its cuts as
+    further cell edges, mapped to x by phase_inv, with the head tolerance
+    split over its cells.  Cells are evaluated in blocks (_qk21_cells): for
+    the linear phase weight takes the whole block as one float64 array, for
+    a monotone phase the integrand is evaluated node by node; only
+    first-pass misses reach adaptive quad.
     Returns (value, error bound, detail).  A head or cell that did not
     converge (_quad's rule), a monotone head over the cap, or a tail sum not
     stable within cfg.max_cells cells leaves by the one failure exit: the
     best estimate, its bound plus the tail mass beyond the last cell summed.
+    A sum that stops with a bound above cfg.target(value) fails, naming
+    its bound.
     """
     pin = phase_inv if phase is not None else (lambda u: u)
     u0 = phase(x0) if phase is not None else x0
+    upoints = [phase(p) for p in points] if phase is not None else points
     h = math.pi / t
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
 
@@ -424,12 +440,11 @@ def _semi_infinite_osc(
         px = phase(x) if phase is not None else x
         return weight(x) * cmath.exp(-1j * t * px)
 
-    def cells(a, k, m, tol, points=None):
-        """The m cells from a, the j-th ending at pin(u0 + (k + j + 1) h), by
-        the block rule; yields (end, value, error, detail).  A cell that
-        fails the rule's first-pass test, or that a feature point splits,
-        goes to adaptive quad."""
-        edges = np.array([a] + [pin(u0 + (k + j + 1) * h) for j in range(m)])
+    def cells(a, us, tol):
+        """The cells from a, the j-th ending at pin(us[j]), by the block rule;
+        yields (end, value, error, detail).  A cell that fails the rule's
+        first-pass test goes to adaptive quad."""
+        edges = np.array([a] + [pin(u) for u in us])
         centr = 0.5 * (edges[1:] + edges[:-1])
         hlgth = 0.5 * (edges[1:] - edges[:-1])
         x = centr + hlgth * _GK21_NODES[:, None]
@@ -438,40 +453,44 @@ def _semi_infinite_osc(
         else:
             values = np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
         for b, (val, err, ok) in zip(edges[1:].tolist(), _qk21_cells(values, hlgth, tol, 1e-12)):
-            pts = _interior_points(points, a, b) if points else None
             detail = None
-            if pts or not ok:
-                val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell", pts,
+            if not ok:
+                val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell",
                                          complex_valued=True)
             yield b, val, err, detail
             a = b
 
+    def settled(value, bound):
+        """A stopped sum's triple: it succeeds only within cfg.target(value)."""
+        if bound <= cfg.target(value):
+            return value, bound, None
+        return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
+
     partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
     a = x0
-    if phase is None:
-        x_clear = x0 + max([abs(p - x0) for p in points], default=0.0)
-    else:
-        x_clear = max([x0] + list(points))
-    if x_clear > x0:
-        u_clear = phase(x_clear) if phase is not None else x_clear
-        k_clear = int(math.ceil((u_clear - u0) / h))
-        if phase is not None and k_clear > 20_000:
-            detail = f"head region spans {k_clear} oscillations"
-        elif k_clear > 0:
-            boundary = pin(u0 + k_clear * h)
-            if phase is None:
-                partial, quad_err, detail = _linear_head(weight, t, x0, boundary, cfg, points,
-                                                         "oscillatory head integral")
-            else:
-                # nonlinear phase: sum the head cells plainly (they stay out
-                # of the epsilon table, which only extrapolates the tail)
-                head_tol = max(cfg.abs_tol / (8.0 * k_clear), 1e-15)
-                for _, val, err, cell_detail in cells(x0, 0, k_clear, head_tol, points):
-                    partial += val
-                    quad_err += err
-                    detail = detail or cell_detail
-            a = boundary
-            u0 = u0 + k_clear * h
+    # the head reaches as far from u0 as the farthest feature point's phase
+    u_clear = u0 + max([abs(u - u0) for u in upoints], default=0.0)
+    k_clear = int(math.ceil((u_clear - u0) / h))
+    if phase is not None and k_clear > 20_000:
+        detail = f"head region spans {k_clear} oscillations"
+    elif k_clear > 0:
+        u_end = u0 + k_clear * h
+        if phase is None:
+            partial, quad_err, detail = _linear_head(weight, t, x0, u_end, cfg, points,
+                                                     "oscillatory head integral")
+            a = u_end
+        else:
+            # one block of half-periods and head cuts, summed plainly (the
+            # head stays out of the epsilon table, which only extrapolates
+            # the tail); a ends at the last edge, pin(u_end)
+            us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
+                        | set(_head_cuts(u0, u_end, upoints)))
+            head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
+            for a, val, err, cell_detail in cells(x0, us, head_tol):
+                partial += val
+                quad_err += err
+                detail = detail or cell_detail
+        u0 = u_end
 
     row: list = [partial] if partial != 0 else []
     est_prev = None
@@ -482,7 +501,7 @@ def _semi_infinite_osc(
         # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
         # the earliest Wynn-stable stop; cells past a stop are discarded
         m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
-        for b, val, err, detail in cells(a, k, m, cell_tol):
+        for b, val, err, detail in cells(a, [u0 + (k + j + 1) * h for j in range(m)], cell_tol):
             quad_err += err
             partial += val
             a = b
@@ -496,7 +515,7 @@ def _semi_infinite_osc(
             if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
                 negligible += 1
                 if negligible >= 2 and k + 1 >= cfg.min_cells:
-                    return partial, quad_err + 3.0 * abs(val), None
+                    return settled(partial, quad_err + 3.0 * abs(val))
             else:
                 negligible = 0
             if est_prev is not None and k + 1 >= cfg.min_cells:
@@ -504,7 +523,7 @@ def _semi_infinite_osc(
                 if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
                     stable += 1
                     if stable >= _STABLE_STEPS:
-                        return est, quad_err + delta, None
+                        return settled(est, quad_err + delta)
                 else:
                     stable = 0
             est_prev = est

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from decaylab import (
     DephasingParams,
     QuadratureConfig,
     MonotonicityError,
+    QuadratureFailure,
     RangeError,
     build_initial_state,
     exp_potential,
@@ -71,6 +73,13 @@ def test_finite_difference_derivative_path():
     assert p.V_prime is None
     for x in (-2.0, 0.0, 1.5):
         assert p.W_prime(x) == pytest.approx(2.0 * math.cosh(x), rel=1e-9)
+
+
+def test_finite_difference_inverse_near_overflow():
+    # the stencil around W^{-1}(1.7e308) reaches past exp's float range;
+    # the inverse keeps its bisection value instead of raising
+    p = induced_map(math.exp, None, label="exp-fd")
+    assert p.W_inverse(1.7e308) == pytest.approx(math.log(1.7e308), rel=1e-12)
 
 
 def test_monotonicity_rejections():
@@ -207,3 +216,51 @@ def test_generalized_grid_positivity():
         a, b = a / norm, b / norm
         val = np.sum(g.weights * (v_plus * np.abs(a) ** 2 + v_minus * np.abs(b) ** 2))
         assert val >= 0.0
+
+
+def _cubic_prime(x):
+    # V' of max(x,0)^3 + max(x,0), with ramp_potential's symmetric subgradient at 0
+    return 3.0 * max(x, 0.0) ** 2 + (1.0 if x > 0 else (0.5 if x == 0 else 0.0))
+
+
+_STRESS_POTENTIALS = {
+    "ramp": ramp_potential,
+    "exp": exp_potential,
+    "cubic-fd": lambda: induced_map(parse_expression("max(x,0)^3+max(x,0)"), label="cubic"),
+    "cubic-exact": lambda: induced_map(parse_expression("max(x,0)^3+max(x,0)"), _cubic_prime,
+                                       label="cubic"),
+}
+# (gamma, omega0/gamma, gamma*t): tiny gamma*t puts the whole Lorentzian
+# inside one half-period, gamma sets the scale of W^{-1}(omega0 +- gamma)
+_POTENTIAL_GRID = [
+    (gamma, ratio, gt)
+    for gamma in (1e-3, 1.0, 1e3)
+    for ratio in (-2.5, 0.7, 10.0)
+    for gt in (1e-8, 1e-6, 1e-3, 1.0, 1e2)
+]
+# long heads: about gamma*t / pi head cells per half-line; at 1e-12 each
+# cell's share of the tolerance sits at its 1e-15 floor
+_LONG_HEADS = [(1e-3, 0.7, 1e3), (1e-3, 0.7, 1e4)]
+
+
+@pytest.mark.parametrize("cfg", [CFG, TIGHT], ids=["1e-9", "1e-12"])
+@pytest.mark.parametrize("name", list(_STRESS_POTENTIALS))
+def test_potential_factors_over_the_stress_grid(name, cfg):
+    # every point is the exponential within cfg.target, or raises a failure
+    # whose bound covers its error
+    p = _STRESS_POTENTIALS[name]()
+    grid = _POTENTIAL_GRID + (_LONG_HEADS if cfg is TIGHT else _LONG_HEADS[:1])
+    misses = []
+    for gamma, ratio, gt in grid:
+        params = DephasingParams(gamma, ratio * gamma)
+        t = gt / gamma
+        want = cmath.exp(complex(-gt / 2.0, -ratio * gt))
+        try:
+            got = generalized_dephasing_factor(p, params, t, cfg)
+        except QuadratureFailure as exc:
+            if not abs(exc.estimate - want) <= exc.error_bound:
+                misses.append((gamma, ratio, gt, exc.detail, abs(exc.estimate - want)))
+            continue
+        if not abs(got - want) <= cfg.target(want):
+            misses.append((gamma, ratio, gt, abs(got - want)))
+    assert misses == []
