@@ -86,6 +86,12 @@ def build_time_grid(t_start: float, t_end: float, n_points: int, spacing: str) -
     raise UsageError(f"spacing must be 'linear' or 'log', got {spacing!r}")
 
 
+def _spec_object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise UsageError(f"{what} spec must be a JSON object, got {spec!r}")
+    return spec
+
+
 def _load_density_spec(spec, params: DephasingParams):
     if spec is None:
         return lorentzian_density(params)
@@ -98,7 +104,7 @@ def _load_density_spec(spec, params: DephasingParams):
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"density spec is not valid JSON: {exc}") from None
-    kind = spec.get("kind")
+    kind = _spec_object(spec, "density").get("kind")
     if kind == "lorentzian":
         p = DephasingParams(float(spec.get("gamma", params.gamma)),
                             float(spec.get("omega0", params.omega0)))
@@ -110,7 +116,8 @@ def _load_density_spec(spec, params: DephasingParams):
         if interp != "linear":
             raise UsageError(f"user-table interpolation must be 'linear', got {interp!r}")
         knots = spec.get("knots")
-        if not knots:
+        if not (isinstance(knots, list) and knots
+                and all(isinstance(k, list) and len(k) == 2 for k in knots)):
             raise UsageError("user-table needs a non-empty 'knots' list of [E, p] pairs")
         support = spec.get("support")
         if not support or len(support) != 2:
@@ -135,7 +142,7 @@ def _load_potential_spec(spec, fd_derivative: bool) -> potential.MonotonePotenti
             spec = {"kind": "user-expression", "expression": text[len("expr:"):]}
         else:
             spec = {"kind": text}
-    kind = spec.get("kind")
+    kind = _spec_object(spec, "potential").get("kind")
     if kind == "ramp":
         p = potential.ramp_potential()
     elif kind == "exp":

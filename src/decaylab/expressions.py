@@ -52,6 +52,10 @@ def _validate(node: ast.AST, src: str) -> None:
             raise ExpressionError(f"only {sorted(_ALLOWED_CALLS)} may be called in {src!r}")
         if node.keywords:
             raise ExpressionError(f"keyword arguments not allowed in {src!r}")
+        name, n = node.func.id, len(node.args)
+        if (n < 2) if name == "max" else (n != 1):
+            want = "two or more arguments" if name == "max" else "one argument"
+            raise ExpressionError(f"{name} takes {want}, got {n} in {src!r}")
         for arg in node.args:
             _validate(arg, src)
     elif isinstance(node, ast.Name):

@@ -28,10 +28,13 @@ tables; heavy algebraic tails converge through the acceleration instead
 of an (infeasibly large) explicit cutoff, and the analytic tail mass only
 enters the error bound of a failure.
 
-Every piece (a half-line's cell sum, a mass integral, a frozen half-line
-mass, a ramp side) gives a (value, error bound, detail) triple; detail is
-None on success and otherwise names the failure, whose value is the best
-estimate.  Parts combine by one rule: values add with their conjugations
+A mass is exact when the density has a cdf (the difference of two of its
+values) or a table (the trapezoid); only a density without either has its
+masses integrated by adaptive quad.
+
+Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
+error bound, detail) triple; detail is None on success and otherwise names
+the failure, whose value is the best estimate.  Parts combine by one rule: values add with their conjugations
 and weights, all bounds add, and the first failed part's detail is kept.
 Each public function raises the one QuadratureFailure of its combined
 triple, carrying its t; batches collect those failures as raised.
@@ -168,11 +171,6 @@ def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, complex_valued=False,
     return val, float(err), (f"{what} did not converge" if failed else None)
 
 
-def _interior_points(points, a, b):
-    pts = sorted(p for p in points if a < p < b)
-    return pts or None
-
-
 def _checked(t, value, bound, detail):
     """value, or the one QuadratureFailure that carries it, its error bound
     and the time t when detail names a failure (detail is None on success)."""
@@ -196,26 +194,19 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 
 def _mass(d, lo, hi, cfg):
-    """mass_integral as a (value, error bound, detail) triple."""
+    """mass_integral as a (value, error bound, detail) triple: exact from a
+    table or a cdf (bound 0), otherwise adaptive quad."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
     if d.table is not None:
         return _table_mass(d, lo, hi), 0.0, None
-    if d.change_of_variable is not None:
-        ch = d.change_of_variable
-        ulo = ch.u_lo if lo == slo else ch.u_of_x(lo)
-        uhi = ch.u_hi if hi == shi else ch.u_of_x(hi)
-
-        def g(u):
-            return d.density(ch.x_of_u(u)) * ch.dxdu(u)
-
-        pts = _interior_points((ch.u_of_x(p) for p in d.feature_points), ulo, uhi)
-        return _quad(g, ulo, uhi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
-    pts = None
-    if math.isfinite(lo) and math.isfinite(hi):
-        pts = _interior_points(d.feature_points, lo, hi)
+    if d.cdf is not None:
+        return d.cdf(hi) - d.cdf(lo), 0.0, None
+    pts = sorted(p for p in d.feature_points if lo < p < hi)
+    if not (pts and math.isfinite(lo) and math.isfinite(hi)):
+        pts = None  # quad takes break points on finite ranges only
     return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
 
 
@@ -430,15 +421,15 @@ def _semi_infinite_osc(
     A sum that stops with a bound above cfg.target(value) fails, naming
     its bound.
     """
-    pin = phase_inv if phase is not None else (lambda u: u)
-    u0 = phase(x0) if phase is not None else x0
-    upoints = [phase(p) for p in points] if phase is not None else points
+    identity = lambda u: u
+    ph, pin = phase or identity, phase_inv or identity
+    u0 = ph(x0)
+    upoints = [ph(p) for p in points]
     h = math.pi / t
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
 
     def f(x):
-        px = phase(x) if phase is not None else x
-        return weight(x) * cmath.exp(-1j * t * px)
+        return weight(x) * cmath.exp(-1j * t * ph(x))
 
     def cells(a, us, tol):
         """The cells from a, the j-th ending at pin(us[j]), by the block rule;
@@ -658,13 +649,12 @@ def halfline_amplitude(
     max(+-x, 0): one half-line is frozen at phase 1, the other contributes the
     Fourier integral of the density in the ramp's eigenvalue coordinate.
     """
-    return _checked(t, *_halfline_amplitude(d, ramp_side, t, cfg, {}))
+    return _checked(t, *_halfline_amplitude(d, ramp_side, t, cfg))
 
 
-def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict):
+def _halfline_amplitude(d, ramp_side, t, cfg):
     """halfline_amplitude as a (value, error bound, detail) triple, the frozen
-    half-line mass one of its parts; frozen caches that part by ramp side,
-    so the points of one series integrate it once."""
+    half-line mass one of its parts."""
     # (frozen half, active half, time of the active transform): the
     # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
     # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
@@ -675,9 +665,7 @@ def _halfline_amplitude(d, ramp_side, t, cfg, frozen: dict):
     if ramp_side not in sides:
         raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
     still, active, t_active = sides[ramp_side]
-    if ramp_side not in frozen:
-        frozen[ramp_side] = _mass(d, *still, cfg)
-    return _combine([frozen[ramp_side], _amplitude(d, *active, t_active, cfg)])
+    return _combine([_mass(d, *still, cfg), _amplitude(d, *active, t_active, cfg)])
 
 
 def global_survival(
@@ -687,26 +675,19 @@ def global_survival(
     w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>.  When a side fails, the one
     QuadratureFailure raised carries the weighted sum of both sides' values
     or estimates under the weighted sum of their error bounds."""
-    return _checked(t, *_global_survival(chi_weights, d, t, cfg, {}))
-
-
-def _global_survival(chi_weights, d, t, cfg, frozen: dict):
     w0, w1 = chi_weights
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
     parts = []
     for w, side in ((w0, "positive"), (w1, "negative")):
         if w:
-            value, bound, detail = _halfline_amplitude(d, side, t, cfg, frozen)
+            value, bound, detail = _halfline_amplitude(d, side, t, cfg)
             parts.append((w * value, w * bound, detail))
-    return _combine(parts)
+    return _checked(t, *_combine(parts))
 
 
 def global_survival_series(
     chi_weights, d: SpectralDensity, times, cfg: QuadratureConfig
 ) -> ComplexTimeSeries:
-    """global_survival on a time grid, with SeriesFailure semantics; the
-    frozen half-line masses do not depend on t and are integrated once."""
-    frozen: dict = {}
-    return _batch(lambda t: _checked(t, *_global_survival(chi_weights, d, t, cfg, frozen)),
-                  times)
+    """global_survival on a time grid, with SeriesFailure semantics."""
+    return _batch(lambda t: global_survival(chi_weights, d, t, cfg), times)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import oscint
 from .oscint import QuadratureConfig
-from .spectral import DephasingParams, InitialStateSpec, SpectralDensity, VariableChange, lorentzian_density
+from .spectral import DephasingParams, InitialStateSpec, SpectralDensity, lorentzian_density
 
 _CHECK_GRID = np.linspace(-30.0, 30.0, 1001)
 _FD_STEP = 1e-3
@@ -70,7 +70,10 @@ class MonotonePotential:
 
 
 def _eval_or_raise(V, x: float) -> float:
-    v = float(V(x))
+    try:
+        v = float(V(x))
+    except (TypeError, ZeroDivisionError):  # e.g. a complex power, a pole
+        raise MonotonicityError(f"V({x:g}) is not a real number") from None
     if not math.isfinite(v):
         raise MonotonicityError(f"V({x:g}) is not finite")
     return v
@@ -208,9 +211,9 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
     """Continuum state whose density W pushes forward onto the Lorentzian:
     |phi(x)|^2 = W'(x) * p_C(W(x)).
 
-    Normalization is inherited from the change-of-variables identity; the
-    attached substitution (the Lorentzian angle variable transported through
-    W^{-1}) makes mass integrals proper regardless of how fast V grows.
+    Normalization is inherited from the change-of-variables identity, and so
+    is every mass: the cdf is the Lorentzian's at W(x), however fast V grows
+    (at x = -inf or +inf it is the Lorentzian's there, since W is).
     """
     lor = lorentzian_density(params)
     w, w_prime, w_inv = p.W, p.W_prime, p.W_inverse
@@ -221,14 +224,6 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
             raise ValueError(f"W'({x:g}) = {slope} is not a usable Jacobian")
         return max(slope, 0.0) * lor.density(w(x))
 
-    base = lor.change_of_variable
-    change = VariableChange(
-        u_lo=base.u_lo,
-        u_hi=base.u_hi,
-        x_of_u=lambda u: w_inv(base.x_of_u(u)),
-        dxdu=lambda u: base.dxdu(u) / w_prime(w_inv(base.x_of_u(u))),
-        u_of_x=lambda x: base.u_of_x(w(x)),
-    )
     center = w_inv(params.omega0)
     features = tuple(w_inv(e) for e in lor.feature_points)
     return InitialStateSpec(
@@ -236,7 +231,7 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
             density=dens,
             support=(-math.inf, math.inf),
             center=center,
-            change_of_variable=change,
+            cdf=lambda x: lor.cdf(w(x) if math.isfinite(x) else x),
             feature_points=features,
             label=f"transported({p.label}, gamma={params.gamma:g}, omega0={params.omega0:g})",
         )

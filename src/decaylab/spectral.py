@@ -2,8 +2,10 @@
 
 A spectral density is the probability density of energy in a given state.
 All densities here are absolutely continuous and carry enough metadata
-(support, center, feature points, an optional change of variable) for the
-quadrature engine to integrate them reliably on infinite supports.
+(support, center, feature points) for the quadrature engine to integrate
+them reliably on infinite supports.  Each density built here also knows its
+masses exactly: a closed-form distribution function (cdf), or for tables
+the exact trapezoid, so none of their masses is a quadrature.
 """
 
 from __future__ import annotations
@@ -22,26 +24,10 @@ class DephasingParams:
     omega0: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be strictly positive, got {self.gamma}")
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be finite and strictly positive, got {self.gamma}")
         if not math.isfinite(self.omega0):
             raise ValueError(f"omega0 must be finite, got {self.omega0}")
-
-
-@dataclass(frozen=True)
-class VariableChange:
-    """Substitution u -> x(u) with Jacobian dx/du, mapping (u_lo, u_hi) onto the support.
-
-    Used to turn improper integrals over heavy-tailed supports into proper
-    ones.  u_of_x inverts the map so sub-intervals of the support can be
-    integrated too.
-    """
-
-    u_lo: float
-    u_hi: float
-    x_of_u: Callable[[float], float]
-    dxdu: Callable[[float], float]
-    u_of_x: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -56,12 +42,17 @@ class SpectralDensity:
     array and return its values elementwise, to an ulp or two: the cells
     evaluate it once per block of nodes.  Lorentzian and exponential
     densities do; tables never reach the cells.
+
+    cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
+    the mass on [lo, hi] within the support, and cdf must be defined at
+    -inf and +inf.  Masses then cost two calls and carry no error; a density
+    without one has its masses integrated by adaptive quadrature.
     """
 
     density: Callable[[float], float]
     support: tuple[float, float] = (-math.inf, math.inf)
     center: float = 0.0
-    change_of_variable: VariableChange | None = None
+    cdf: Callable[[float], float] | None = None
     feature_points: tuple[float, ...] = ()
     label: str = "density"
     # piecewise-linear knot table (energies, values); enables exact transforms
@@ -96,7 +87,8 @@ class InitialStateSpec:
 def lorentzian_density(params: DephasingParams) -> SpectralDensity:
     """Cauchy-Lorentz density (gamma/2pi) / ((E - omega0)^2 + gamma^2/4) on the line.
 
-    Its Fourier transform is the pure exponential exp(-gamma|t|/2 - i omega0 t).
+    Its Fourier transform is the pure exponential exp(-gamma|t|/2 - i omega0 t)
+    and its cdf 1/2 + arctan((E - omega0)/(gamma/2))/pi.
     """
     gamma, omega0 = params.gamma, params.omega0
     coef = gamma / (2.0 * math.pi)
@@ -107,27 +99,18 @@ def lorentzian_density(params: DephasingParams) -> SpectralDensity:
         delta = e - omega0
         return coef / (delta * delta + qsq)
 
-    # E = omega0 + (gamma/2) tan(u) maps (-pi/2, pi/2) onto the line and makes
-    # the Lorentzian weight constant: dens(x(u)) * dx/du = 1/pi.
-    change = VariableChange(
-        u_lo=-math.pi / 2.0,
-        u_hi=math.pi / 2.0,
-        x_of_u=lambda u: omega0 + half * math.tan(u),
-        dxdu=lambda u: half / math.cos(u) ** 2,
-        u_of_x=lambda x: math.atan2(x - omega0, half),
-    )
     return SpectralDensity(
         density=dens,
         support=(-math.inf, math.inf),
         center=omega0,
-        change_of_variable=change,
+        cdf=lambda e: 0.5 + math.atan2(e - omega0, half) / math.pi,
         feature_points=(omega0 - gamma, omega0, omega0 + gamma),
         label=f"lorentzian(gamma={params.gamma:g}, omega0={params.omega0:g})",
     )
 
 
 def exponential_density(rate: float = 1.0) -> SpectralDensity:
-    """Half-line density rate * exp(-rate * E) on [0, inf)."""
+    """Half-line density rate * exp(-rate * E) on [0, inf), cdf 1 - exp(-rate E)."""
     if not (rate > 0):
         raise ValueError(f"rate must be strictly positive, got {rate}")
 
@@ -140,6 +123,7 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
         density=dens,
         support=(0.0, math.inf),
         center=0.0,
+        cdf=lambda e: -math.expm1(-rate * max(e, 0.0)),
         feature_points=(1.0 / rate,),
         label=f"exponential(rate={rate:g})",
     )
@@ -183,7 +167,8 @@ def table_density(
 
 
 def normalize_check(d: SpectralDensity, cfg=None) -> float:
-    """Integral of the density over its support, via the quadrature module.
+    """Integral of the density over its support, via the quadrature module
+    (exact for a density with a cdf or a table).
 
     Callers assert |result - 1| <= 1e-10 for valid densities.  A quadrature
     non-convergence surfaces as a QuadratureFailure, never as a value.

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,3 +480,47 @@ def test_config_values_convert_like_flags(tmp_path):
     cfg.write_text(json.dumps({"gamma": 1, "n_points": 3}))
     assert run("survival", "--config", str(cfg), "--out", str(out)) == 0
     assert out.read_bytes() == by_flags
+
+
+_TABLE_BAD_KNOT = json.dumps({"kind": "user-table", "support": [0.0, 1.0], "knots": [[0.0]]})
+
+# argv of a malformed input; a dict stands for a config file holding it, and
+# {file} for a density spec file holding [1, 2]
+MALFORMED_INPUTS = {
+    "max-of-one-argument": ("potential", "--potential", "expr:max(x)"),
+    "exp-of-no-argument": ("potential", "--potential", "expr:exp()"),
+    "exp-of-two-arguments": ("potential", "--potential", "expr:exp(x,1)"),
+    "complex-power": ("potential", "--potential", "expr:x^0.5"),
+    "pole-at-zero": ("potential", "--potential", "expr:1/x"),
+    "density-not-an-object": ("survival", "--config", {"density": 5}),
+    "density-file-not-an-object": ("survival", "--density", "{file}"),
+    "potential-not-an-object": ("potential", "--config", {"potential": 5}),
+    "knot-not-a-pair": ("survival", "--density", _TABLE_BAD_KNOT),
+    "infinite-gamma": ("survival", "--gamma", "inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    argv = list(MALFORMED_INPUTS[case])
+    config, spec = tmp_path / "cfg.json", tmp_path / "spec.json"
+    config.write_text(json.dumps(argv[-1] if isinstance(argv[-1], dict) else {}))
+    spec.write_text("[1, 2]")
+    argv = [str(config) if isinstance(arg, dict) else str(spec) if arg == "{file}" else arg
+            for arg in argv]
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "spec.json"]
+
+
+def test_extreme_parameters_end_without_a_signal(tmp_path):
+    # the t = 0 mass once overflowed to NaN inside QUADPACK and killed the
+    # process (SIGSEGV); a child process keeps such a crash to this test
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "decaylab.cli", "survival", "--gamma", "1e308",
+         "--omega0", "1e308", "--out", str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode in (2, 3), proc.stderr

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -502,46 +503,15 @@ def test_halfline_and_global_failures_bracket_the_value():
             assert abs(failure.estimate - amplitude(TIGHT)) <= failure.error_bound
 
 
-def test_global_survival_series_integrates_frozen_masses_once(monkeypatch):
-    # the frozen-mass cache lives for one call: each series, and each
-    # pointwise call, integrates the two frozen half-line masses afresh
-    d = lorentzian_density(DephasingParams(1.0, 0.3))
-    times = np.linspace(0.5, 20.0, 25)
-    calls = []
-    real_mass = oscint._mass
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real_mass(*args, **kwargs)
-
-    monkeypatch.setattr(oscint, "_mass", counting)
-    first = global_survival_series((0.3, 0.7), d, times, CFG)
-    second = global_survival_series((0.3, 0.7), d, times, CFG)
-    assert len(calls) == 4
-    assert list(first.values) == list(second.values)
-    calls.clear()
-    global_survival((0.3, 0.7), d, float(times[3]), CFG)
-    assert sorted(calls) == [(-math.inf, 0.0), (0.0, math.inf)]
-
-
-def test_global_survival_series_integrates_frozen_parts_once(monkeypatch):
-    # the frozen half-line masses are parts of each point's triple, taken
-    # once per series from the private mass integral, and the series is
-    # bit-identical to the pointwise values
+def test_global_survival_series_equals_its_pointwise_values():
+    # each point's triple holds the frozen half-line masses as parts; a
+    # series is bit-identical to the pointwise values and to a second series
     d = lorentzian_density(DephasingParams(1.0, 0.3))
     times = np.linspace(0.5, 20.0, 25)
     pointwise = [global_survival((0.3, 0.7), d, float(t), CFG) for t in times]
-    calls = []
-    real_mass = oscint._mass
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real_mass(*args, **kwargs)
-
-    monkeypatch.setattr(oscint, "_mass", counting)
     series = global_survival_series((0.3, 0.7), d, times, CFG)
-    assert sorted(calls) == [(-math.inf, 0.0), (0.0, math.inf)]
     assert list(series.values) == pointwise
+    assert list(global_survival_series((0.3, 0.7), d, times, CFG).values) == pointwise
 
 
 def _not_converged(monkeypatch):
@@ -556,8 +526,9 @@ def _not_converged(monkeypatch):
 
 
 def test_point_failure_carries_its_time(monkeypatch):
-    # a mass-integral failure at t = 0 reports that t
-    d = lorentzian_density(DephasingParams(1.0, 0.0))
+    # a mass-integral failure at t = 0 reports that t; without its cdf the
+    # Lorentzian's mass is integrated
+    d = replace(lorentzian_density(DephasingParams(1.0, 0.0)), cdf=None)
     _not_converged(monkeypatch)
     with pytest.raises(QuadratureFailure) as exc_info:
         fourier_amplitude(d, 0.0, CFG)
@@ -569,7 +540,7 @@ def test_point_failure_carries_its_time(monkeypatch):
 
 
 def test_series_failure_holds_the_raised_failures(monkeypatch):
-    d = lorentzian_density(DephasingParams(1.0, 0.0))
+    d = replace(lorentzian_density(DephasingParams(1.0, 0.0)), cdf=None)
     _not_converged(monkeypatch)
     raised = []
     point = oscint.fourier_amplitude
@@ -604,8 +575,9 @@ def _quadpack_not_converged(monkeypatch, error):
 
 # (integral named in the failure, its time, the call)
 _ONE_RULE = {
+    # without its cdf, so that the mass is integrated
     "mass_integral": ("mass integral", None, lambda: mass_integral(
-        lorentzian_density(DephasingParams(1.0, 0.3)), 0.0, math.inf, CFG)),
+        replace(lorentzian_density(DephasingParams(1.0, 0.3)), cdf=None), 0.0, math.inf, CFG)),
     "fourier_amplitude": ("oscillatory head integral", 2.0, lambda: fourier_amplitude(
         lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG)),
     "finite_window": ("finite-window oscillatory integral", 3.0, lambda: restricted_amplitude(

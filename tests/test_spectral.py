@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,25 @@ from decaylab import (
     DephasingParams,
     InitialStateSpec,
     QuadratureConfig,
+    build_initial_state,
+    exp_potential,
     exponential_density,
+    fourier_amplitude,
+    global_survival,
     half_line_mass,
+    induced_map,
     lorentzian_density,
+    mass_integral,
     normalize_check,
+    ramp_potential,
     table_density,
 )
+from decaylab import oscint
+from decaylab.expressions import parse_expression
 from decaylab.spectral import SpectralDensity
 
 CFG = QuadratureConfig()
+TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 
 
 def test_lorentzian_peak_values():
@@ -64,16 +75,20 @@ def test_lorentzian_normalization(gamma, omega0):
     assert abs(normalize_check(d, CFG) - 1.0) <= 1e-10
 
 
-def test_unnormalized_density_integrates_to_its_mass():
+def test_unnormalized_density_integrates_to_its_mass(monkeypatch):
+    # no cdf: the mass is the adaptive quadrature's, one call over the line
     base = lorentzian_density(DephasingParams(1.0, 0.0))
     doubled = SpectralDensity(
         density=lambda e: 2.0 * base.density(e),
         support=base.support,
         center=base.center,
-        change_of_variable=base.change_of_variable,
         feature_points=base.feature_points,
     )
+    calls, adaptive = [], oscint._quad
+    monkeypatch.setattr(oscint, "_quad", lambda *args, **kw: calls.append(args[1:3])
+                        or adaptive(*args, **kw))
     assert normalize_check(doubled, CFG) == pytest.approx(2.0, abs=1e-9)
+    assert calls == [(-math.inf, math.inf)]
 
 
 def test_half_line_mass_symmetric():
@@ -167,3 +182,65 @@ def test_initial_state_spec_defaults_to_zero_phase():
 def test_tail_class_validation():
     with pytest.raises(ValueError):
         SpectralDensity(density=lambda e: 1.0, support=(1.0, 1.0))
+
+
+def _transported(potential):
+    def case(params):
+        p = potential()
+        return build_initial_state(p, params).density, p.W_inverse
+    return case
+
+
+def _cubic_exact():
+    # V = max(x,0)^3 + max(x,0) with its exact V' (symmetric subgradient at 0)
+    def v_prime(x):
+        return 3.0 * max(x, 0.0) ** 2 + (1.0 if x > 0 else (0.5 if x == 0 else 0.0))
+
+    return induced_map(parse_expression("max(x,0)^3+max(x,0)"), v_prime, label="cubic")
+
+
+# density with a cdf at (gamma, omega0), and the map from an energy to the
+# density's coordinate (W^{-1} for a state transported by a potential);
+# finite-difference potentials stay out: their W' is not the derivative of
+# the W their cdf uses to a 1e-12
+_CDF_CASES = {
+    "lorentzian": lambda params: (lorentzian_density(params), lambda e: e),
+    "exponential": lambda params: (exponential_density(1.0 / params.gamma), lambda e: e),
+    "ramp": _transported(ramp_potential),
+    "exp": _transported(exp_potential),
+    "cubic-exact": _transported(_cubic_exact),
+}
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("kind", list(_CDF_CASES))
+def test_cdf_masses_match_quadrature(kind, gamma):
+    # exact masses against adaptive quad of the same density without its
+    # cdf, on every window between omega0 + k gamma, k in ks, in energy
+    ks = (-40, -3, -1, 0, 1, 3, 40)
+    for ratio in (-2.5, 0.0, 0.7):
+        omega0 = ratio * gamma
+        d, x_of = _CDF_CASES[kind](DephasingParams(gamma, omega0))
+        integrated = replace(d, cdf=None)
+        ends = [x_of(omega0 + k * gamma) for k in ks]
+        for i, lo in enumerate(ends):
+            for hi in ends[i + 1:]:
+                assert abs(mass_integral(d, lo, hi, TIGHT)
+                           - mass_integral(integrated, lo, hi, TIGHT)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(_CDF_CASES))
+def test_masses_with_a_cdf_never_reach_quad(monkeypatch, kind):
+    def no_quad(*args, **kwargs):
+        raise AssertionError(f"{args[6]} reached quad")
+
+    monkeypatch.setattr(oscint, "_quad", no_quad)
+    d, _ = _CDF_CASES[kind](DephasingParams(1.0, 0.7))
+    assert normalize_check(d, CFG) == 1.0
+    assert fourier_amplitude(d, 0.0, CFG) == 1.0
+    assert global_survival((0.3, 0.7), d, 0.0, CFG) == pytest.approx(1.0, abs=1e-15)
+    neg, pos = half_line_mass(d, "negative", CFG), half_line_mass(d, "positive", CFG)
+    assert neg + pos == pytest.approx(1.0, abs=1e-15)
+    if kind != "exponential":
+        # W is odd, so every transported state keeps the Lorentzian's masses
+        assert neg == pytest.approx(0.5 - math.atan(1.4) / math.pi, abs=1e-15)
