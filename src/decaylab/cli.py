@@ -92,6 +92,14 @@ def _spec_object(spec, what: str) -> dict:
     return spec
 
 
+def _number(value, what: str) -> float:
+    # float() takes numbers and numeric strings; JSON null or a list is a usage error
+    try:
+        return float(value)
+    except TypeError:
+        raise UsageError(f"{what} must be a number, got {value!r}") from None
+
+
 def _load_density_spec(spec, params: DephasingParams):
     if spec is None:
         return lorentzian_density(params)
@@ -106,11 +114,11 @@ def _load_density_spec(spec, params: DephasingParams):
             raise UsageError(f"density spec is not valid JSON: {exc}") from None
     kind = _spec_object(spec, "density").get("kind")
     if kind == "lorentzian":
-        p = DephasingParams(float(spec.get("gamma", params.gamma)),
-                            float(spec.get("omega0", params.omega0)))
+        p = DephasingParams(_number(spec.get("gamma", params.gamma), "gamma"),
+                            _number(spec.get("omega0", params.omega0), "omega0"))
         return lorentzian_density(p)
     if kind == "exponential":
-        return exponential_density(float(spec.get("rate", 1.0)))
+        return exponential_density(_number(spec.get("rate", 1.0), "rate"))
     if kind == "user-table":
         interp = spec.get("interpolation", "linear")
         if interp != "linear":
@@ -120,12 +128,12 @@ def _load_density_spec(spec, params: DephasingParams):
                 and all(isinstance(k, list) and len(k) == 2 for k in knots)):
             raise UsageError("user-table needs a non-empty 'knots' list of [E, p] pairs")
         support = spec.get("support")
-        if not support or len(support) != 2:
+        if not (isinstance(support, list) and len(support) == 2):
             # no automatic tail detection: the support must be declared
             raise UsageError("user-table needs an explicit 'support': [lo, hi]")
-        e = [float(k[0]) for k in knots]
-        p = [float(k[1]) for k in knots]
-        d = table_density(e, p, (float(support[0]), float(support[1])))
+        e = [_number(k[0], "knot energy") for k in knots]
+        p = [_number(k[1], "knot density") for k in knots]
+        d = table_density(e, p, (_number(support[0], "support"), _number(support[1], "support")))
         norm = normalize_check(d)
         if abs(norm - 1.0) > 1e-6:
             raise UsageError(f"user-table density is not normalized: integral = {norm:.9g}")

@@ -84,12 +84,19 @@ def parse_expression(src: str) -> Callable[[float], float]:
     g = eval(code, dict(_ALLOWED_CALLS, pi=math.pi, e=math.e, __builtins__={}))
 
     def f(x: float) -> float:
-        return float(g(float(x)))
+        # a pole or a complex power is an error in the expression at x, not
+        # in the program: ExpressionError, like a domain error, is a ValueError
+        try:
+            return float(g(float(x)))
+        except ZeroDivisionError:
+            raise ExpressionError(f"{src!r} divides by zero at x = {x:g}") from None
+        except TypeError:  # float() or a call given a complex intermediate
+            raise ExpressionError(f"{src!r} is not a real number at x = {x:g}") from None
 
     # probe once so structural mistakes surface at parse time; domain errors
-    # (log of a negative, etc.) are legitimate at single points
+    # (log of a negative, a pole, etc.) are legitimate at single points
     try:
         f(0.0)
-    except (ValueError, OverflowError, ZeroDivisionError):
+    except (ValueError, OverflowError):
         pass
     return f

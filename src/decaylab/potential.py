@@ -18,8 +18,9 @@ quoted for this construction but does not reproduce the exponential: under
 u = W(x) it leaves exp(-i t W(W(y))) in the integrand.)
 
 W has range R only when V is unbounded on the positive half-line; bounded
-potentials are rejected at bracket-expansion failure rather than silently
-truncated, since the construction needs a global inverse.
+potentials are rejected (by build_initial_state, and by W_inverse at
+bracket-expansion failure) rather than silently truncated, since the
+construction needs a global inverse.
 """
 
 from __future__ import annotations
@@ -70,10 +71,7 @@ class MonotonePotential:
 
 
 def _eval_or_raise(V, x: float) -> float:
-    try:
-        v = float(V(x))
-    except (TypeError, ZeroDivisionError):  # e.g. a complex power, a pole
-        raise MonotonicityError(f"V({x:g}) is not a real number") from None
+    v = float(V(x))
     if not math.isfinite(v):
         raise MonotonicityError(f"V({x:g}) is not finite")
     return v
@@ -213,8 +211,18 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
 
     Normalization is inherited from the change-of-variables identity, and so
     is every mass: the cdf is the Lorentzian's at W(x), however fast V grows
-    (at x = -inf or +inf it is the Lorentzian's there, since W is).
+    (at x = -inf or +inf it is the Lorentzian's there, since W is).  That
+    needs V(+inf) = +inf (an overflow counts as +inf); a bounded V, whose W
+    stays inside a finite range, raises RangeError.
     """
+    try:
+        top = float(p.V(math.inf))
+    except OverflowError:
+        top = math.inf
+    if top != math.inf:
+        # V(-inf) lies in [0, V(0)], so W = V(x) - V(-x) is unbounded exactly
+        # when V(+inf) is
+        raise RangeError(f"V(+inf) = {top:g}: a bounded potential cannot carry the Lorentzian")
     lor = lorentzian_density(params)
     w, w_prime, w_inv = p.W, p.W_prime, p.W_inverse
 

@@ -483,6 +483,8 @@ def test_config_values_convert_like_flags(tmp_path):
 
 
 _TABLE_BAD_KNOT = json.dumps({"kind": "user-table", "support": [0.0, 1.0], "knots": [[0.0]]})
+_TABLE_NULL_KNOT = json.dumps({"kind": "user-table", "support": [0.0, 1.0],
+                               "knots": [[None, 1.0], [1.0, 1.0]]})
 
 # argv of a malformed input; a dict stands for a config file holding it, and
 # {file} for a density spec file holding [1, 2]
@@ -492,10 +494,15 @@ MALFORMED_INPUTS = {
     "exp-of-two-arguments": ("potential", "--potential", "expr:exp(x,1)"),
     "complex-power": ("potential", "--potential", "expr:x^0.5"),
     "pole-at-zero": ("potential", "--potential", "expr:1/x"),
+    # real on the check grid [-30, 30], complex where W_inverse's bracket reaches
+    "complex-off-the-grid": ("potential", "--potential", "expr:(x+40)^0.5"),
     "density-not-an-object": ("survival", "--config", {"density": 5}),
     "density-file-not-an-object": ("survival", "--density", "{file}"),
     "potential-not-an-object": ("potential", "--config", {"potential": 5}),
     "knot-not-a-pair": ("survival", "--density", _TABLE_BAD_KNOT),
+    "null-knot": ("survival", "--density", _TABLE_NULL_KNOT),
+    "null-gamma": ("survival", "--density", '{"kind": "lorentzian", "gamma": null}'),
+    "null-rate": ("survival", "--density", '{"kind": "exponential", "rate": null}'),
     "infinite-gamma": ("survival", "--gamma", "inf"),
 }
 

@@ -106,6 +106,11 @@ def test_bounded_potential_range_failure():
     bounded2 = induced_map(parse_expression("2 - 1/(1+exp(x))"), label="bounded2")
     with pytest.raises(RangeError):
         bounded2.W_inverse(1.5)
+    # no transported state either, even where the Lorentzian's feature points
+    # lie inside W's range: its masses would miss the tails beyond +-pi
+    for p in (bounded, bounded2):
+        with pytest.raises(RangeError):
+            build_initial_state(p, DephasingParams(1.0, 0.0))
 
 
 def test_ramp_state_is_the_lorentzian():
