@@ -152,19 +152,16 @@ def _load_potential_spec(spec, fd_derivative: bool) -> potential.MonotonePotenti
             spec = {"kind": text}
     kind = _spec_object(spec, "potential").get("kind")
     if kind == "ramp":
-        p = potential.ramp_potential()
-    elif kind == "exp":
-        p = potential.exp_potential()
-    elif kind == "user-expression":
+        return potential.ramp_potential(fd_derivative)
+    if kind == "exp":
+        return potential.exp_potential(fd_derivative)
+    if kind == "user-expression":
         expr = spec.get("expression")
         if not expr:
             raise UsageError("user-expression potential needs an 'expression' string")
-        p = potential.induced_map(parse_expression(expr), label=f"expr:{expr}")
-    else:
-        raise UsageError(f"potential kind must be ramp/exp/user-expression, got {kind!r}")
-    if fd_derivative and p.V_prime is not None:
-        p = potential.induced_map(p.V, None, label=p.label + "+fd")
-    return p
+        # an expression has no V', so its W' is always the difference
+        return potential.induced_map(parse_expression(expr), label=f"expr:{expr}")
+    raise UsageError(f"potential kind must be ramp/exp/user-expression, got {kind!r}")
 
 
 def _series_columns(series) -> list[tuple[str, np.ndarray]]:
@@ -398,7 +395,7 @@ def cmd_potential(cfg: dict) -> int:
     e_lo = params.omega0 + half * math.tan(math.pi * (0.005 - 0.5))
     e_hi = params.omega0 + half * math.tan(math.pi * (0.995 - 0.5))
     xs = np.linspace(pot.W_inverse(e_lo), pot.W_inverse(e_hi), 401)
-    dens = np.array([state.density.density(float(x)) for x in xs])
+    dens = state.density.density(xs)
     output.write_csv(prefix + "_density.csv", [("x", xs), ("density", dens)], echo)
 
     # inverse round trip on [-20, 20]

@@ -2,14 +2,18 @@
 
 Grammar: the variable x, numeric constants, + - * / ^, and the calls
 exp, log, sinh, cosh, max.  '^' means power.  Parsed through the ast module
-with a strict node whitelist, so no other names or calls can execute.
+with a strict node whitelist, so no other names or calls can execute.  A
+parsed expression takes a float (math) or a float64 array (numpy).
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from typing import Callable
+
+import numpy as np
 
 def _saturating(fn, odd: bool = False):
     # expressions must stay total on the line: intermediate float overflow
@@ -26,6 +30,9 @@ def _saturating(fn, odd: bool = False):
 _ALLOWED_CALLS = {"exp": _saturating(math.exp), "log": math.log,
                   "sinh": _saturating(math.sinh, odd=True),
                   "cosh": _saturating(math.cosh), "max": max}
+# the same calls on float64 arrays; numpy saturates overflow to the signed inf
+_ARRAY_CALLS = {"exp": np.exp, "log": np.log, "sinh": np.sinh, "cosh": np.cosh,
+                "max": lambda *args: functools.reduce(np.maximum, args)}
 _ALLOWED_NAMES = {"x", "pi", "e"}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
@@ -69,7 +76,16 @@ def _validate(node: ast.AST, src: str) -> None:
 
 
 def parse_expression(src: str) -> Callable[[float], float]:
-    """Compile an expression in x to a scalar function."""
+    """Compile an expression in x to a function of a float or a float64 array.
+
+    On a float it is evaluated with math; on an array, elementwise with
+    numpy, to an ulp or two of the float calls.  When numpy flags a division
+    by zero, an overflow or an invalid operation anywhere in the array, or
+    the result is not real, the whole array is evaluated float by float, so
+    a pole, a complex value or a domain error raises the same
+    ExpressionError naming x as the float call, and an overflow saturates
+    to the same signed infinity.
+    """
     text = src.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")
@@ -77,21 +93,37 @@ def parse_expression(src: str) -> Callable[[float], float]:
         raise ExpressionError(f"cannot parse {src!r}: {exc.msg}") from None
     _validate(tree, src)
     # compiled once as `lambda x: <expression>` whose only globals are the
-    # allowed calls and constants
+    # allowed calls and constants, for floats and again for arrays
     lam = ast.parse("lambda x: 0", mode="eval")
     lam.body.body = tree.body
     code = compile(ast.fix_missing_locations(lam), "<potential-expression>", "eval")
-    g = eval(code, dict(_ALLOWED_CALLS, pi=math.pi, e=math.e, __builtins__={}))
+    consts = dict(pi=math.pi, e=math.e, __builtins__={})
+    g = eval(code, dict(_ALLOWED_CALLS, **consts))
+    g_array = eval(code, dict(_ARRAY_CALLS, **consts))
 
-    def f(x: float) -> float:
-        # a pole or a complex power is an error in the expression at x, not
-        # in the program: ExpressionError, like a domain error, is a ValueError
+    def f(x):
+        if isinstance(x, np.ndarray):
+            return on_array(x)
+        # a pole, a complex power or a domain error is an error in the
+        # expression at x, not in the program: an ExpressionError
         try:
             return float(g(float(x)))
         except ZeroDivisionError:
             raise ExpressionError(f"{src!r} divides by zero at x = {x:g}") from None
         except TypeError:  # float() or a call given a complex intermediate
             raise ExpressionError(f"{src!r} is not a real number at x = {x:g}") from None
+        except ValueError:  # math's domain error, e.g. log of a negative
+            raise ExpressionError(f"{src!r} is outside its domain at x = {x:g}") from None
+
+    def on_array(x):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                out = np.asarray(g_array(x))
+        except ArithmeticError:  # numpy's FloatingPointError, or Python's own
+            out = None
+        if out is None or out.dtype.kind not in "fiu":
+            return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.broadcast_to(out, x.shape).astype(float)
 
     # probe once so structural mistakes surface at parse time; domain errors
     # (log of a negative, a pole, etc.) are legitimate at single points

@@ -19,9 +19,11 @@ rule.  Infinite pieces are integrated over half-periods of the kernel
 alternating cell sums; the piece below the split point is reflected onto
 an upward one.  Each tail cell, and each head cell of a monotone phase,
 gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells
-eight per pass by default (min_cells + 2), with the integrand evaluated
-once per node; adaptive quad runs only on first-pass misses, the cells
-where QUADPACK's own first-pass test (dqagse's) fails.  The rule's sums
+eight per pass by default (min_cells + 2).  Both phases evaluate a block's
+integrand as one float64 array of its nodes, the density and the phase
+each called once; adaptive quad, which calls them on floats, runs only on
+first-pass misses, the cells where QUADPACK's own first-pass test
+(dqagse's) fails.  The rule's sums
 are matrix-vector products, so a cell's value agrees with quad's to
 rounding.  This gives uniform accuracy in t without Filon-type weight
 tables; heavy algebraic tails converge through the acceleration instead
@@ -410,10 +412,10 @@ def _semi_infinite_osc(
     _head_cuts in u.  The linear head is one _linear_head call; the monotone
     head is one block of at most 20,000 half-period cells plus its cuts as
     further cell edges, mapped to x by phase_inv, with the head tolerance
-    split over its cells.  Cells are evaluated in blocks (_qk21_cells): for
-    the linear phase weight takes the whole block as one float64 array, for
-    a monotone phase the integrand is evaluated node by node; only
-    first-pass misses reach adaptive quad.
+    split over its cells.  Cells are evaluated in blocks (_qk21_cells):
+    weight and phase each take the block's nodes as one float64 array and
+    return its values elementwise (SpectralDensity's array contract); only
+    first-pass misses reach adaptive quad, which calls them on floats.
     Returns (value, error bound, detail).  A head or cell that did not
     converge (_quad's rule), a monotone head over the cap, or a tail sum not
     stable within cfg.max_cells cells leaves by the one failure exit: the
@@ -423,8 +425,8 @@ def _semi_infinite_osc(
     """
     identity = lambda u: u
     ph, pin = phase or identity, phase_inv or identity
-    u0 = ph(x0)
-    upoints = [ph(p) for p in points]
+    # the phase of the split point and of the feature points, one array call
+    u0, *upoints = ph(np.array([x0, *points], dtype=float)).tolist()
     h = math.pi / t
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
 
@@ -439,10 +441,7 @@ def _semi_infinite_osc(
         centr = 0.5 * (edges[1:] + edges[:-1])
         hlgth = 0.5 * (edges[1:] - edges[:-1])
         x = centr + hlgth * _GK21_NODES[:, None]
-        if phase is None:
-            values = weight(x) * np.exp(-1j * t * x)
-        else:
-            values = np.array([f(xi) for xi in x.ravel().tolist()]).reshape(x.shape)
+        values = weight(x) * np.exp(-1j * t * ph(x))
         for b, (val, err, ok) in zip(edges[1:].tolist(), _qk21_cells(values, hlgth, tol, 1e-12)):
             detail = None
             if not ok:
@@ -545,7 +544,8 @@ def restricted_amplitude(
 ) -> complex:
     """int_lo^hi exp(-i t phase(E)) d(E) dE, clipped to the density's support.
 
-    phase must be strictly increasing with range R and phase_inv its inverse;
+    phase must be strictly increasing with range R and take a float or a
+    float64 array (elementwise), and phase_inv is its inverse on floats;
     omitted, the phase is the identity (the plain Fourier transform, exact
     for tables and by QUADPACK weights on finite windows).  t = 0 is the
     mass integral and t < 0 the conjugate of the transform at -t.  Infinite

@@ -57,9 +57,11 @@ class RangeError(ValueError):
 class MonotonePotential:
     """A validated potential V with its induced odd map W and inverse.
 
-    Immutable after construction (the inverse's bracket ladder is prepared
-    eagerly); all evaluations are pure, so instances are safe for
-    unrestricted concurrent use.
+    V, V_prime, W and W_prime take a float or a float64 array, the array
+    elementwise (see induced_map); W_inverse takes a float.  Immutable
+    after construction (the inverse's bracket ladder is prepared eagerly);
+    all evaluations are pure, so instances are safe for unrestricted
+    concurrent use.
     """
 
     V: Callable[[float], float]
@@ -70,17 +72,35 @@ class MonotonePotential:
     label: str = "potential"
 
 
-def _eval_or_raise(V, x: float) -> float:
-    v = float(V(x))
-    if not math.isfinite(v):
-        raise MonotonicityError(f"V({x:g}) is not finite")
-    return v
+def _elementwise(fn: Callable) -> Callable:
+    """fn as a function of a float or a float64 array, elementwise.
+
+    fn is kept when it maps the check grid to an array of its shape; a fn
+    that takes floats only (math.exp, or a max of floats) is lifted to loop
+    over an array's elements.
+    """
+    try:
+        probe = fn(_CHECK_GRID)
+    except (TypeError, ValueError, ArithmeticError):
+        # a float-only fn on an array: retried float by float below, where
+        # a genuine error recurs
+        probe = None
+    if isinstance(probe, np.ndarray) and probe.shape == _CHECK_GRID.shape:
+        return fn
+
+    def lifted(x):
+        if isinstance(x, np.ndarray):
+            return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+        return fn(x)
+
+    return lifted
 
 
 def induced_map(
     V: Callable[[float], float],
     V_prime: Callable[[float], float] | None = None,
     label: str = "potential",
+    W_inverse: Callable[[float], float] | None = None,
 ) -> MonotonePotential:
     """Validate V on a 1001-point grid over [-30, 30] and build the bundle.
 
@@ -89,11 +109,22 @@ def induced_map(
     analytic V' when supplied and otherwise from the order-4 central
     difference with step h = 1e-3 * max(1, |x|), whose truncation error
     (h^4 W^(5) / 30) and roundoff (eps W / h) both stay near 1e-13 relative
-    for smooth W of unit scale.  The inverse uses doubling bracket expansion
-    from [-1, 1] (at most 200 doublings) followed by bisection to 1e-12,
-    polished by one Newton step on W'.
+    for smooth W of unit scale.  The inverse is W_inverse when supplied (an
+    exact closed form); otherwise doubling bracket expansion from [-1, 1]
+    (at most 200 doublings) followed by bisection to 1e-12, polished by one
+    Newton step on W'.
+
+    V and V_prime may take floats only; the bundle's V, V_prime, W and W'
+    take a float or a float64 array (elementwise, to an ulp or two of the
+    float calls; W and a differenced W' to an ulp or two of the terms they
+    subtract), with V and V_prime lifted here when they take floats only.
+    W_inverse takes floats.
     """
-    vals = np.array([_eval_or_raise(V, float(x)) for x in _CHECK_GRID])
+    V = _elementwise(V)
+    vals = V(_CHECK_GRID)
+    nonfinite = np.flatnonzero(~np.isfinite(vals))
+    if nonfinite.size:
+        raise MonotonicityError(f"V({_CHECK_GRID[nonfinite[0]]:g}) is not finite")
     if np.any(vals < 0):
         i = int(np.argmin(vals))
         raise MonotonicityError(
@@ -124,6 +155,7 @@ def induced_map(
         return V(x) - V(-x)
 
     if V_prime is not None:
+        V_prime = _elementwise(V_prime)
 
         def W_prime(x: float) -> float:
             return V_prime(x) + V_prime(-x)
@@ -131,7 +163,10 @@ def induced_map(
     else:
 
         def W_prime(x: float) -> float:
-            h = _FD_STEP * max(1.0, abs(x))
+            if isinstance(x, np.ndarray):
+                h = _FD_STEP * np.maximum(1.0, np.abs(x))
+            else:
+                h = _FD_STEP * max(1.0, abs(x))
             return (8.0 * (W(x + h) - W(x - h)) - (W(x + 2.0 * h) - W(x - 2.0 * h))) / (12.0 * h)
 
     def _w_guarded(x: float) -> float:
@@ -145,7 +180,7 @@ def induced_map(
             raise RangeError(f"W({x:g}) evaluated to NaN")
         return v
 
-    def W_inverse(y: float) -> float:
+    def bisect_inverse(y: float) -> float:
         if not math.isfinite(y):
             raise ValueError(f"W_inverse needs a finite target, got {y}")
         bracket = [-1.0, 1.0]
@@ -187,22 +222,46 @@ def induced_map(
                 x -= step
         return x
 
-    return MonotonePotential(V, V_prime, W, W_prime, W_inverse, label)
+    return MonotonePotential(V, V_prime, W, W_prime, W_inverse or bisect_inverse, label)
 
 
-def ramp_potential() -> MonotonePotential:
-    """V(x) = max(x, 0); the induced map is the identity."""
-    return induced_map(
-        lambda x: max(x, 0.0),
-        # symmetric subgradient at 0 keeps W' = 1 everywhere
-        lambda x: 1.0 if x > 0 else (0.5 if x == 0 else 0.0),
-        label="ramp",
-    )
+def _ramp(x):
+    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
 
 
-def exp_potential() -> MonotonePotential:
-    """V(x) = exp(x); the induced map is W(x) = 2 sinh(x)."""
-    return induced_map(math.exp, math.exp, label="exp")
+def _ramp_prime(x):
+    # symmetric subgradient at 0 keeps W' = 1 everywhere
+    if isinstance(x, np.ndarray):
+        return np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
+    return 1.0 if x > 0 else (0.5 if x == 0 else 0.0)
+
+
+def _ramp_inverse(y: float) -> float:
+    if not math.isfinite(y):
+        raise ValueError(f"W_inverse needs a finite target, got {y}")
+    # W(x) = x exactly; + 0.0 maps -0.0 to 0.0, as bisecting W does
+    return y + 0.0
+
+
+def _exp(x):
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):  # saturates to inf, as _w_guarded does
+            return np.exp(x)
+    return math.exp(x)
+
+
+def ramp_potential(fd_derivative: bool = False) -> MonotonePotential:
+    """V(x) = max(x, 0); the induced map is the identity, and so is its
+    inverse.  fd_derivative takes W' from the difference instead of V'."""
+    return induced_map(_ramp, None if fd_derivative else _ramp_prime,
+                       label="ramp+fd" if fd_derivative else "ramp", W_inverse=_ramp_inverse)
+
+
+def exp_potential(fd_derivative: bool = False) -> MonotonePotential:
+    """V(x) = exp(x); the induced map is W(x) = 2 sinh(x).  fd_derivative
+    takes W' from the difference instead of V'."""
+    return induced_map(_exp, None if fd_derivative else _exp,
+                       label="exp+fd" if fd_derivative else "exp")
 
 
 def build_initial_state(p: MonotonePotential, params: DephasingParams) -> InitialStateSpec:
@@ -226,10 +285,19 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
     lor = lorentzian_density(params)
     w, w_prime, w_inv = p.W, p.W_prime, p.W_inverse
 
-    def dens(x: float) -> float:
+    def unusable(x, slope):
+        return ValueError(f"W'({x:g}) = {slope} is not a usable Jacobian")
+
+    def dens(x):
+        # a float, or a float64 array elementwise, like W and W'
         slope = w_prime(x)
+        if isinstance(x, np.ndarray):
+            bad = np.flatnonzero(~np.isfinite(slope) | (slope < -1e-9))
+            if bad.size:
+                raise unusable(x.flat[bad[0]], slope.flat[bad[0]])
+            return np.maximum(slope, 0.0) * lor.density(w(x))
         if not math.isfinite(slope) or slope < -1e-9:
-            raise ValueError(f"W'({x:g}) = {slope} is not a usable Jacobian")
+            raise unusable(x, slope)
         return max(slope, 0.0) * lor.density(w(x))
 
     center = w_inv(params.omega0)

@@ -18,7 +18,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DephasingParams:
-    """Decay rate gamma > 0 (1/time) and center frequency omega0 (1/time)."""
+    """Decay rate gamma > 0 (1/time) and center frequency omega0 (1/time).
+
+    omega0 - gamma and omega0 + gamma must be finite floats that differ from
+    omega0; a narrower Lorentzian has no resolvable width at its centre.
+    """
 
     gamma: float
     omega0: float = 0.0
@@ -28,6 +32,13 @@ class DephasingParams:
             raise ValueError(f"gamma must be finite and strictly positive, got {self.gamma}")
         if not math.isfinite(self.omega0):
             raise ValueError(f"omega0 must be finite, got {self.omega0}")
+        # the Lorentzian's width must show at its centre: the cells between
+        # its feature points omega0 +- gamma need distinct, finite edges
+        edges = (self.omega0 - self.gamma, self.omega0 + self.gamma)
+        if any(e == self.omega0 or not math.isfinite(e) for e in edges):
+            raise ValueError(f"gamma = {self.gamma:g} cannot be resolved at "
+                             f"omega0 = {self.omega0:g}: omega0 +- gamma must be finite "
+                             "and differ from omega0")
 
 
 @dataclass(frozen=True)
@@ -38,10 +49,11 @@ class SpectralDensity:
     for unrestricted concurrent use.
 
     density takes a float.  A density that can reach the half-period cells
-    of the linear phase (infinite support, no table) must also take a float64
-    array and return its values elementwise, to an ulp or two: the cells
-    evaluate it once per block of nodes.  Lorentzian and exponential
-    densities do; tables never reach the cells.
+    (infinite support, no table) must also take a float64 array of any
+    shape and return its values elementwise, to an ulp or two: the cells
+    evaluate it once per block of nodes.  So must a monotone phase W that
+    the cells evaluate with it (see potential.induced_map).  Lorentzian,
+    exponential and transported densities do; tables never reach the cells.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at

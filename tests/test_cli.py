@@ -504,6 +504,9 @@ MALFORMED_INPUTS = {
     "null-gamma": ("survival", "--density", '{"kind": "lorentzian", "gamma": null}'),
     "null-rate": ("survival", "--density", '{"kind": "exponential", "rate": null}'),
     "infinite-gamma": ("survival", "--gamma", "inf"),
+    # omega0 +- gamma rounds to omega0: no cell could resolve the Lorentzian
+    "width-below-an-ulp": ("survival", "--omega0", "1e17", "--gamma", "1"),
+    "omega0-at-the-float-limit": ("survival", "--omega0", "1e308", "--gamma", "1"),
 }
 
 
@@ -530,4 +533,7 @@ def test_extreme_parameters_end_without_a_signal(tmp_path):
         [sys.executable, "-m", "decaylab.cli", "survival", "--gamma", "1e308",
          "--omega0", "1e308", "--out", str(tmp_path / "x.csv")],
         env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode in (2, 3), proc.stderr
+    # omega0 + gamma overflows: a usage error that names both
+    assert proc.returncode == 2, proc.stderr
+    assert "gamma" in proc.stderr and "omega0" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()

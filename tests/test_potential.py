@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -269,3 +270,139 @@ def test_potential_factors_over_the_stress_grid(name, cfg):
         if not abs(got - want) <= cfg.target(want):
             misses.append((gamma, ratio, gt, abs(got - want)))
     assert misses == []
+
+
+# V, W and W' take a float or an array; the array is what the cells evaluate
+_ARRAY_POTENTIALS = {
+    "ramp": ramp_potential,
+    "exp": exp_potential,
+    "exp-fd": lambda: exp_potential(fd_derivative=True),
+    "expr-exp": lambda: induced_map(parse_expression("exp(x)"), label="expr"),
+    "cubic-fd": lambda: induced_map(parse_expression("max(x,0)^3+max(x,0)"), label="cubic"),
+    "cubic-exact": lambda: induced_map(parse_expression("max(x,0)^3+max(x,0)"), _cubic_prime,
+                                       label="cubic"),
+    # a library user's V that takes floats only is lifted elementwise
+    "math-exp": lambda: induced_map(math.exp, label="math.exp"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_POTENTIALS))
+def test_potential_on_array_equals_elementwise_scalar_calls(name):
+    # numpy's exp and sinh may differ from libm's by an ulp or two.  W = V(x)
+    # - V(-x) and the differenced W' cancel, so they are compared in ulps of
+    # the terms they combine; the density, in ulps of itself plus what those
+    # differences move it by, p_C(W) |dW'| + W' |p_C'(W)| |dW|
+    p = _ARRAY_POTENTIALS[name]()
+    params = DephasingParams(0.7, 0.3)
+    x = np.concatenate((np.linspace(-30.0, 30.0, 1201), [-1e-3, 1e-7, 0.0, 1e-300])).reshape(5, 241)
+
+    def floats(fn, y=x):
+        return np.array([fn(v) for v in y.ravel().tolist()]).reshape(y.shape)
+
+    def terms(y):  # the size of what W(y) subtracts
+        return np.abs(floats(p.V, y)) + np.abs(floats(p.V, -y))
+
+    np.testing.assert_array_max_ulp(p.V(x), floats(p.V), maxulp=2)
+    dw = 2 * np.spacing(terms(x))
+    assert np.all(np.abs(p.W(x) - floats(p.W)) <= dw)
+    slope = floats(p.W_prime)
+    if p.V_prime is not None:
+        np.testing.assert_array_max_ulp(p.W_prime(x), slope, maxulp=2)
+        dslope = 2 * np.spacing(slope)
+    else:
+        h = 1e-3 * np.maximum(1.0, np.abs(x))
+        stencil = (terms(x - 2 * h) + 8 * terms(x - h) + 8 * terms(x + h) + terms(x + 2 * h))
+        dslope = 2 * np.spacing(stencil / (12 * h))
+        assert np.all(np.abs(p.W_prime(x) - slope) <= dslope)
+    dens = build_initial_state(p, params).density.density
+    want = floats(dens)
+    lor = lorentzian_density(params)
+    w = floats(p.W)
+    p_c = lor.density(w)
+    dp_c = 2 * np.abs(w - params.omega0) * p_c**2 / (params.gamma / (2 * math.pi))
+    bound = 2 * np.spacing(want) + p_c * dslope + slope * dp_c * dw
+    assert np.all(np.abs(dens(x) - want) <= bound)
+
+
+@pytest.mark.parametrize("src, x_bad", [("1/x", 0.0), ("(x+40)^0.5", -64.0), ("exp(-1/x)", 0.0)],
+                         ids=["pole", "complex", "pole-under-exp"])
+def test_expression_on_array_raises_like_its_float_call(src, x_bad):
+    # numpy gives inf, nan or (under exp) a finite 0 where the float call
+    # raises; the array raises the float call's ExpressionError, naming x
+    f = parse_expression(src)
+    with pytest.raises(ExpressionError) as on_float:
+        f(x_bad)
+    with pytest.raises(ExpressionError) as on_array:
+        f(np.array([[1.0, x_bad], [2.0, 3.0]]))
+    assert str(on_array.value) == str(on_float.value)
+    assert f"x = {x_bad:g}" in str(on_array.value)
+
+
+def test_expression_on_array_saturates_like_its_float_call():
+    x = np.array([-1e3, -1.0, 0.0, 1e3])
+    for src in ("sinh(x)", "exp(x) + cosh(x)", "x^400"):
+        f = parse_expression(src)
+        try:
+            want = [f(v) for v in x.tolist()]
+        except OverflowError:  # a float power past the float range raises
+            with pytest.raises(OverflowError):
+                f(x)
+            continue
+        np.testing.assert_array_equal(f(x), want)
+
+
+@pytest.mark.parametrize("fd_derivative", [False, True], ids=["exact", "fd"])
+def test_ramp_inverse_is_the_identity(fd_derivative):
+    # W(x) = x exactly, so the identity is what bisecting W and polishing
+    # with either W' returns, bit for bit
+    p = ramp_potential(fd_derivative)
+    bisected = induced_map(lambda x: max(x, 0.0),
+                           None if fd_derivative else ramp_potential().V_prime)
+    rng = np.random.default_rng(13)
+    targets = np.concatenate((rng.uniform(-50.0, 50.0, 200), rng.uniform(-1e-3, 1e-3, 200),
+                              [s * 10.0**k for k in range(-8, 6) for s in (-1.0, 1.0)]))
+    for y in targets.tolist():
+        assert p.W_inverse(y).hex() == y.hex() == bisected.W_inverse(y).hex()
+    assert p.W_inverse(-0.0).hex() == bisected.W_inverse(-0.0).hex()
+
+
+def test_cells_call_v_on_arrays():
+    # in a factor evaluation V sees floats only inside W_inverse, which
+    # places the cell edges; the cells and the phase of the split and
+    # feature points take arrays
+    calls, inverting = [], [0]
+
+    def V(x):
+        calls.append((isinstance(x, np.ndarray), inverting[0] > 0))
+        return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+    p = induced_map(V, V, label="spy")
+    bisect = p.W_inverse
+
+    def W_inverse(y):
+        inverting[0] += 1
+        try:
+            return bisect(y)
+        finally:
+            inverting[0] -= 1
+
+    p = dataclasses.replace(p, W_inverse=W_inverse)
+    params = DephasingParams(1.0, 0.3)
+    state = build_initial_state(p, params)
+    calls.clear()
+    got = generalized_dephasing_factor(p, params, 2.0, CFG, state)
+    assert abs(got - cmath.exp(complex(-1.0, -0.6))) <= 1e-9
+    assert any(on_array for on_array, _ in calls)
+    assert all(inside for on_array, inside in calls if not on_array)
+
+
+def test_density_on_array_rejects_a_bad_jacobian_like_its_float_call():
+    # a V' of the wrong sign gives W' < 0: the first such node is named
+    p = induced_map(math.exp, lambda x: -math.exp(x), label="wrong-sign")
+    dens = build_initial_state(p, DephasingParams(1.0, 0.0)).density.density
+    with pytest.raises(ValueError) as on_float:
+        dens(0.5)
+    with pytest.raises(ValueError) as on_array:
+        dens(np.array([[0.5, 1.0], [2.0, 3.0]]))
+    assert str(on_array.value) == str(on_float.value)
+    assert "W'(0.5)" in str(on_array.value)

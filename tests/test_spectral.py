@@ -60,6 +60,20 @@ def test_gamma_validation():
         DephasingParams(1.0, math.inf)
 
 
+@pytest.mark.parametrize("gamma, omega0", [(1.0, 1e17), (1.0, 1e16), (1.0, -1e308),
+                                           (1e308, 1e308), (1e-300, 1.0)])
+def test_width_must_be_resolvable_at_the_centre(gamma, omega0):
+    # omega0 +- gamma equal to omega0, or past the float range, leaves the
+    # cells nothing to resolve; the message names both parameters
+    with pytest.raises(ValueError, match="gamma = .* omega0 = "):
+        DephasingParams(gamma, omega0)
+
+
+def test_narrow_width_within_float_resolution_is_allowed():
+    DephasingParams(1.0, 1e15)
+    DephasingParams(1e-300, 0.0)
+
+
 @pytest.mark.parametrize("omega0", [0.0, 1.0, -2.5])
 def test_lorentzian_even_about_center_exactly(omega0):
     # dyadic offsets make omega0 +- x exact, so the same floating-point
