@@ -39,6 +39,7 @@ from .oscint import (
     halfline_amplitude,
     mass_integral,
     restricted_amplitude,
+    restricted_amplitude_series,
 )
 from .pocket import (
     PocketModel,

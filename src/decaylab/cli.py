@@ -70,6 +70,9 @@ class UsageError(ValueError):
 
 
 def build_time_grid(t_start: float, t_end: float, n_points: int, spacing: str) -> np.ndarray:
+    for name, value in (("t_start", t_start), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value}")
     n = int(n_points)
     if n < 1:
         raise UsageError(f"n_points must be >= 1, got {n_points}")
@@ -384,6 +387,8 @@ def cmd_pw(cfg: dict) -> int:
 def cmd_potential(cfg: dict) -> int:
     params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
     qcfg = _quad_config(cfg)
+    # a bad grid is a usage error before any file is written
+    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
     pot = _load_potential_spec(cfg["potential"], bool(cfg["fd_derivative"]))
     echo = _echo(cfg, "potential")
     echo["potential_label"] = pot.label
@@ -402,8 +407,6 @@ def cmd_potential(cfg: dict) -> int:
     xr = np.linspace(-20.0, 20.0, 401)
     resid = np.array([abs(pot.W_inverse(pot.W(float(x))) - float(x)) for x in xr])
     output.write_csv(prefix + "_roundtrip.csv", [("x", xr), ("roundtrip_residual", resid)], echo)
-
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
 
     def columns(series):
         fit = diagnostics.exponential_fit(series, (float(grid[0]), float(grid[-1])))

@@ -19,16 +19,22 @@ rule.  Infinite pieces are integrated over half-periods of the kernel
 alternating cell sums; the piece below the split point is reflected onto
 an upward one.  Each tail cell, and each head cell of a monotone phase,
 gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells
-eight per pass by default (min_cells + 2).  Both phases evaluate a block's
-integrand as one float64 array of its nodes, the density and the phase
-each called once; adaptive quad, which calls them on floats, runs only on
-first-pass misses, the cells where QUADPACK's own first-pass test
-(dqagse's) fails.  The rule's sums
-are matrix-vector products, so a cell's value agrees with quad's to
-rounding.  This gives uniform accuracy in t without Filon-type weight
-tables; heavy algebraic tails converge through the acceleration instead
-of an (infeasibly large) explicit cutoff, and the analytic tail mass only
-enters the error bound of a failure.
+eight per pass by default (min_cells + 2).
+
+A time grid is one batch: every public amplitude maps a grid to one triple
+per time, and the single-time functions are the batch of one.  On each
+pass, the next cells of every t still summing are evaluated together: the
+density and the phase each take their nodes as one float64 array, and one
+rule call sums them.  The rule sums each cell in a fixed order, so a
+cell's bits do not depend on its block, and a series is bit-identical to
+its pointwise values.  Each t keeps its own QAWO head, Wynn table and stop
+rules, run in order over its own cells; adaptive quad, which calls the
+density and phase on floats, runs only on first-pass misses, the cells
+where QUADPACK's own first-pass test (dqagse's) fails.  A cell's value
+agrees with quad's to rounding.  This gives uniform accuracy in t without
+Filon-type weight tables; heavy algebraic tails converge through the
+acceleration instead of an (infeasibly large) explicit cutoff, and the
+analytic tail mass only enters the error bound of a failure.
 
 A mass is exact when the density has a cdf (the difference of two of its
 values) or a table (the trapezoid); only a density without either has its
@@ -38,8 +44,11 @@ Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
 the failure, whose value is the best estimate.  Parts combine by one rule: values add with their conjugations
 and weights, all bounds add, and the first failed part's detail is kept.
-Each public function raises the one QuadratureFailure of its combined
-triple, carrying its t; batches collect those failures as raised.
+A single-time function raises the one QuadratureFailure of its combined
+triple, carrying its t; a series raises one SeriesFailure holding each
+failed time's QuadratureFailure, the same one that time raises alone.
+Every entry checks its times first: finite, and for a series a 1-d,
+strictly increasing grid.
 
 Everything here is pure and deterministic: identical inputs and config
 produce bit-identical results, so concurrent and sequential evaluation of
@@ -63,6 +72,12 @@ from .spectral import SpectralDensity
 _MAX_SUBDIVISIONS = 200
 _NEGLIGIBLE_FACTOR = 0.02
 _STABLE_STEPS = 2
+# the most half-period cells of a monotone head
+_MAX_HEAD_CELLS = 20_000
+# the most cells of one evaluation of the integrand and the block rule,
+# unless one block alone has more: larger evaluations gain no speed and
+# cost memory
+_BLOCK_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -305,31 +320,34 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     """QUADPACK's dqk21 rule and dqagse's first-pass test on a block of cells.
 
     values[:, i] is the complex integrand at centre_i + half_lengths[i] *
-    _GK21_NODES.  As quad(complex_func=True) does, the real and imaginary
-    parts are integrated as two real integrals, with dqk21's error estimate
-    and dqagse's acceptance test as array expressions; the sums are plain
-    matrix-vector products, so a cell's value agrees with quad's to rounding
-    and its error estimate to the cancellation in the Kronrod-Gauss
-    difference.  Returns one (value, error, accepted) per cell: the Kronrod
-    value, the summed error estimates of both parts, and whether both parts'
-    first pass passes dqagse's test (ier = 0 with no refinement); other cells
-    need the adaptive quad.
+    _GK21_NODES, and epsabs a float or one per cell.  As
+    quad(complex_func=True) does, the real and imaginary parts are
+    integrated as two real integrals, with dqk21's error estimate and
+    dqagse's acceptance test as array expressions.  The node sums are
+    einsum's, column by column in a fixed order, so a cell's value and
+    verdict do not depend on the block it is evaluated in (a BLAS product's
+    bits depend on a column's position); a cell's value agrees with quad's
+    to rounding and its error estimate to the cancellation in the
+    Kronrod-Gauss difference.  Returns one (value, error, accepted) per
+    cell: the Kronrod value, the summed error estimates of both parts, and
+    whether both parts' first pass passes dqagse's test (ier = 0 with no
+    refinement); other cells need the adaptive quad.
     """
     n = len(half_lengths)
     f = np.concatenate((values.real, values.imag), axis=1)
     hlgth = np.tile(half_lengths, 2)
     dhlgth = np.abs(hlgth)
     kronrod = _GK21_WEIGHTS[0]
-    resk, resg = _GK21_WEIGHTS @ f
-    resabs = (kronrod @ np.abs(f)) * dhlgth
-    resasc = (kronrod @ np.abs(f - 0.5 * resk)) * dhlgth
+    resk, resg = np.einsum("ik,kn->in", _GK21_WEIGHTS, f)
+    resabs = np.einsum("k,kn->n", kronrod, np.abs(f)) * dhlgth
+    resasc = np.einsum("k,kn->n", kronrod, np.abs(f - 0.5 * resk)) * dhlgth
     result = resk * hlgth
     abserr = np.abs((resk - resg) * hlgth)
     ratio = np.divide(200.0 * abserr, resasc, out=np.zeros_like(resasc), where=resasc != 0)
     abserr = np.where(resasc != 0, resasc * np.minimum(1.0, ratio**1.5), abserr)
     abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
                       np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
-    errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+    errbnd = np.maximum(np.tile(np.broadcast_to(epsabs, n), 2), epsrel * np.abs(result))
     roundoff = (abserr <= (100.0 * _EPMACH) * resabs) & (abserr > errbnd)
     ok = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0))
     value = result[:n] + 1j * result[n:]
@@ -394,7 +412,7 @@ def _linear_head(weight, t, a, b, cfg, points, what):
 
 def _semi_infinite_osc(
     weight: Callable[[float], float],
-    t: float,
+    times: Sequence[float],
     x0: float,
     cfg: QuadratureConfig,
     phase: Callable[[float], float] | None = None,
@@ -402,53 +420,42 @@ def _semi_infinite_osc(
     points: Sequence[float] = (),
     tail_mass: Callable[[float], float] | None = None,
 ):
-    """int_{x0}^{inf} weight(x) exp(-i t phase(x)) dx for t > 0, increasing phase.
+    """int_{x0}^{inf} weight(x) exp(-i t phase(x)) dx at each t > 0 of times,
+    for an increasing phase: one (value, error bound, detail) triple per t.
 
     The density bulk is integrated as a single head piece; only the clean
     alternating tail beyond it feeds the epsilon table, so a far-off peak
     cannot poison the extrapolation.  One head rule serves both phases: the
     head reaches from u0 = phase(x0) as far as the farthest feature point's
     phase on either side, rounded up to whole half-periods, and is cut by
-    _head_cuts in u.  The linear head is one _linear_head call; the monotone
-    head is one block of at most 20,000 half-period cells plus its cuts as
-    further cell edges, mapped to x by phase_inv, with the head tolerance
-    split over its cells.  Cells are evaluated in blocks (_qk21_cells):
-    weight and phase each take the block's nodes as one float64 array and
-    return its values elementwise (SpectralDensity's array contract); only
-    first-pass misses reach adaptive quad, which calls them on floats.
-    Returns (value, error bound, detail).  A head or cell that did not
-    converge (_quad's rule), a monotone head over the cap, or a tail sum not
-    stable within cfg.max_cells cells leaves by the one failure exit: the
-    best estimate, its bound plus the tail mass beyond the last cell summed.
-    A sum that stops with a bound above cfg.target(value) fails, naming
-    its bound.
+    _head_cuts in u.  The linear head is one _linear_head call per t; the
+    monotone head is one block of at most _MAX_HEAD_CELLS half-period cells
+    plus its cuts as further cell edges, mapped to x by phase_inv, with the
+    head tolerance split over its cells.
+
+    Each t's sum is a scalar loop (cell_sum) that asks for its cells a
+    block at a time: the monotone head, then min_cells + _STABLE_STEPS tail
+    cells per pass.  A pass gathers the blocks of every sum still running
+    into evaluations of at most _BLOCK_CELLS cells (a larger block alone):
+    weight and phase each take all their nodes as one float64 array
+    (SpectralDensity's array contract), and one _qk21_cells call rules on
+    all their cells, whose values do not depend on the block, so each t
+    gets the bits it would get alone.  Each sum then runs its Wynn update
+    and stop rules over its own cells in order; only first-pass misses
+    reach adaptive quad, which calls weight and phase on floats.  A head or
+    cell that did not converge (_quad's rule), a monotone head over the
+    cap, or a tail sum not stable within cfg.max_cells cells leaves by the
+    one failure exit: the best estimate, its bound plus the tail mass
+    beyond the last cell summed.  A sum that stops with a bound above
+    cfg.target(value) fails, naming its bound.
     """
     identity = lambda u: u
     ph, pin = phase or identity, phase_inv or identity
     # the phase of the split point and of the feature points, one array call
     u0, *upoints = ph(np.array([x0, *points], dtype=float)).tolist()
-    h = math.pi / t
+    # the head reaches as far from u0 as the farthest feature point's phase
+    u_clear = u0 + max([abs(u - u0) for u in upoints], default=0.0)
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
-
-    def f(x):
-        return weight(x) * cmath.exp(-1j * t * ph(x))
-
-    def cells(a, us, tol):
-        """The cells from a, the j-th ending at pin(us[j]), by the block rule;
-        yields (end, value, error, detail).  A cell that fails the rule's
-        first-pass test goes to adaptive quad."""
-        edges = np.array([a] + [pin(u) for u in us])
-        centr = 0.5 * (edges[1:] + edges[:-1])
-        hlgth = 0.5 * (edges[1:] - edges[:-1])
-        x = centr + hlgth * _GK21_NODES[:, None]
-        values = weight(x) * np.exp(-1j * t * ph(x))
-        for b, (val, err, ok) in zip(edges[1:].tolist(), _qk21_cells(values, hlgth, tol, 1e-12)):
-            detail = None
-            if not ok:
-                val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell",
-                                         complex_valued=True)
-            yield b, val, err, detail
-            a = b
 
     def settled(value, bound):
         """A stopped sum's triple: it succeeds only within cfg.target(value)."""
@@ -456,81 +463,187 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
-    partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
-    a = x0
-    # the head reaches as far from u0 as the farthest feature point's phase
-    u_clear = u0 + max([abs(u - u0) for u in upoints], default=0.0)
-    k_clear = int(math.ceil((u_clear - u0) / h))
-    if phase is not None and k_clear > 20_000:
-        detail = f"head region spans {k_clear} oscillations"
-    elif k_clear > 0:
-        u_end = u0 + k_clear * h
-        if phase is None:
-            partial, quad_err, detail = _linear_head(weight, t, x0, u_end, cfg, points,
-                                                     "oscillatory head integral")
-            a = u_end
-        else:
-            # one block of half-periods and head cuts, summed plainly (the
-            # head stays out of the epsilon table, which only extrapolates
-            # the tail); a ends at the last edge, pin(u_end)
-            us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
-                        | set(_head_cuts(u0, u_end, upoints)))
-            head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-            for a, val, err, cell_detail in cells(x0, us, head_tol):
-                partial += val
-                quad_err += err
-                detail = detail or cell_detail
-        u0 = u_end
+    def cell_sum(t):
+        """The sum at t as a generator: it yields each block of cells it
+        needs as (a, us, tol), the cells from a whose j-th ends at pin(us[j]),
+        is sent back the block's (end, (value, error, accepted)) per cell, and
+        returns its triple."""
+        h = math.pi / t
 
-    row: list = [partial] if partial != 0 else []
-    est_prev = None
-    stable = 0
-    negligible = 0
-    k = 0
-    while detail is None and k < cfg.max_cells:
-        # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
-        # the earliest Wynn-stable stop; cells past a stop are discarded
-        m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
-        for b, val, err, detail in cells(a, [u0 + (k + j + 1) * h for j in range(m)], cell_tol):
-            quad_err += err
-            partial += val
-            a = b
-            if detail is not None:
-                break
-            row = _wynn_row(row, partial)
-            est = _wynn_estimate(row)
-            if not cmath.isfinite(est):
-                est = partial
-            # truncated-tail stop: consecutive negligible cells
-            if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
-                negligible += 1
-                if negligible >= 2 and k + 1 >= cfg.min_cells:
-                    return settled(partial, quad_err + 3.0 * abs(val))
+        def f(x):
+            return weight(x) * cmath.exp(-1j * t * ph(x))
+
+        def cells(a, tol, block):
+            """A block's cells as (end, value, error, detail); a cell that
+            failed the rule's first-pass test goes to adaptive quad."""
+            for b, (val, err, ok) in block:
+                detail = None
+                if not ok:
+                    val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell",
+                                             complex_valued=True)
+                yield b, val, err, detail
+                a = b
+
+        partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
+        a, u_start = x0, u0
+        k_clear = int(math.ceil((u_clear - u0) / h))
+        if phase is not None and k_clear > _MAX_HEAD_CELLS:
+            detail = f"head region spans {k_clear} oscillations"
+        elif k_clear > 0:
+            u_start = u0 + k_clear * h
+            if phase is None:
+                partial, quad_err, detail = _linear_head(weight, t, x0, u_start, cfg, points,
+                                                         "oscillatory head integral")
+                a = u_start
             else:
-                negligible = 0
-            if est_prev is not None and k + 1 >= cfg.min_cells:
-                delta = abs(est - est_prev)
-                if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
-                    stable += 1
-                    if stable >= _STABLE_STEPS:
-                        return settled(est, quad_err + delta)
+                # one block of half-periods and head cuts, summed plainly (the
+                # head stays out of the epsilon table, which only extrapolates
+                # the tail); a ends at the last edge, pin(u_start)
+                us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
+                            | set(_head_cuts(u0, u_start, upoints)))
+                head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
+                for a, val, err, cell_detail in cells(x0, head_tol, (yield x0, us, head_tol)):
+                    partial += val
+                    quad_err += err
+                    detail = detail or cell_detail
+
+        row: list = [partial] if partial != 0 else []
+        est_prev = None
+        stable = 0
+        negligible = 0
+        k = 0
+        while detail is None and k < cfg.max_cells:
+            # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
+            # the earliest Wynn-stable stop; cells past a stop are discarded
+            m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
+            us = [u_start + (k + j + 1) * h for j in range(m)]
+            for b, val, err, detail in cells(a, cell_tol, (yield a, us, cell_tol)):
+                quad_err += err
+                partial += val
+                a = b
+                if detail is not None:
+                    break
+                row = _wynn_row(row, partial)
+                est = _wynn_estimate(row)
+                if not cmath.isfinite(est):
+                    est = partial
+                # truncated-tail stop: consecutive negligible cells
+                if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
+                    negligible += 1
+                    if negligible >= 2 and k + 1 >= cfg.min_cells:
+                        return settled(partial, quad_err + 3.0 * abs(val))
                 else:
-                    stable = 0
-            est_prev = est
-            k += 1
-    best = est_prev if est_prev is not None else partial
-    bound = quad_err + abs(best - partial)
-    if tail_mass is not None:
+                    negligible = 0
+                if est_prev is not None and k + 1 >= cfg.min_cells:
+                    delta = abs(est - est_prev)
+                    if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
+                        stable += 1
+                        if stable >= _STABLE_STEPS:
+                            return settled(est, quad_err + delta)
+                    else:
+                        stable = 0
+                est_prev = est
+                k += 1
+        best = est_prev if est_prev is not None else partial
+        bound = quad_err + abs(best - partial)
+        if tail_mass is not None:
+            try:
+                bound += abs(tail_mass(a))
+            except Exception:
+                bound = math.inf
+        return best, bound, (detail or
+                             f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells")
+
+    def rule(requests):
+        """The block rule on the cells of every request (t, a, us, tol), from
+        one evaluation of the integrand on all their nodes: per request, its
+        cells' (end, (value, error, accepted))."""
+        edges = [np.array([a] + [pin(u) for u in us]) for _, a, us, _ in requests]
+        sizes = [len(e) - 1 for e in edges]
+        lo = np.concatenate([e[:-1] for e in edges])
+        hi = np.concatenate([e[1:] for e in edges])
+        centr, hlgth = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        x = centr + hlgth * _GK21_NODES[:, None]
+        tcells = np.repeat([t for t, *_ in requests], sizes)
+        values = weight(x) * np.exp(-1j * tcells * ph(x))
+        cells = _qk21_cells(values, hlgth, np.repeat([tol for *_, tol in requests], sizes), 1e-12)
+        ends, blocks, start = hi.tolist(), [], 0
+        for n in sizes:
+            blocks.append(zip(ends[start:start + n], cells[start:start + n]))
+            start += n
+        return blocks
+
+    sums = [cell_sum(t) for t in times]
+    results = [None] * len(sums)
+    requests = {}  # sum index -> its pending (a, us, tol)
+
+    def advance(i, block):
         try:
-            bound += abs(tail_mass(a))
-        except Exception:
-            bound = math.inf
-    return best, bound, (detail or
-                         f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells")
+            requests[i] = sums[i].send(block)
+        except StopIteration as stop:
+            requests.pop(i, None)
+            results[i] = stop.value
+
+    def run(group):
+        for i, block in zip(group, rule([(times[i], *requests[i]) for i in group])):
+            advance(i, block)
+
+    for i in range(len(sums)):
+        advance(i, None)
+    while requests:
+        # one pass: the next block of every running sum, in evaluations of at
+        # most _BLOCK_CELLS cells (a larger block alone)
+        group, size = [], 0
+        for i in list(requests):
+            n = len(requests[i][1])
+            if group and size + n > _BLOCK_CELLS:
+                run(group)
+                group, size = [], 0
+            group.append(i)
+            size += n
+        run(group)
+    return results
 
 
 # ---------------------------------------------------------------------------
 # density-facing operations
+
+
+def _time_grid(times) -> np.ndarray:
+    """times as a float array, checked before any quadrature runs: 1-d,
+    finite and strictly increasing, or a ValueError naming t."""
+    t = np.asarray(list(times), dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t must be a 1-d grid, got shape {t.shape}")
+    bad = t[~np.isfinite(t)]
+    if bad.size:
+        raise ValueError(f"t must be finite, got {bad[0]}")
+    steps = np.flatnonzero(np.diff(t) <= 0)
+    if steps.size:
+        i = steps[0]
+        raise ValueError(f"t must be strictly increasing, got {t[i]:g} before {t[i + 1]:g}")
+    return t
+
+
+def _point(amplitudes, t):
+    """The batch of one: amplitudes, a map from a time grid to one triple
+    per time, at t alone; raises the QuadratureFailure of a failed triple."""
+    [triple] = amplitudes(_time_grid([t]))
+    return _checked(t, *triple)
+
+
+def _series(amplitudes, times) -> ComplexTimeSeries:
+    """amplitudes on the checked grid times as a series.  Failed points keep
+    their best estimates; their failures, each with its t, are raised
+    together as one SeriesFailure that carries the series."""
+    t = _time_grid(times)
+    triples = amplitudes(t)
+    failures = [QuadratureFailure(detail, value, bound, t=ti)
+                for ti, (value, bound, detail) in zip(t.tolist(), triples) if detail is not None]
+    series = ComplexTimeSeries(t, np.array([value for value, _, _ in triples], dtype=complex))
+    if failures:
+        raise SeriesFailure(series, failures)
+    return series
 
 
 def restricted_amplitude(
@@ -547,41 +660,60 @@ def restricted_amplitude(
     phase must be strictly increasing with range R and take a float or a
     float64 array (elementwise), and phase_inv is its inverse on floats;
     omitted, the phase is the identity (the plain Fourier transform, exact
-    for tables and by QUADPACK weights on finite windows).  t = 0 is the
-    mass integral and t < 0 the conjugate of the transform at -t.  Infinite
-    ranges are summed in half-period cells from a split point (the finite
-    end, or d.center on the full line); the piece below it is integrated
-    reflected, x -> -x, and conjugated.  When a piece fails, the one
-    QuadratureFailure raised carries the sum of both pieces' estimates, with
-    the same conjugations, under the sum of their error bounds.
+    for tables and by QUADPACK weights on finite windows).  t must be
+    finite; t = 0 is the mass integral and t < 0 the conjugate of the
+    transform at -t.  Infinite ranges are summed in half-period cells from
+    a split point (the finite end, or d.center on the full line); the piece
+    below it is integrated reflected, x -> -x, and conjugated.  When a piece
+    fails, the one QuadratureFailure raised carries the sum of both pieces'
+    estimates, with the same conjugations, under the sum of their error
+    bounds.
     """
-    return _checked(t, *_amplitude(d, lo, hi, t, cfg, phase, phase_inv))
+    return _point(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), t)
 
 
-def _amplitude(d, lo, hi, t, cfg, phase=None, phase_inv=None):
-    """restricted_amplitude as a (value, error bound, detail) triple."""
+def restricted_amplitude_series(
+    d: SpectralDensity,
+    lo: float,
+    hi: float,
+    times,
+    cfg: QuadratureConfig,
+    phase: Callable[[float], float] | None = None,
+    phase_inv: Callable[[float], float] | None = None,
+) -> ComplexTimeSeries:
+    """restricted_amplitude on a time grid, in one batch, with SeriesFailure
+    semantics."""
+    return _series(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), times)
+
+
+def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
+    """restricted_amplitude at each t of times (a float array) as a list of
+    (value, error bound, detail) triples.  The half-line sums of every t != 0
+    on an infinite range run as one batch at |t|."""
+    times = times.tolist()
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
-        return 0.0 + 0.0j, 0.0, None
-    if t == 0:
-        val, err, detail = _mass(d, lo, hi, cfg)
-        return complex(val), err, detail
-    if t < 0:
-        val, err, detail = _amplitude(d, lo, hi, -t, cfg, phase, phase_inv)
-        return val.conjugate(), err, detail
-    if d.table is not None and phase is None:
-        return _table_transform(d, lo, hi, t), 0.0, None
-    if math.isfinite(lo) and math.isfinite(hi):
-        if phase is not None:
-            raise ValueError("a nonlinear phase needs an infinite range")
-        return _linear_head(d.density, t, lo, hi, cfg, d.feature_points,
-                            "finite-window oscillatory integral")
-
+        return [(0.0 + 0.0j, 0.0, None)] * len(times)
+    triples, moving = [None] * len(times), []
+    for i, t in enumerate(times):
+        if t == 0:
+            val, err, detail = _mass(d, lo, hi, cfg)
+            triples[i] = (complex(val), err, detail)
+        elif d.table is not None and phase is None:
+            triples[i] = (_table_transform(d, lo, hi, abs(t)), 0.0, None)
+        elif math.isfinite(lo) and math.isfinite(hi):
+            if phase is not None:
+                raise ValueError("a nonlinear phase needs an infinite range")
+            triples[i] = _linear_head(d.density, abs(t), lo, hi, cfg, d.feature_points,
+                                      "finite-window oscillatory integral")
+        else:
+            moving.append(i)
     loose = QuadratureConfig(1e-6, 1e-6)
+    speeds = [abs(times[i]) for i in moving]
 
     def half(x0, lower):
-        """The triple of the piece above x0, or below it when lower."""
+        """The triples of the piece above x0, or below it when lower."""
         weight, ph, inv, pts = d.density, phase, phase_inv, d.feature_points
         tail_mass = lambda x: mass_integral(d, x, math.inf, loose)
         if lower:
@@ -594,15 +726,21 @@ def _amplitude(d, lo, hi, t, cfg, phase=None, phase_inv=None):
             pts = tuple(-p for p in d.feature_points)
             tail_mass = lambda y: mass_integral(d, -math.inf, -y, loose)
             x0 = -x0
-        val, err, detail = _semi_infinite_osc(weight, t, x0, cfg, ph, inv, pts, tail_mass)
-        val = complex(val)
-        return (val.conjugate() if lower else val), err, detail
+        return [(complex(val).conjugate() if lower else complex(val), err, detail)
+                for val, err, detail in
+                _semi_infinite_osc(weight, speeds, x0, cfg, ph, inv, pts, tail_mass)]
 
-    if math.isfinite(lo):
-        return half(lo, False)
-    if math.isfinite(hi):
-        return half(hi, True)
-    return _combine([half(d.center, True), half(d.center, False)])
+    if moving:
+        if math.isfinite(lo):
+            halves = half(lo, False)
+        elif math.isfinite(hi):
+            halves = half(hi, True)
+        else:
+            halves = [_combine(pair) for pair in zip(half(d.center, True), half(d.center, False))]
+        for i, triple in zip(moving, halves):
+            triples[i] = triple
+    return [(value.conjugate(), bound, detail) if t < 0 else (value, bound, detail)
+            for t, (value, bound, detail) in zip(times, triples)]
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -611,35 +749,19 @@ def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> co
     a(0) = 1 for a normalized density; |a(t)| <= 1 up to the quadrature
     tolerance; a(-t) is the conjugate of a(t) by construction.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    return restricted_amplitude(d, -math.inf, math.inf, t, cfg)
+    return _point(lambda ts: _amplitudes(d, -math.inf, math.inf, ts, cfg), t)
 
 
 def amplitude_series(d: SpectralDensity, times, cfg: QuadratureConfig) -> ComplexTimeSeries:
-    """fourier_amplitude evaluated on a strictly increasing time grid.
+    """fourier_amplitude on a strictly increasing, finite time grid, every
+    point's half-line cells summed in one batch; each value is bit-identical
+    to fourier_amplitude's.
 
     Per-point quadrature failures are collected (with the failing time
-    attached) and re-raised as a SeriesFailure that still carries the full
+    attached) and raised as a SeriesFailure that still carries the full
     series with best estimates in place.
     """
-    return _batch(lambda t: fourier_amplitude(d, t, cfg), times)
-
-
-def _batch(f, times):
-    t = np.asarray(list(times), dtype=float)
-    vals = np.zeros(t.shape, dtype=complex)
-    failures = []
-    for i, ti in enumerate(t):
-        try:
-            vals[i] = f(float(ti))
-        except QuadratureFailure as exc:
-            failures.append(exc)
-            vals[i] = complex(exc.estimate)
-    series = ComplexTimeSeries(t, vals)
-    if failures:
-        raise SeriesFailure(series, failures)
-    return series
+    return _series(lambda ts: _amplitudes(d, -math.inf, math.inf, ts, cfg), times)
 
 
 def halfline_amplitude(
@@ -649,23 +771,24 @@ def halfline_amplitude(
     max(+-x, 0): one half-line is frozen at phase 1, the other contributes the
     Fourier integral of the density in the ramp's eigenvalue coordinate.
     """
-    return _checked(t, *_halfline_amplitude(d, ramp_side, t, cfg))
+    return _point(lambda ts: _halfline_amplitudes(d, ramp_side, ts, cfg), t)
 
 
-def _halfline_amplitude(d, ramp_side, t, cfg):
-    """halfline_amplitude as a (value, error bound, detail) triple, the frozen
-    half-line mass one of its parts."""
-    # (frozen half, active half, time of the active transform): the
+def _halfline_amplitudes(d, ramp_side, times, cfg):
+    """halfline_amplitude at each t of times as (value, error bound, detail)
+    triples, the frozen half-line mass one part of each."""
+    # (frozen half, active half, sign of the active transform's time): the
     # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
     # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
     sides = {
-        "positive": ((-math.inf, 0.0), (0.0, math.inf), t),
-        "negative": ((0.0, math.inf), (-math.inf, 0.0), -t),
+        "positive": ((-math.inf, 0.0), (0.0, math.inf), 1.0),
+        "negative": ((0.0, math.inf), (-math.inf, 0.0), -1.0),
     }
     if ramp_side not in sides:
         raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
-    still, active, t_active = sides[ramp_side]
-    return _combine([_mass(d, *still, cfg), _amplitude(d, *active, t_active, cfg)])
+    still, active, sign = sides[ramp_side]
+    frozen = _mass(d, *still, cfg)
+    return [_combine([frozen, part]) for part in _amplitudes(d, *active, sign * times, cfg)]
 
 
 def global_survival(
@@ -675,19 +798,24 @@ def global_survival(
     w0 <exp(-i t q_+)> + w1 <exp(-i t q_-)>.  When a side fails, the one
     QuadratureFailure raised carries the weighted sum of both sides' values
     or estimates under the weighted sum of their error bounds."""
+    return _point(lambda ts: _global_survivals(chi_weights, d, ts, cfg), t)
+
+
+def _global_survivals(chi_weights, d, times, cfg):
+    """global_survival at each t of times as (value, error bound, detail)
+    triples."""
     w0, w1 = chi_weights
     if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
-    parts = []
-    for w, side in ((w0, "positive"), (w1, "negative")):
-        if w:
-            value, bound, detail = _halfline_amplitude(d, side, t, cfg)
-            parts.append((w * value, w * bound, detail))
-    return _checked(t, *_combine(parts))
+    sides = [[(w * value, w * bound, detail)
+              for value, bound, detail in _halfline_amplitudes(d, side, times, cfg)]
+             for w, side in ((w0, "positive"), (w1, "negative")) if w]
+    return [_combine(parts) for parts in zip(*sides)]
 
 
 def global_survival_series(
     chi_weights, d: SpectralDensity, times, cfg: QuadratureConfig
 ) -> ComplexTimeSeries:
-    """global_survival on a time grid, with SeriesFailure semantics."""
-    return _batch(lambda t: global_survival(chi_weights, d, t, cfg), times)
+    """global_survival on a time grid, in one batch, with SeriesFailure
+    semantics."""
+    return _series(lambda ts: _global_survivals(chi_weights, d, ts, cfg), times)

@@ -341,6 +341,8 @@ def generalized_factor_series(
     cfg: QuadratureConfig,
     state: InitialStateSpec | None = None,
 ):
-    """generalized_dephasing_factor on a time grid, with SeriesFailure semantics."""
+    """generalized_dephasing_factor on a time grid, in one batch, with
+    SeriesFailure semantics."""
     state = state or build_initial_state(p, params)
-    return oscint._batch(lambda t: generalized_dephasing_factor(p, params, t, cfg, state), times)
+    return oscint.restricted_amplitude_series(
+        state.density, -math.inf, math.inf, times, cfg, phase=p.W, phase_inv=p.W_inverse)

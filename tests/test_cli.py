@@ -507,6 +507,9 @@ MALFORMED_INPUTS = {
     # omega0 +- gamma rounds to omega0: no cell could resolve the Lorentzian
     "width-below-an-ulp": ("survival", "--omega0", "1e17", "--gamma", "1"),
     "omega0-at-the-float-limit": ("survival", "--omega0", "1e308", "--gamma", "1"),
+    # a time limit that is not finite is named, before any file is written
+    "infinite-t-end-global-survival": ("pw", "--amplitude", "global-survival", "--t-end", "inf"),
+    "infinite-t-end-potential": ("potential", "--t-end", "inf"),
 }
 
 
@@ -521,6 +524,18 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "spec.json"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("pw", "--amplitude", "global-survival", "--t-end", "inf"), "t_end"),
+    (("potential", "--t-end", "inf"), "t_end"),
+    (("survival", "--t-start", "nan", "--n-points", "1"), "t_start"),
+    (("reduced", "--t-start=-inf"), "t_start"),
+])
+def test_non_finite_time_limit_is_named(tmp_path, capsys, argv, name):
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extreme_parameters_end_without_a_signal(tmp_path):

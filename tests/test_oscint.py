@@ -18,6 +18,7 @@ from decaylab import (
     exponential_density,
     fourier_amplitude,
     generalized_dephasing_factor,
+    generalized_factor_series,
     global_survival,
     global_survival_series,
     half_line_mass,
@@ -26,9 +27,11 @@ from decaylab import (
     mass_integral,
     pw_sweep,
     restricted_amplitude,
+    restricted_amplitude_series,
     table_density,
 )
-from decaylab import build_initial_state, exp_potential, oscint
+from decaylab import build_initial_state, exp_potential, induced_map, oscint, ramp_potential
+from decaylab.expressions import parse_expression
 
 CFG = QuadratureConfig()
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
@@ -550,24 +553,22 @@ def test_point_failure_carries_its_time(monkeypatch):
 
 
 def test_series_failure_holds_the_raised_failures(monkeypatch):
+    # a series is one batch, not a loop over fourier_amplitude; each of its
+    # failures is the one its point raises alone: detail, estimate, bound, t
     d = replace(lorentzian_density(DephasingParams(1.0, 0.0)), cdf=None)
     _not_converged(monkeypatch)
     raised = []
-    point = oscint.fourier_amplitude
-
-    def recording(*args):
+    for t in (0.0, 1.0):
         try:
-            return point(*args)
+            fourier_amplitude(d, t, CFG)
         except QuadratureFailure as exc:
             raised.append(exc)
-            raise
-
-    monkeypatch.setattr(oscint, "fourier_amplitude", recording)
     with pytest.raises(SeriesFailure) as exc_info:
         amplitude_series(d, [0.0, 1.0], CFG)
     failures = exc_info.value.failures
     assert raised and len(failures) == len(raised)
-    assert all(got is want for got, want in zip(failures, raised))
+    fields = lambda f: (f.detail, f.estimate, f.error_bound, f.t)
+    assert [fields(got) for got in failures] == [fields(want) for want in raised]
     assert failures[0].t == 0.0
 
 
@@ -677,7 +678,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
                                      np.array([0.0]), np.array([h]))
     [(_, _, accepted)] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
     assert not accepted
-    got, _, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+    [(got, _, _)] = oscint._semi_infinite_osc(d.density, [t], 0.0, CFG)
 
     # reference: every cell through adaptive quad
     block_rule = oscint._qk21_cells
@@ -686,7 +687,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    want, _, _ = oscint._semi_infinite_osc(d.density, t, 0.0, CFG)
+    [(want, _, _)] = oscint._semi_infinite_osc(d.density, [t], 0.0, CFG)
     assert got == want  # accepted cells are quad's to the bit
 
 
@@ -704,8 +705,8 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(oscint, "_quad", counting)
-    got, got_err, _ = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
-                                                d.feature_points)
+    [(got, got_err, _)] = oscint._semi_infinite_osc(d.density, [t], x0, CFG, p.W, p.W_inverse,
+                                                    d.feature_points)
     # no cell, head or tail, needed adaptive quad
     assert quad_calls == []
 
@@ -715,9 +716,139 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    want, want_err, _ = oscint._semi_infinite_osc(d.density, t, x0, CFG, p.W, p.W_inverse,
-                                                  d.feature_points)
+    [(want, want_err, _)] = oscint._semi_infinite_osc(d.density, [t], x0, CFG, p.W,
+                                                      p.W_inverse, d.feature_points)
     # accepted cells are quad's to rounding, their error estimates to the
     # Kronrod-Gauss cancellation
     assert got == pytest.approx(want, rel=1e-15)
     assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
+def test_cell_value_does_not_depend_on_its_block():
+    # a series sums the cells of all its times in one block; each cell's
+    # value, error and verdict must be bit for bit those of the same cell in
+    # any other block, so that a series equals its pointwise values
+    d = lorentzian_density(DephasingParams(0.7, 0.4))
+    t = np.repeat([0.3, 2.0, 9.0], 5)
+    edges = -3.0 + np.concatenate(([0.0], np.cumsum(np.linspace(0.1, 1.7, 15))))
+    a, b = edges[:-1], edges[1:]
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = centre + half * oscint._GK21_NODES[:, None]
+    values = d.density(x) * np.exp(-1j * t * x)
+    tols = CFG.abs_tol / np.arange(1.0, 16.0)
+    whole = oscint._qk21_cells(values, half, tols, 1e-12)
+    for size in range(1, 10):
+        for start in range(0, 16 - size):
+            cut = slice(start, start + size)
+            part = oscint._qk21_cells(np.ascontiguousarray(values[:, cut]), half[cut],
+                                      tols[cut], 1e-12)
+            assert part == whole[cut], (size, start)
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _every_public_amplitude():
+    """(name, point call, series call or None) of every public amplitude."""
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    p, params = exp_potential(), DephasingParams(1.0, 0.3)
+    return [
+        ("fourier_amplitude", lambda t: fourier_amplitude(d, t, CFG),
+         lambda ts: amplitude_series(d, ts, CFG)),
+        ("global_survival", lambda t: global_survival((0.3, 0.7), d, t, CFG),
+         lambda ts: global_survival_series((0.3, 0.7), d, ts, CFG)),
+        ("halfline_amplitude+", lambda t: halfline_amplitude(d, "positive", t, CFG), None),
+        ("halfline_amplitude-", lambda t: halfline_amplitude(d, "negative", t, CFG), None),
+        ("restricted_amplitude", lambda t: restricted_amplitude(d, 0.0, math.inf, t, CFG),
+         lambda ts: restricted_amplitude_series(d, 0.0, math.inf, ts, CFG)),
+        ("finite_window", lambda t: restricted_amplitude(d, -1.0, 2.0, t, CFG), None),
+        ("table", lambda t: fourier_amplitude(table_density([0.0, 1.0], [1.0, 1.0]), t, CFG),
+         None),
+        ("generalized_dephasing_factor",
+         lambda t: generalized_dephasing_factor(p, params, t, CFG),
+         lambda ts: generalized_factor_series(p, params, ts, CFG)),
+    ]
+
+
+def _no_quadrature(monkeypatch):
+    """Make any quadrature an error: nothing may be integrated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran before the time grid was checked")
+
+    for name in ("_quad", "_qk21_cells", "_mass"):
+        monkeypatch.setattr(oscint, name, refuse)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_every_public_amplitude_rejects_a_non_finite_t(monkeypatch, bad):
+    cases = _every_public_amplitude()
+    _no_quadrature(monkeypatch)
+    for name, point, series in cases:
+        with pytest.raises(ValueError, match="t must be finite"):
+            point(bad)
+        if series is not None:
+            with pytest.raises(ValueError, match="t must be finite"):
+                series([0.0, 1.0, bad] if bad > 0 else [bad, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("grid,message", [
+    ([2.0, 1.0], "strictly increasing"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+    ([[0.0, 1.0], [2.0, 3.0]], "1-d"),
+])
+def test_series_grid_is_checked_before_any_quadrature(monkeypatch, grid, message):
+    cases = _every_public_amplitude()
+    _no_quadrature(monkeypatch)
+    for name, _, series in cases:
+        if series is not None:
+            with pytest.raises(ValueError, match=message):
+                series(grid)
+
+
+def _outcome(call):
+    """(value, None), or (the failure's estimate, the failure)."""
+    try:
+        return call(), None
+    except QuadratureFailure as exc:
+        return exc.estimate, exc
+
+
+def _assert_series_equals_points(series_call, point_call, grid):
+    points = [_outcome(lambda t=t: point_call(float(t))) for t in grid]
+    try:
+        series, failures = series_call(grid), ()
+    except SeriesFailure as exc:
+        series, failures = exc.series, exc.failures
+    want = np.array([complex(value) for value, _ in points])
+    # bit for bit, signed zeros included
+    assert np.array_equal(series.values.view(np.int64), want.view(np.int64))
+    fields = lambda f: (f.detail, f.estimate, f.error_bound, f.t)
+    assert [fields(f) for f in failures] == [fields(f) for _, f in points if f is not None]
+    return len(failures)
+
+
+# t = 0, negative t, and gamma*t over 1e-8..1e5 (gamma = 1); a monotone head
+# at t = 1e5 spans more half-periods than the cap and fails
+_MIXED_GRID = [-3.0, -0.5, -1e-3, 0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 100.0,
+               1e3, 1e5]
+
+
+@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(min_cells=3), TIGHT],
+                         ids=["default", "min_cells=3", "tight"])
+def test_series_equal_their_points_failures_included(cfg):
+    params = DephasingParams(1.0, 0.3)
+    d = lorentzian_density(params)
+    failed = _assert_series_equals_points(
+        lambda ts: amplitude_series(d, ts, cfg), lambda t: fourier_amplitude(d, t, cfg),
+        _MIXED_GRID)
+    failed += _assert_series_equals_points(
+        lambda ts: global_survival_series((0.3, 0.7), d, ts, cfg),
+        lambda t: global_survival((0.3, 0.7), d, t, cfg), _MIXED_GRID)
+    # the expression has no V', so its W' is the finite difference
+    for p in (ramp_potential(), exp_potential(),
+              induced_map(parse_expression("max(x,0)^3+max(x,0)"), label="cubic")):
+        state = build_initial_state(p, params)
+        failed += _assert_series_equals_points(
+            lambda ts: generalized_factor_series(p, params, ts, cfg, state),
+            lambda t: generalized_dephasing_factor(p, params, t, cfg, state), _MIXED_GRID)
+    assert failed >= 3  # at least every potential's head over the cap
