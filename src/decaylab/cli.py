@@ -327,8 +327,8 @@ def _pw_amplitude(cfg: dict, qcfg: QuadratureConfig):
         return amp, series
     if kind == "halfline-exp":
         rate = float(cfg["rate"])
-        if rate <= 0:
-            raise UsageError(f"rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise UsageError(f"rate must be finite and positive, got {rate}")
         amp = lambda t: rate / complex(rate, t)
         series = oscint.ComplexTimeSeries(grid, np.array([amp(t) for t in grid]))
         return amp, series

@@ -104,8 +104,11 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
     """(T, pw(T)) along an increasing sweep, computed incrementally."""
     cfg = cfg or QuadratureConfig()
     Ts = [float(T) for T in Ts]
-    if any(T <= 0 for T in Ts) or any(b <= a for a, b in zip(Ts, Ts[1:])):
-        raise ValueError("sweep values must be positive and strictly increasing")
+    for T in Ts:
+        if not 0 < T < math.inf:
+            raise ValueError(f"sweep values must be positive and finite, got {T}")
+    if any(b <= a for a, b in zip(Ts, Ts[1:])):
+        raise ValueError("sweep values must be strictly increasing")
     out = []
     if isinstance(amplitude, ComplexTimeSeries):
         for T in Ts:
@@ -177,7 +180,7 @@ def exponential_fit(series: ComplexTimeSeries, window: tuple[float, float]) -> E
     above zero certifies that the windowed data is not a single exponential.
     """
     t_min, t_max = window
-    if t_min >= t_max:
+    if not t_min < t_max:
         raise ValueError(f"empty window {window}")
     sel = (series.times >= t_min) & (series.times <= t_max)
     t = series.times[sel]

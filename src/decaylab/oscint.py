@@ -16,10 +16,11 @@ The monotone head is one block of half-period cells whose edges include
 its cuts.  _quad, the one call of scipy's quad, holds the one convergence
 rule.  Infinite pieces are integrated over half-periods of the kernel
 (cells of phase length pi), with Wynn epsilon acceleration of the
-alternating cell sums; the piece below the split point is reflected onto
-an upward one.  Each tail cell, and each head cell of a monotone phase,
-gets QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells
-eight per pass by default (min_cells + 2).
+alternating cell sums; every piece walks outward from its split point, the
+piece below it downward, and the two pieces of the full line are one
+batch.  Each tail cell, and each head cell of a monotone phase, gets
+QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells eight
+per pass by default (min_cells + 2).
 
 A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
@@ -42,8 +43,9 @@ masses integrated by adaptive quad.
 
 Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
-the failure, whose value is the best estimate.  Parts combine by one rule: values add with their conjugations
-and weights, all bounds add, and the first failed part's detail is kept.
+the failure, whose value is the best estimate.  Parts combine by one
+rule: values add with their weights, all bounds add, and the first failed
+part's detail is kept.
 A single-time function raises the one QuadratureFailure of its combined
 triple, carrying its t; a series raises one SeriesFailure holding each
 failed time's QuadratureFailure, the same one that time raises alone.
@@ -175,10 +177,13 @@ def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, complex_valued=False,
     """scipy's quad (QAWO for weight 'cos' or 'sin') as a (value, error,
     detail) triple under the engine's one convergence rule: it fails, "<what>
     did not converge", when QUADPACK did not converge (on either part of a
-    complex integrand) and its error exceeds cfg.target(value)."""
-    res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS, points=points,
-               complex_func=complex_valued, weight=weight, wvar=wvar, full_output=1)
-    val, err = res[0], res[1]
+    complex integrand) and its error exceeds cfg.target(value).  For a > b
+    the value is minus the integral over [b, a], in every mode (scipy's
+    complex_func ignores the order of its limits)."""
+    res = quad(f, min(a, b), max(a, b), epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS,
+               points=points, complex_func=complex_valued, weight=weight, wvar=wvar,
+               full_output=1)
+    val, err = (-res[0] if a > b else res[0]), res[1]
     # full_output appends a message unless QUADPACK converged, per part if complex
     converged = len(res) == 3
     if complex_valued:
@@ -382,22 +387,25 @@ def _wynn_estimate(row: list) -> complex:
 
 
 def _head_cuts(a, b, points):
-    """The cuts of a head [a, b]: the points inside (a, b) and a + 4^k s below
-    b, s the distance from a to the farthest point, in ascending order."""
-    cuts = {p for p in points if a < p < b}
+    """The cuts of a head from a to b, a range in either order: the points
+    strictly between a and b, and a +- 4^k s short of b, s the distance from
+    a to the farthest point, ordered from a."""
+    way = 1.0 if b > a else -1.0
+    cuts = {p for p in points if a < p < b or b < p < a}
     s = max([abs(p - a) for p in points], default=0.0)
-    while s and a + s < b:
-        cuts.add(a + s)
+    while s and way * (b - (a + way * s)) > 0:
+        cuts.add(a + way * s)
         s *= 4.0
-    return sorted(cuts)
+    return sorted(cuts, reverse=way < 0)
 
 
 def _linear_head(weight, t, a, b, cfg, points, what):
     """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
-    weights (QAWO), a cos and a sin solve per segment.  QAWO takes no
-    break-point hints but any number of oscillations, so the range is cut by
-    _head_cuts, lest one segment span many density scales.  Serves the linear
-    head and the finite window; returns a (value, error bound, detail) triple."""
+    weights (QAWO), a cos and a sin solve per segment, over a range in
+    either order.  QAWO takes no break-point hints but any number of
+    oscillations, so the range is cut by _head_cuts, lest one segment span
+    many density scales.  Serves the linear head and the finite window;
+    returns a (value, error bound, detail) triple."""
     head_tol = max(cfg.abs_tol / 8.0, 1e-15)
     cuts = [a] + _head_cuts(a, b, points) + [b]
     seg_tol = head_tol / (2 * (len(cuts) - 1))
@@ -412,41 +420,45 @@ def _linear_head(weight, t, a, b, cfg, points, what):
 
 def _semi_infinite_osc(
     weight: Callable[[float], float],
-    times: Sequence[float],
+    sums: Sequence[tuple[float, int]],
     x0: float,
     cfg: QuadratureConfig,
     phase: Callable[[float], float] | None = None,
     phase_inv: Callable[[float], float] | None = None,
     points: Sequence[float] = (),
-    tail_mass: Callable[[float], float] | None = None,
+    mass: Callable[[float, float], float] | None = None,
 ):
-    """int_{x0}^{inf} weight(x) exp(-i t phase(x)) dx at each t > 0 of times,
-    for an increasing phase: one (value, error bound, detail) triple per t.
+    """int_{x0}^{way*inf} weight(x) exp(-i t phase(x)) dx for each (t, way) of
+    sums, t > 0 and way = +1 or -1, for an increasing phase: one (value,
+    error bound, detail) triple per sum.
 
-    The density bulk is integrated as a single head piece; only the clean
-    alternating tail beyond it feeds the epsilon table, so a far-off peak
-    cannot poison the extrapolation.  One head rule serves both phases: the
-    head reaches from u0 = phase(x0) as far as the farthest feature point's
-    phase on either side, rounded up to whole half-periods, and is cut by
-    _head_cuts in u.  The linear head is one _linear_head call per t; the
-    monotone head is one block of at most _MAX_HEAD_CELLS half-period cells
-    plus its cuts as further cell edges, mapped to x by phase_inv, with the
-    head tolerance split over its cells.
+    A sum walks away from x0 in signed half-periods h = way*pi/t: its cells
+    end at pin(u0 + (k+1)h), u0 = phase(x0), so a downward sum is minus the
+    integral until its triple is negated, once, when it stops.  The density
+    bulk is integrated as a single head piece; only the clean alternating
+    tail beyond it feeds the epsilon table, so a far-off peak cannot poison
+    the extrapolation.  One head rule serves both phases: the head reaches
+    from u0 as far as the farthest feature point's phase on either side,
+    rounded up to whole half-periods, and is cut by _head_cuts in u.  The
+    linear head is one _linear_head call per sum; the monotone head is one
+    block of at most _MAX_HEAD_CELLS half-period cells plus its cuts as
+    further cell edges, mapped to x by phase_inv, with the head tolerance
+    split over its cells.
 
-    Each t's sum is a scalar loop (cell_sum) that asks for its cells a
-    block at a time: the monotone head, then min_cells + _STABLE_STEPS tail
-    cells per pass.  A pass gathers the blocks of every sum still running
-    into evaluations of at most _BLOCK_CELLS cells (a larger block alone):
+    Each sum is a scalar loop (cell_sum) that asks for its cells a block at
+    a time: the monotone head, then min_cells + _STABLE_STEPS tail cells per
+    pass.  A pass gathers the blocks of every sum still running into
+    evaluations of at most _BLOCK_CELLS cells (a larger block alone):
     weight and phase each take all their nodes as one float64 array
     (SpectralDensity's array contract), and one _qk21_cells call rules on
-    all their cells, whose values do not depend on the block, so each t
+    all their cells, whose values do not depend on the block, so each sum
     gets the bits it would get alone.  Each sum then runs its Wynn update
     and stop rules over its own cells in order; only first-pass misses
     reach adaptive quad, which calls weight and phase on floats.  A head or
     cell that did not converge (_quad's rule), a monotone head over the
     cap, or a tail sum not stable within cfg.max_cells cells leaves by the
-    one failure exit: the best estimate, its bound plus the tail mass
-    beyond the last cell summed.  A sum that stops with a bound above
+    one failure exit: the best estimate, its bound plus mass(lo, hi), the
+    mass beyond the last cell summed.  A sum that stops with a bound above
     cfg.target(value) fails, naming its bound.
     """
     identity = lambda u: u
@@ -454,7 +466,7 @@ def _semi_infinite_osc(
     # the phase of the split point and of the feature points, one array call
     u0, *upoints = ph(np.array([x0, *points], dtype=float)).tolist()
     # the head reaches as far from u0 as the farthest feature point's phase
-    u_clear = u0 + max([abs(u - u0) for u in upoints], default=0.0)
+    reach = max([abs(u - u0) for u in upoints], default=0.0)
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
 
     def settled(value, bound):
@@ -463,12 +475,12 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
-    def cell_sum(t):
-        """The sum at t as a generator: it yields each block of cells it
-        needs as (a, us, tol), the cells from a whose j-th ends at pin(us[j]),
-        is sent back the block's (end, (value, error, accepted)) per cell, and
-        returns its triple."""
-        h = math.pi / t
+    def cell_sum(t, way):
+        """The sum at (t, way) as a generator: it yields each block of cells
+        it needs as (a, us, tol), the cells from a whose j-th ends at
+        pin(us[j]), is sent back the block's (end, (value, error, accepted))
+        per cell, and returns its triple."""
+        h = way * math.pi / t
 
         def f(x):
             return weight(x) * cmath.exp(-1j * t * ph(x))
@@ -486,6 +498,7 @@ def _semi_infinite_osc(
 
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
         a, u_start = x0, u0
+        u_clear = u0 + way * reach
         k_clear = int(math.ceil((u_clear - u0) / h))
         if phase is not None and k_clear > _MAX_HEAD_CELLS:
             detail = f"head region spans {k_clear} oscillations"
@@ -498,9 +511,9 @@ def _semi_infinite_osc(
             else:
                 # one block of half-periods and head cuts, summed plainly (the
                 # head stays out of the epsilon table, which only extrapolates
-                # the tail); a ends at the last edge, pin(u_start)
+                # the tail), ordered from u0; a ends at the last edge, pin(u_start)
                 us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
-                            | set(_head_cuts(u0, u_start, upoints)))
+                            | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
                 head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
                 for a, val, err, cell_detail in cells(x0, head_tol, (yield x0, us, head_tol)):
                     partial += val
@@ -546,9 +559,9 @@ def _semi_infinite_osc(
                 k += 1
         best = est_prev if est_prev is not None else partial
         bound = quad_err + abs(best - partial)
-        if tail_mass is not None:
+        if mass is not None:
             try:
-                bound += abs(tail_mass(a))
+                bound += abs(mass(*sorted((a, way * math.inf))))
             except Exception:
                 bound = math.inf
         return best, bound, (detail or
@@ -573,22 +586,23 @@ def _semi_infinite_osc(
             start += n
         return blocks
 
-    sums = [cell_sum(t) for t in times]
-    results = [None] * len(sums)
+    walks = [cell_sum(t, way) for t, way in sums]
+    results = [None] * len(walks)
     requests = {}  # sum index -> its pending (a, us, tol)
 
     def advance(i, block):
         try:
-            requests[i] = sums[i].send(block)
+            requests[i] = walks[i].send(block)
         except StopIteration as stop:
             requests.pop(i, None)
-            results[i] = stop.value
+            value, bound, detail = stop.value
+            results[i] = (-value if sums[i][1] < 0 else value), bound, detail
 
     def run(group):
-        for i, block in zip(group, rule([(times[i], *requests[i]) for i in group])):
+        for i, block in zip(group, rule([(sums[i][0], *requests[i]) for i in group])):
             advance(i, block)
 
-    for i in range(len(sums)):
+    for i in range(len(walks)):
         advance(i, None)
     while requests:
         # one pass: the next block of every running sum, in evaluations of at
@@ -662,12 +676,11 @@ def restricted_amplitude(
     omitted, the phase is the identity (the plain Fourier transform, exact
     for tables and by QUADPACK weights on finite windows).  t must be
     finite; t = 0 is the mass integral and t < 0 the conjugate of the
-    transform at -t.  Infinite ranges are summed in half-period cells from
-    a split point (the finite end, or d.center on the full line); the piece
-    below it is integrated reflected, x -> -x, and conjugated.  When a piece
-    fails, the one QuadratureFailure raised carries the sum of both pieces'
-    estimates, with the same conjugations, under the sum of their error
-    bounds.
+    transform at -t.  Infinite ranges are summed in half-period cells
+    walking outward from a split point (the finite end, or d.center on the
+    full line, both ways in one batch).  When a piece fails, the one
+    QuadratureFailure raised carries the sum of both pieces' estimates
+    under the sum of their error bounds.
     """
     return _point(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), t)
 
@@ -688,8 +701,9 @@ def restricted_amplitude_series(
 
 def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
     """restricted_amplitude at each t of times (a float array) as a list of
-    (value, error bound, detail) triples.  The half-line sums of every t != 0
-    on an infinite range run as one batch at |t|."""
+    (value, error bound, detail) triples.  On an infinite range the
+    half-line sums of every t != 0, at |t| and in both directions on the
+    full line, run as one batch."""
     times = times.tolist()
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
@@ -709,36 +723,21 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
                                       "finite-window oscillatory integral")
         else:
             moving.append(i)
-    loose = QuadratureConfig(1e-6, 1e-6)
-    speeds = [abs(times[i]) for i in moving]
-
-    def half(x0, lower):
-        """The triples of the piece above x0, or below it when lower."""
-        weight, ph, inv, pts = d.density, phase, phase_inv, d.feature_points
-        tail_mass = lambda x: mass_integral(d, x, math.inf, loose)
-        if lower:
-            # int_{-inf}^{x0} w(x) e^{-it phase(x)} dx
-            #   = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy),  r(y) = -phase(-y)
-            weight = lambda y: d.density(-y)
-            if phase is not None:
-                ph = lambda y: -phase(-y)
-                inv = lambda u: -phase_inv(-u)
-            pts = tuple(-p for p in d.feature_points)
-            tail_mass = lambda y: mass_integral(d, -math.inf, -y, loose)
-            x0 = -x0
-        return [(complex(val).conjugate() if lower else complex(val), err, detail)
-                for val, err, detail in
-                _semi_infinite_osc(weight, speeds, x0, cfg, ph, inv, pts, tail_mass)]
-
     if moving:
+        # a half-line walks away from its finite end, the full line both ways
+        # from the centre, in one batch; a line's pieces combine lower first
         if math.isfinite(lo):
-            halves = half(lo, False)
+            x0, ways = lo, (1,)
         elif math.isfinite(hi):
-            halves = half(hi, True)
+            x0, ways = hi, (-1,)
         else:
-            halves = [_combine(pair) for pair in zip(half(d.center, True), half(d.center, False))]
-        for i, triple in zip(moving, halves):
-            triples[i] = triple
+            x0, ways = d.center, (-1, 1)
+        loose = QuadratureConfig(1e-6, 1e-6)
+        sums = [(abs(times[i]), way) for way in ways for i in moving]
+        pieces = _semi_infinite_osc(d.density, sums, x0, cfg, phase, phase_inv, d.feature_points,
+                                    lambda a, b: mass_integral(d, a, b, loose))
+        for j, i in enumerate(moving):
+            triples[i] = _combine(pieces[j::len(moving)])
     return [(value.conjugate(), bound, detail) if t < 0 else (value, bound, detail)
             for t, (value, bound, detail) in zip(times, triples)]
 
@@ -805,7 +804,7 @@ def _global_survivals(chi_weights, d, times, cfg):
     """global_survival at each t of times as (value, error bound, detail)
     triples."""
     w0, w1 = chi_weights
-    if w0 < 0 or w1 < 0 or abs(w0 + w1 - 1.0) > 1e-12:
+    if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-12):
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
     sides = [[(w * value, w * bound, detail)
               for value, bound, detail in _halfline_amplitudes(d, side, times, cfg)]

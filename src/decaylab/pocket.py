@@ -13,6 +13,7 @@ quadratic form of H is evaluated on a symmetric graded grid.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class QubitState:
     rho01: complex
 
     def __post_init__(self):
+        for name, value in (("rho00", self.rho00), ("rho11", self.rho11), ("rho01", self.rho01)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.rho00 < 0 or self.rho11 < 0:
             raise ValueError(f"populations must be non-negative: {self.rho00}, {self.rho11}")
         if abs(self.rho00 + self.rho11 - 1.0) > _TOL:

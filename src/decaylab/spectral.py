@@ -123,8 +123,8 @@ def lorentzian_density(params: DephasingParams) -> SpectralDensity:
 
 def exponential_density(rate: float = 1.0) -> SpectralDensity:
     """Half-line density rate * exp(-rate * E) on [0, inf), cdf 1 - exp(-rate E)."""
-    if not (rate > 0):
-        raise ValueError(f"rate must be strictly positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and strictly positive, got {rate}")
 
     def dens(e):
         if isinstance(e, np.ndarray):

@@ -510,6 +510,13 @@ MALFORMED_INPUTS = {
     # a time limit that is not finite is named, before any file is written
     "infinite-t-end-global-survival": ("pw", "--amplitude", "global-survival", "--t-end", "inf"),
     "infinite-t-end-potential": ("potential", "--t-end", "inf"),
+    # a parameter that is not finite is named, before any file is written
+    "rho00-nan": ("reduced", "--rho00", "nan"),
+    "w0-nan": ("pw", "--amplitude", "global-survival", "--w0", "nan"),
+    "rate-nan": ("pw", "--amplitude", "halfline-exp", "--rate", "nan"),
+    "T-values-nan": ("pw", "--T-values", "10,31.6,100,316,nan"),
+    "infinite-exponential-rate": ("survival", "--density",
+                                  '{"kind": "exponential", "rate": "inf"}'),
 }
 
 
@@ -535,6 +542,22 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
 def test_non_finite_time_limit_is_named(tmp_path, capsys, argv, name):
     assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("reduced", "--rho00", "nan"), "rho00 must be finite, got nan"),
+    (("gkls-compare", "--rho00", "inf"), "rho00 must be finite, got inf"),
+    (("pw", "--amplitude", "global-survival", "--w0", "nan"), "got (nan, nan)"),
+    (("pw", "--amplitude", "halfline-exp", "--rate", "nan"), "rate must be finite and positive"),
+    (("pw", "--amplitude", "halfline-exp", "--rate", "inf"), "rate must be finite and positive"),
+    (("pw", "--T-values", "10,31.6,100,316,inf"), "positive and finite, got inf"),
+    # the window's comparison once let nan through: "need at least 8 samples"
+    (("pw", "--fit-window", "nan,10"), "empty window (nan, 10.0)"),
+])
+def test_non_finite_parameter_is_named(tmp_path, capsys, argv, named):
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -65,6 +65,22 @@ def test_pw_requires_positive_T():
         paley_wiener_integral(exp_amp(1.0), 0.0, CFG)
 
 
+@pytest.mark.parametrize("Ts,bad", [
+    ([-1.0, 10.0], "-1.0"),
+    ([math.nan], "nan"),
+    ([1.0, math.inf], "inf"),
+    ([10.0, 31.6, 100.0, 316.0, math.nan], "nan"),
+])
+def test_pw_sweep_rejects_non_positive_or_non_finite_T(Ts, bad):
+    # before any quadrature or fit: a NaN once reached np.polyfit (LAPACK
+    # errors, "SVD did not converge"), an inf scipy's break points
+    with pytest.raises(ValueError, match=f"positive and finite, got {bad}$"):
+        pw_sweep(exp_amp(1.0), Ts, CFG)
+    if len(Ts) >= 4:
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad}$"):
+            fit_pw_growth(exp_amp(1.0), Ts, CFG)
+
+
 def test_pw_series_segments_match_quadrature():
     # -ln|a| is piecewise linear for the exponential, so the segment formula
     # is exact and must agree with the adaptive-quadrature route

@@ -227,6 +227,17 @@ def test_global_survival_basics():
         global_survival((-0.2, 1.2), d, 1.0, CFG)
 
 
+@pytest.mark.parametrize("weights", [(0.6, 0.6), (-0.2, 1.2), (math.nan, math.nan),
+                                     (1.0, math.nan), (math.inf, -math.inf), (math.inf, 0.0)])
+def test_global_survival_rejects_bad_spin_weights(weights):
+    d = lorentzian_density(DephasingParams(1.0, 0.0))
+    for call in (lambda: global_survival(weights, d, 1.0, CFG),
+                 lambda: global_survival_series(weights, d, [0.0, 1.0], CFG)):
+        with pytest.raises(ValueError, match="spin weights") as exc_info:
+            call()
+        assert str(weights) in str(exc_info.value)
+
+
 def test_global_survival_longtime_value():
     # |a(200)| frozen from the mpmath half-line transform: 0.50001013607375594
     d = lorentzian_density(DephasingParams(1.0, 0.0))
@@ -678,7 +689,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
                                      np.array([0.0]), np.array([h]))
     [(_, _, accepted)] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
     assert not accepted
-    [(got, _, _)] = oscint._semi_infinite_osc(d.density, [t], 0.0, CFG)
+    [(got, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
 
     # reference: every cell through adaptive quad
     block_rule = oscint._qk21_cells
@@ -687,7 +698,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    [(want, _, _)] = oscint._semi_infinite_osc(d.density, [t], 0.0, CFG)
+    [(want, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
     assert got == want  # accepted cells are quad's to the bit
 
 
@@ -705,8 +716,8 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(oscint, "_quad", counting)
-    [(got, got_err, _)] = oscint._semi_infinite_osc(d.density, [t], x0, CFG, p.W, p.W_inverse,
-                                                    d.feature_points)
+    [(got, got_err, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
+                                                    p.W_inverse, d.feature_points)
     # no cell, head or tail, needed adaptive quad
     assert quad_calls == []
 
@@ -716,12 +727,123 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return [(val, err, False) for val, err, _ in block_rule(*args)]
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    [(want, want_err, _)] = oscint._semi_infinite_osc(d.density, [t], x0, CFG, p.W,
+    [(want, want_err, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
                                                       p.W_inverse, d.feature_points)
     # accepted cells are quad's to rounding, their error estimates to the
     # Kronrod-Gauss cancellation
     assert got == pytest.approx(want, rel=1e-15)
     assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", [{}, {"complex_valued": True}, {"weight": "cos", "wvar": 5.0}],
+                         ids=["real", "complex", "qawo"])
+def test_quad_over_a_reversed_range_is_minus_the_ascending_one(mode):
+    # scipy's quad(complex_func=True) ignores the order of its limits; _quad
+    # owns it, so a downward cell's adaptive fallback gets its sign
+    f = lambda x: math.exp(-x) * math.cos(5.0 * x) + (1j if mode.get("complex_valued") else 0.0)
+    up = oscint._quad(f, 0.0, 3.0, 1e-12, 1e-12, CFG, "test", **mode)
+    down = oscint._quad(f, 3.0, 0.0, 1e-12, 1e-12, CFG, "test", **mode)
+    assert down == (-up[0], up[1], up[2])
+
+
+def _mirrored(d, phase=None, phase_inv=None):
+    """d reflected, y = -x: the density d(-y) with its points negated, and
+    the phase -phase(-y) with its inverse -phase_inv(-u)."""
+    mirror = replace(d, density=lambda y: d.density(-y), center=-d.center,
+                     cdf=lambda y: 1.0 - d.cdf(-y),
+                     feature_points=tuple(-p for p in d.feature_points))
+    if phase is None:
+        return mirror, {}
+    return mirror, dict(phase=lambda y: -phase(-y), phase_inv=lambda u: -phase_inv(-u))
+
+
+_REFLECTION_TIMES = [-2.0, 0.05, 0.3, 1.0, 3.0, 10.0, 40.0]
+
+
+def test_lower_half_line_equals_the_conjugated_mirror_image():
+    # int_{-inf}^{x0} w(x) e^{-it W(x)} dx = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy)
+    # with r(y) = -W(-y): the reflection the lower piece was summed by.  Each
+    # downward cell's nodes are the negated nodes of its mirror cell, so a
+    # monotone phase matches bit for bit; a linear head's QAWO segments
+    # run over reversed ranges, which differ in the last bits
+    params = DephasingParams(1.0, 0.3)
+    p = exp_potential()
+    d = build_initial_state(p, params).density
+    mirror, mirrored_phase = _mirrored(d, p.W, p.W_inverse)
+    for cfg in (CFG, TIGHT):
+        for x0 in (d.center, 1.2, -0.7):
+            got = restricted_amplitude_series(d, -math.inf, x0, _REFLECTION_TIMES, cfg,
+                                              phase=p.W, phase_inv=p.W_inverse)
+            want = restricted_amplitude_series(mirror, -x0, math.inf, _REFLECTION_TIMES, cfg,
+                                               **mirrored_phase)
+            assert np.array_equal(got.values, want.values.conj()), (cfg, x0)
+
+    d = lorentzian_density(params)
+    mirror, _ = _mirrored(d)
+    for cfg in (CFG, TIGHT):
+        for x0 in (d.center, 2.5, -4.0):
+            got = restricted_amplitude_series(d, -math.inf, x0, _REFLECTION_TIMES, cfg)
+            want = restricted_amplitude_series(mirror, -x0, math.inf, _REFLECTION_TIMES, cfg)
+            assert np.max(np.abs(got.values - want.values.conj())) <= 2 * cfg.abs_tol, (cfg, x0)
+
+
+def test_downward_cell_falls_back_to_adaptive_quad(monkeypatch):
+    # a block of the lower piece's tail cells rejected by the block rule
+    # goes to adaptive quad over reversed limits; the lower piece,
+    # f(t) minus the frozen upper half-line, stays within its tolerance
+    gamma, omega0, t = 2.0, 1.0, 3.0
+    d = lorentzian_density(DephasingParams(gamma, omega0))
+    want = lorentz_exact(gamma, omega0, t) - HALFLINE_REFS[(gamma, omega0, t)]
+    block_rule, adaptive = oscint._qk21_cells, oscint._quad
+    reversed_calls = []
+
+    def reject_one_block(*args):
+        cells = block_rule(*args)
+        if not reversed_calls:
+            cells = [(val, err, False) for val, err, _ in cells]
+        return cells
+
+    def counting(f, a, b, *args, **kwargs):
+        if kwargs.get("complex_valued") and a > b:
+            reversed_calls.append((a, b))
+        return adaptive(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(oscint, "_qk21_cells", reject_one_block)
+    monkeypatch.setattr(oscint, "_quad", counting)
+    got = restricted_amplitude(d, -math.inf, 0.0, t, TIGHT)
+    assert len(reversed_calls) == TIGHT.min_cells + oscint._STABLE_STEPS
+    assert abs(got - want) <= 2 * TIGHT.abs_tol
+
+
+@pytest.mark.parametrize("a,b,points", [
+    (0.3, -50.0, (-1.0, 0.1, 2.0, -7.0)),
+    (0.0, -1.0, (0.5,)),
+    (-2.0, -2.5, (-2.2, 3.0)),
+    (1.0, -1e6, ()),
+    (5.0, 4.0, (4.0, 5.0, 6.0)),
+])
+def test_head_cuts_downward_are_the_negated_upward_cuts(a, b, points):
+    down = oscint._head_cuts(a, b, points)
+    assert down == [-c for c in oscint._head_cuts(-a, -b, [-p for p in points])]
+    assert down == sorted(down, reverse=True)  # ordered from a
+    assert all(b < c < a for c in down)
+
+
+def test_a_full_line_grid_is_one_engine_call(monkeypatch):
+    # both halves of every time point in one batch
+    engine, calls = oscint._semi_infinite_osc, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(oscint, "_semi_infinite_osc", counting)
+    params = DephasingParams(1.0, 0.3)
+    amplitude_series(lorentzian_density(params), [-1.0, 0.0, 0.5, 2.0], CFG)
+    assert calls == [[(1.0, -1), (0.5, -1), (2.0, -1), (1.0, 1), (0.5, 1), (2.0, 1)]]
+    calls.clear()
+    generalized_factor_series(exp_potential(), params, [0.5, 2.0], CFG)
+    assert len(calls) == 1
 
 
 def test_cell_value_does_not_depend_on_its_block():

@@ -39,6 +39,18 @@ def test_qubit_state_validation():
     assert np.allclose(s.as_matrix(), [[0.25, 0.1 + 0.2j], [0.1 - 0.2j, 0.75]])
 
 
+@pytest.mark.parametrize("rho00,rho11,rho01,name", [
+    (math.nan, math.nan, 0.0, "rho00"),
+    (0.5, math.nan, 0.0, "rho11"),
+    (math.inf, -math.inf, 0.0, "rho00"),
+    (0.5, 0.5, complex(math.nan, 0.0), "rho01"),
+    (0.5, 0.5, complex(0.0, -math.inf), "rho01"),
+])
+def test_qubit_state_rejects_non_finite_entries(rho00, rho11, rho01, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got"):
+        QubitState(rho00, rho11, rho01)
+
+
 def test_dephasing_factor_values():
     assert dephasing_factor(model(), 0.0, CFG) == pytest.approx(1.0, abs=1e-9)
     assert dephasing_factor(model(), 2.0, CFG) == pytest.approx(math.exp(-1.0), abs=1e-9)

@@ -176,6 +176,13 @@ def test_exponential_density_basics():
     assert half_line_mass(d, "positive", CFG) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_exponential_rate_must_be_finite_and_positive(rate):
+    # an infinite rate once gave nan amplitudes, the t = 0 mass without a failure
+    with pytest.raises(ValueError, match=f"rate must be finite and strictly positive, got {rate}"):
+        exponential_density(rate)
+
+
 def test_table_density_validation():
     with pytest.raises(ValueError):
         table_density([0.0, 0.0, 1.0], [0.1, 0.2, 0.1])  # not strictly increasing
