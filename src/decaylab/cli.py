@@ -387,8 +387,12 @@ def cmd_pw(cfg: dict) -> int:
 def cmd_potential(cfg: dict) -> int:
     params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
     qcfg = _quad_config(cfg)
-    # a bad grid is a usage error before any file is written
+    # a bad grid is a usage error before any file is written, and so is one
+    # too short for the exponential fit of the factor
     grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
+    if grid.size < diagnostics.MIN_FIT_SAMPLES:
+        raise UsageError(f"n_points must be >= {diagnostics.MIN_FIT_SAMPLES} for the factor's "
+                         f"exponential fit, got {cfg['n_points']}")
     pot = _load_potential_spec(cfg["potential"], bool(cfg["fd_derivative"]))
     echo = _echo(cfg, "potential")
     echo["potential_label"] = pot.label

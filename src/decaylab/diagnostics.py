@@ -30,6 +30,8 @@ from .oscint import ComplexTimeSeries, QuadratureConfig, _checked, _quad
 # (half-line exponential to T=1000; quadrature global amplitude to T=200).
 DIVERGENT_RESIDUAL = 1e-3
 BOUNDED_SLOPE_RATIO = 0.5
+# the fewest samples exponential_fit accepts
+MIN_FIT_SAMPLES = 8
 
 _LOG_FLOOR = 1e-300
 
@@ -187,9 +189,10 @@ def exponential_fit(series: ComplexTimeSeries, window: tuple[float, float]) -> E
     v = np.abs(series.values[sel])
     keep = v > 1e-14
     t, v = t[keep], v[keep]
-    if t.size < 8:
+    if t.size < MIN_FIT_SAMPLES:
         raise ValueError(
-            f"need at least 8 samples with |value| > 1e-14 in the window, got {t.size}"
+            f"need at least {MIN_FIT_SAMPLES} samples with |value| > 1e-14 in the window, "
+            f"got {t.size}"
         )
     logv = np.log(v)
     slope, intercept = np.polyfit(t, logv, 1)

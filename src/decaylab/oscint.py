@@ -13,14 +13,14 @@ beyond.  One QAWO routine, _linear_head (QUADPACK's oscillatory weights),
 integrates every finite interval of the linear phase between those cuts:
 a finite window, and the linear head however many oscillations it spans.
 The monotone head is one block of half-period cells whose edges include
-its cuts.  _quad, the one call of scipy's quad, holds the one convergence
-rule.  Infinite pieces are integrated over half-periods of the kernel
-(cells of phase length pi), with Wynn epsilon acceleration of the
-alternating cell sums; every piece walks outward from its split point, the
-piece below it downward, and the two pieces of the full line are one
-batch.  Each tail cell, and each head cell of a monotone phase, gets
-QUADPACK's 21-point Gauss-Kronrod rule (dqk21) in numpy, tail cells eight
-per pass by default (min_cells + 2).
+its cuts.  _judged holds the one convergence rule, of quad and the cells.
+Infinite pieces are integrated over half-periods of the kernel (cells of
+phase length pi), with Wynn epsilon acceleration of the alternating cell
+sums; every piece walks outward from its split point, the piece below it
+downward, and the two pieces of the full line are one batch.  Each tail
+cell, and each head cell of a monotone phase, gets QUADPACK's 21-point
+Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass by default
+(min_cells + 2).
 
 A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
@@ -29,13 +29,12 @@ density and the phase each take their nodes as one float64 array, and one
 rule call sums them.  The rule sums each cell in a fixed order, so a
 cell's bits do not depend on its block, and a series is bit-identical to
 its pointwise values.  Each t keeps its own QAWO head, Wynn table and stop
-rules, run in order over its own cells; adaptive quad, which calls the
-density and phase on floats, runs only on first-pass misses, the cells
-where QUADPACK's own first-pass test (dqagse's) fails.  A cell's value
-agrees with quad's to rounding.  This gives uniform accuracy in t without
-Filon-type weight tables; heavy algebraic tails converge through the
-acceleration instead of an (infeasibly large) explicit cutoff, and the
-analytic tail mass only enters the error bound of a failure.
+rules, run in order over its own cells.  A cell that misses QUADPACK's
+first-pass test (dqagse's) is bisected in the passes that follow until its
+parts meet dqagse's test; others agree with quad to rounding.  This gives
+uniform accuracy in t without Filon-type weight tables; heavy algebraic
+tails converge through the acceleration instead of an (infeasibly large)
+explicit cutoff, and the analytic tail mass only enters a failure's bound.
 
 A mass is exact when the density has a cdf (the difference of two of its
 values) or a table (the trapezoid); only a density without either has its
@@ -86,14 +85,14 @@ _BLOCK_CELLS = 256
 class QuadratureConfig:
     """Tolerances and the cell budget of every integral.
 
-    abs_tol and rel_tol are the target accuracy.  max_cells caps the number
-    of half-period cells in an infinite piece's tail; min_cells delays the
-    convergence checks until the sum has seen a few oscillations.
+    abs_tol and rel_tol, positive and finite, are the target accuracy.
+    max_cells caps the half-period cells of an infinite piece's tail;
+    min_cells delays the convergence checks a few oscillations.
 
-    Fixed, not settable: every adaptive QUADPACK call gets at most
-    _MAX_SUBDIVISIONS (200) subintervals; a tail sum stops as truncated after
-    two consecutive cells below _NEGLIGIBLE_FACTOR (0.02) * abs_tol, and as
-    converged after _STABLE_STEPS (2) consecutive Wynn-stable estimates.
+    Fixed, not settable: an adaptive QUADPACK call and a refined cell get at
+    most _MAX_SUBDIVISIONS (200) subintervals; a tail sum stops as truncated
+    after two consecutive cells below _NEGLIGIBLE_FACTOR (0.02) * abs_tol,
+    and as converged after _STABLE_STEPS (2) consecutive Wynn-stable estimates.
     """
 
     abs_tol: float = 1e-9
@@ -102,8 +101,9 @@ class QuadratureConfig:
     min_cells: int = 6
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+            if not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {tol}")
         if self.max_cells < self.min_cells or self.min_cells < 1:
             raise ValueError("need max_cells >= min_cells >= 1")
 
@@ -172,25 +172,19 @@ class ComplexTimeSeries:
 # scalar quadrature helpers
 
 
-def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, complex_valued=False,
-          weight=None, wvar=None):
-    """scipy's quad (QAWO for weight 'cos' or 'sin') as a (value, error,
-    detail) triple under the engine's one convergence rule: it fails, "<what>
-    did not converge", when QUADPACK did not converge (on either part of a
-    complex integrand) and its error exceeds cfg.target(value).  For a > b
-    the value is minus the integral over [b, a], in every mode (scipy's
-    complex_func ignores the order of its limits)."""
-    res = quad(f, min(a, b), max(a, b), epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS,
-               points=points, complex_func=complex_valued, weight=weight, wvar=wvar,
-               full_output=1)
-    val, err = (-res[0] if a > b else res[0]), res[1]
-    # full_output appends a message unless QUADPACK converged, per part if complex
-    converged = len(res) == 3
-    if complex_valued:
-        err = abs(err.real) + abs(err.imag)
-        converged = converged and all(len(part) == 1 for part in res[2].values())
-    failed = not converged and err > cfg.target(val)
-    return val, float(err), (f"{what} did not converge" if failed else None)
+def _judged(value, error, converged, cfg, what):
+    """(value, error, detail) under the one convergence rule: "<what> did not
+    converge" when it did not and its error exceeds cfg.target(value)."""
+    failed = not converged and error > cfg.target(value)
+    return value, float(error), (f"{what} did not converge" if failed else None)
+
+
+def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, weight=None, wvar=None):
+    """scipy's quad (QAWO for weight 'cos' or 'sin'), over a range in either
+    order, as a _judged triple: converged when full_output adds no message."""
+    res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS, points=points,
+               weight=weight, wvar=wvar, full_output=1)
+    return _judged(res[0], res[1], len(res) == 3, cfg, what)
 
 
 def _checked(t, value, bound, detail):
@@ -445,21 +439,21 @@ def _semi_infinite_osc(
     further cell edges, mapped to x by phase_inv, with the head tolerance
     split over its cells.
 
-    Each sum is a scalar loop (cell_sum) that asks for its cells a block at
-    a time: the monotone head, then min_cells + _STABLE_STEPS tail cells per
-    pass.  A pass gathers the blocks of every sum still running into
-    evaluations of at most _BLOCK_CELLS cells (a larger block alone):
+    Each sum is a scalar loop (cell_sum) that asks for its cells, as
+    x-intervals, a block at a time: the monotone head, then min_cells +
+    _STABLE_STEPS tail cells per pass, and the halves of a block's first-pass
+    misses in the passes between (ruled).  A pass gathers the requests of
+    every sum still running into evaluations of at most _BLOCK_CELLS cells:
     weight and phase each take all their nodes as one float64 array
     (SpectralDensity's array contract), and one _qk21_cells call rules on
     all their cells, whose values do not depend on the block, so each sum
     gets the bits it would get alone.  Each sum then runs its Wynn update
-    and stop rules over its own cells in order; only first-pass misses
-    reach adaptive quad, which calls weight and phase on floats.  A head or
-    cell that did not converge (_quad's rule), a monotone head over the
-    cap, or a tail sum not stable within cfg.max_cells cells leaves by the
-    one failure exit: the best estimate, its bound plus mass(lo, hi), the
-    mass beyond the last cell summed.  A sum that stops with a bound above
-    cfg.target(value) fails, naming its bound.
+    and stop rules over its own cells in order.  A head or cell that did not
+    converge (_judged's rule), a monotone head over the cap, or a tail sum
+    not stable within cfg.max_cells cells leaves by the one failure exit:
+    the best estimate, its bound plus mass(lo, hi), the mass beyond the last
+    cell summed.  A sum that stops with a bound above cfg.target(value)
+    fails, naming its bound.
     """
     identity = lambda u: u
     ph, pin = phase or identity, phase_inv or identity
@@ -475,27 +469,40 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
+    def ruled(edges, tol):
+        """The cells between consecutive edges as (end, (value, error, detail))
+        by a generator of requests (lo, hi, tol) to rule.  A first-pass miss
+        is refined breadth first: each pass bisects its parts whose errors
+        exceed their length share of tol, the largest first, until their summed
+        error meets max(tol, 1e-12 |value|) (dqagse's test) or _MAX_SUBDIVISIONS."""
+        lo, hi = edges[:-1], edges[1:]
+        cells = yield lo, hi, tol
+        # each missed cell's parts (a, b, value, error), in order from its start
+        parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
+
+        def total(ps):
+            value, error = sum((p[2] for p in ps[1:]), ps[0][2]), sum(p[3] for p in ps)
+            return value, error, error <= max(tol, 1e-12 * abs(value))
+
+        def to_bisect(j, ps):
+            above = [p for p in ps if p[3] > tol * (p[1] - p[0]) / (hi[j] - lo[j])]
+            return sorted(above, key=lambda p: -p[3])[:_MAX_SUBDIVISIONS - len(ps)]
+
+        while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
+                        if not total(ps)[2] for p in to_bisect(j, ps)]:
+            halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
+                                 [e for _, p, m in split for e in (m, p[1])], tol))
+            halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
+                      for j, p, m in split}
+            parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
+                     for j, ps in parts.items()}
+        return zip(hi, [_judged(*total(parts[j]), cfg, "half-period cell") if j in parts
+                        else (val, err, None) for j, (val, err, _) in enumerate(cells)])
+
     def cell_sum(t, way):
-        """The sum at (t, way) as a generator: it yields each block of cells
-        it needs as (a, us, tol), the cells from a whose j-th ends at
-        pin(us[j]), is sent back the block's (end, (value, error, accepted))
-        per cell, and returns its triple."""
+        """The sum at (t, way) as a generator of ruled's requests for each
+        block of cells it needs; returns its triple."""
         h = way * math.pi / t
-
-        def f(x):
-            return weight(x) * cmath.exp(-1j * t * ph(x))
-
-        def cells(a, tol, block):
-            """A block's cells as (end, value, error, detail); a cell that
-            failed the rule's first-pass test goes to adaptive quad."""
-            for b, (val, err, ok) in block:
-                detail = None
-                if not ok:
-                    val, err, detail = _quad(f, a, b, tol, 1e-12, cfg, "half-period cell",
-                                             complex_valued=True)
-                yield b, val, err, detail
-                a = b
-
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
         a, u_start = x0, u0
         u_clear = u0 + way * reach
@@ -515,7 +522,7 @@ def _semi_infinite_osc(
                 us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
                             | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
                 head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-                for a, val, err, cell_detail in cells(x0, head_tol, (yield x0, us, head_tol)):
+                for a, (val, err, cell_detail) in (yield from ruled([x0, *map(pin, us)], head_tol)):
                     partial += val
                     quad_err += err
                     detail = detail or cell_detail
@@ -529,8 +536,8 @@ def _semi_infinite_osc(
             # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
             # the earliest Wynn-stable stop; cells past a stop are discarded
             m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
-            us = [u_start + (k + j + 1) * h for j in range(m)]
-            for b, val, err, detail in cells(a, cell_tol, (yield a, us, cell_tol)):
+            edges = [a] + [pin(u_start + (k + j + 1) * h) for j in range(m)]
+            for b, (val, err, detail) in (yield from ruled(edges, cell_tol)):
                 quad_err += err
                 partial += val
                 a = b
@@ -568,27 +575,21 @@ def _semi_infinite_osc(
                              f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells")
 
     def rule(requests):
-        """The block rule on the cells of every request (t, a, us, tol), from
-        one evaluation of the integrand on all their nodes: per request, its
-        cells' (end, (value, error, accepted))."""
-        edges = [np.array([a] + [pin(u) for u in us]) for _, a, us, _ in requests]
-        sizes = [len(e) - 1 for e in edges]
-        lo = np.concatenate([e[:-1] for e in edges])
-        hi = np.concatenate([e[1:] for e in edges])
+        """The block rule on the cells lo[j] to hi[j] of every request (t, lo,
+        hi, tol), from one evaluation of the integrand on all their nodes:
+        per request, its cells' (value, error, accepted)."""
+        ts, los, his, tols = zip(*requests)
+        sizes = [len(lo) for lo in los]
+        lo, hi = np.concatenate(los), np.concatenate(his)
         centr, hlgth = 0.5 * (hi + lo), 0.5 * (hi - lo)
         x = centr + hlgth * _GK21_NODES[:, None]
-        tcells = np.repeat([t for t, *_ in requests], sizes)
-        values = weight(x) * np.exp(-1j * tcells * ph(x))
-        cells = _qk21_cells(values, hlgth, np.repeat([tol for *_, tol in requests], sizes), 1e-12)
-        ends, blocks, start = hi.tolist(), [], 0
-        for n in sizes:
-            blocks.append(zip(ends[start:start + n], cells[start:start + n]))
-            start += n
-        return blocks
+        values = weight(x) * np.exp(-1j * np.repeat(ts, sizes) * ph(x))
+        cells = _qk21_cells(values, hlgth, np.repeat(tols, sizes), 1e-12)
+        return [cells[end - n:end] for n, end in zip(sizes, np.cumsum(sizes).tolist())]
 
     walks = [cell_sum(t, way) for t, way in sums]
     results = [None] * len(walks)
-    requests = {}  # sum index -> its pending (a, us, tol)
+    requests = {}  # sum index -> its pending (lo, hi, tol)
 
     def advance(i, block):
         try:

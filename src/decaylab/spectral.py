@@ -50,10 +50,13 @@ class SpectralDensity:
 
     density takes a float.  A density that can reach the half-period cells
     (infinite support, no table) must also take a float64 array of any
-    shape and return its values elementwise, to an ulp or two: the cells
-    evaluate it once per block of nodes.  So must a monotone phase W that
-    the cells evaluate with it (see potential.induced_map).  Lorentzian,
-    exponential and transported densities do; tables never reach the cells.
+    shape and return its values elementwise, to an ulp or two: the cells,
+    first-pass misses included, evaluate it only on arrays, once per block
+    of nodes.  So must a monotone phase W that the cells evaluate with it
+    (see potential.induced_map).  Lorentzian, exponential and transported
+    densities do; tables never reach the cells.  Floats come only from
+    QUADPACK: QAWO on linear heads and finite windows, and the masses of a
+    density without a cdf.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at

@@ -517,6 +517,11 @@ MALFORMED_INPUTS = {
     "T-values-nan": ("pw", "--T-values", "10,31.6,100,316,nan"),
     "infinite-exponential-rate": ("survival", "--density",
                                   '{"kind": "exponential", "rate": "inf"}'),
+    # a tolerance that is not finite is named: every stop rule would pass at once
+    "abs-tol-inf": ("survival", "--abs-tol", "inf"),
+    "rel-tol-inf": ("survival", "--rel-tol", "inf"),
+    # the factor's exponential fit needs 8 points; nothing is computed without them
+    "potential-too-few-points": ("potential", "--n-points", "3"),
 }
 
 
@@ -554,6 +559,8 @@ def test_non_finite_time_limit_is_named(tmp_path, capsys, argv, name):
     (("pw", "--T-values", "10,31.6,100,316,inf"), "positive and finite, got inf"),
     # the window's comparison once let nan through: "need at least 8 samples"
     (("pw", "--fit-window", "nan,10"), "empty window (nan, 10.0)"),
+    (("survival", "--abs-tol", "inf"), "abs_tol must be positive and finite, got inf"),
+    (("survival", "--rel-tol", "inf"), "rel_tol must be positive and finite, got inf"),
 ])
 def test_non_finite_parameter_is_named(tmp_path, capsys, argv, named):
     assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2

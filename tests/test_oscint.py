@@ -475,6 +475,7 @@ def test_time_series_validation():
 @pytest.mark.parametrize("kwargs", [
     {"abs_tol": 0.0}, {"abs_tol": -1e-9}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
     {"min_cells": 0}, {"max_cells": 5, "min_cells": 6},
+    {"abs_tol": math.inf}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
 ])
 def test_quadrature_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -604,10 +605,6 @@ _ONE_RULE = {
         lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG)),
     "finite_window": ("finite-window oscillatory integral", 3.0, lambda: restricted_amplitude(
         lorentzian_density(DephasingParams(1.0, 0.3)), -1.0, 2.0, 3.0, CFG)),
-    # a narrow Lorentzian inside one half-period: the head cuts at
-    # u = 4e-3 and 1.6e-2 bound a cell whose first pass misses, so it goes to quad
-    "monotone_head_cell": ("half-period cell", 5.0, lambda: generalized_dephasing_factor(
-        exp_potential(), DephasingParams(1e-3, 0.0), 5.0, CFG)),
     "pw_sweep": ("Paley-Wiener sweep increment", None, lambda: pw_sweep(
         lambda t: cmath.exp(-0.5 * t), [1.0, 10.0], CFG)),
 }
@@ -629,6 +626,35 @@ def test_one_convergence_rule(monkeypatch, name):
         call()
     assert exc_info.value.detail == f"{what} did not converge"
     assert exc_info.value.t == t
+
+
+def _block_rule_not_converged(monkeypatch, rel_error):
+    """Make the block rule miss every cell's first-pass test and report an
+    error of rel_error times the cell's magnitude, so that a refinement
+    whose parts carry weight never meets its cell's tolerance."""
+    block_rule = oscint._qk21_cells
+
+    def missing(*args):
+        return [(val, rel_error * abs(val), False) for val, _, _ in block_rule(*args)]
+
+    monkeypatch.setattr(oscint, "_qk21_cells", missing)
+
+
+def test_capped_cell_refinement_fails_only_beyond_its_target(monkeypatch):
+    # a narrow Lorentzian inside one half-period: the head cell that holds
+    # its peak is refined to _MAX_SUBDIVISIONS parts without meeting its
+    # share of abs_tol; that alone does not fail the cell, an error above
+    # cfg.target(value) does, naming the cell and its t
+    call = lambda: generalized_dephasing_factor(exp_potential(), DephasingParams(1e-3, 0.0),
+                                                5.0, CFG)
+    want = call()
+    _block_rule_not_converged(monkeypatch, CFG.rel_tol / 10)
+    assert call() == pytest.approx(want, abs=CFG.abs_tol)
+    _block_rule_not_converged(monkeypatch, CFG.rel_tol * 10)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        call()
+    assert exc_info.value.detail == "half-period cell did not converge"
+    assert exc_info.value.t == 5.0
 
 
 def test_monotone_head_over_the_cap_bounds_its_estimate():
@@ -735,12 +761,10 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
     assert got_err == pytest.approx(want_err, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode", [{}, {"complex_valued": True}, {"weight": "cos", "wvar": 5.0}],
-                         ids=["real", "complex", "qawo"])
+@pytest.mark.parametrize("mode", [{}, {"weight": "cos", "wvar": 5.0}], ids=["real", "qawo"])
 def test_quad_over_a_reversed_range_is_minus_the_ascending_one(mode):
-    # scipy's quad(complex_func=True) ignores the order of its limits; _quad
-    # owns it, so a downward cell's adaptive fallback gets its sign
-    f = lambda x: math.exp(-x) * math.cos(5.0 * x) + (1j if mode.get("complex_valued") else 0.0)
+    # a downward linear head's QAWO segments run over reversed limits
+    f = lambda x: math.exp(-x) * math.cos(5.0 * x)
     up = oscint._quad(f, 0.0, 3.0, 1e-12, 1e-12, CFG, "test", **mode)
     down = oscint._quad(f, 3.0, 0.0, 1e-12, 1e-12, CFG, "test", **mode)
     assert down == (-up[0], up[1], up[2])
@@ -787,32 +811,101 @@ def test_lower_half_line_equals_the_conjugated_mirror_image():
             assert np.max(np.abs(got.values - want.values.conj())) <= 2 * cfg.abs_tol, (cfg, x0)
 
 
-def test_downward_cell_falls_back_to_adaptive_quad(monkeypatch):
-    # a block of the lower piece's tail cells rejected by the block rule
-    # goes to adaptive quad over reversed limits; the lower piece,
-    # f(t) minus the frozen upper half-line, stays within its tolerance
+def _reject_first_block(monkeypatch):
+    """Make the block rule's first call miss every cell, with an error of 1,
+    so that each is bisected.  Returns weight_of, which wraps a weight to
+    record its nodes, and the list of every call's (centres, signed half
+    lengths, results), the centres read off the recorded nodes (None when
+    no weight was wrapped)."""
+    block_rule, nodes, calls = oscint._qk21_cells, [], []
+
+    def weight_of(density):
+        return lambda x: (nodes.append(x), density(x))[1]
+
+    def reject_first(values, half, *args):
+        cells = block_rule(values, half, *args)
+        calls.append((nodes[-1][10] if nodes else None, half, cells))  # node 10: the centre
+        if len(calls) <= 1:
+            cells = [(val, 1.0, False) for val, _, _ in cells]
+        return cells
+
+    monkeypatch.setattr(oscint, "_qk21_cells", reject_first)
+    return weight_of, calls
+
+
+def test_downward_missed_cells_are_refined_over_reversed_limits(monkeypatch):
+    # the first block of the lower piece's tail cells misses the rule's
+    # first-pass test: its cells are bisected, downward, in the next call;
+    # the lower piece, f(t) minus the frozen upper half-line, stays within
+    # its tolerance
     gamma, omega0, t = 2.0, 1.0, 3.0
     d = lorentzian_density(DephasingParams(gamma, omega0))
     want = lorentz_exact(gamma, omega0, t) - HALFLINE_REFS[(gamma, omega0, t)]
-    block_rule, adaptive = oscint._qk21_cells, oscint._quad
-    reversed_calls = []
-
-    def reject_one_block(*args):
-        cells = block_rule(*args)
-        if not reversed_calls:
-            cells = [(val, err, False) for val, err, _ in cells]
-        return cells
-
-    def counting(f, a, b, *args, **kwargs):
-        if kwargs.get("complex_valued") and a > b:
-            reversed_calls.append((a, b))
-        return adaptive(f, a, b, *args, **kwargs)
-
-    monkeypatch.setattr(oscint, "_qk21_cells", reject_one_block)
-    monkeypatch.setattr(oscint, "_quad", counting)
+    _, calls = _reject_first_block(monkeypatch)
     got = restricted_amplitude(d, -math.inf, 0.0, t, TIGHT)
-    assert len(reversed_calls) == TIGHT.min_cells + oscint._STABLE_STEPS
+    block = TIGHT.min_cells + oscint._STABLE_STEPS
+    assert [len(cells) for _, _, cells in calls[:2]] == [block, 2 * block]
+    assert all(half < 0 for _, halves, _ in calls[:2] for half in halves)
     assert abs(got - want) <= 2 * TIGHT.abs_tol
+
+
+@pytest.mark.parametrize("way", [1, -1], ids=["upward", "downward"])
+def test_missed_cells_are_refined_to_quad_without_quad(monkeypatch, way):
+    # one block of cells misses the first-pass test; each cell is refined
+    # through the block rule alone, no adaptive quad, and matches scipy's
+    # adaptive quad over the same cell within the cell tolerance
+    d = lorentzian_density(DephasingParams(1.0, 0.5))
+    t, x0 = 2.0, 0.3
+    cell_tol = CFG.abs_tol / 64.0
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("a missed cell reached adaptive quad")
+
+    monkeypatch.setattr(oscint, "_quad", no_quad)
+    weight_of, calls = _reject_first_block(monkeypatch)
+    [(got, _, detail)] = oscint._semi_infinite_osc(weight_of(d.density), [(t, way)], x0, CFG)
+    assert detail is None
+    (centres, halves, _), (_, _, parts) = calls[:2]
+    assert len(parts) == 2 * len(centres)  # each missed cell in two halves
+    for j, (centre, half) in enumerate(zip(centres, halves)):
+        refined = parts[2 * j][0] + parts[2 * j + 1][0]
+        lo, hi = sorted((centre - half, centre + half))
+        want, _ = quad(lambda x: d.density(x) * cmath.exp(-1j * t * x), lo, hi,
+                       epsabs=cell_tol, epsrel=1e-12, complex_func=True)
+        assert abs(refined - (want if way > 0 else -want)) <= cell_tol, j
+
+
+def test_cells_call_the_transported_density_only_on_arrays():
+    # the narrow Lorentzian's head cells miss the first-pass test at 1e-12:
+    # their refinement evaluates the density on arrays too, as every cell does
+    p, params = exp_potential(), DephasingParams(1e-3, 0.0)
+    state = build_initial_state(p, params)
+    density, ndims = state.density.density, []
+
+    def recording(x):
+        ndims.append(np.ndim(x))
+        return density(x)
+
+    state = replace(state, density=replace(state.density, density=recording))
+    generalized_factor_series(p, params, [0.5, 5.0, 50.0], TIGHT, state)
+    assert ndims and min(ndims) >= 1
+
+
+@pytest.mark.parametrize("name", ["linear", "monotone"])
+def test_a_cell_that_never_converges_fails_with_a_covering_bound(monkeypatch, name):
+    # no cell is accepted, and a cell with weight never meets its tolerance
+    # however it is bisected: the point raises at its t, its bound at least
+    # its error
+    params, t = DephasingParams(1.0, 0.3), 2.0
+    call = {"linear": lambda: fourier_amplitude(lorentzian_density(params), t, CFG),
+            "monotone": lambda: generalized_dephasing_factor(exp_potential(), params, t, CFG)}
+    _block_rule_not_converged(monkeypatch, 1e-3)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        call[name]()
+    failure = exc_info.value
+    assert failure.detail == "half-period cell did not converge"
+    assert failure.t == t
+    assert abs(failure.estimate - lorentz_exact(1.0, 0.3, t)) <= failure.error_bound
 
 
 @pytest.mark.parametrize("a,b,points", [
