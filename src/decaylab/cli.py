@@ -5,8 +5,13 @@ tables or structured-text reports written atomically, with a full parameter
 echo in the header and no timestamps, so identical configurations produce
 byte-identical files.
 
-Exit codes: 0 success; 2 invalid input; 3 numerical (quadrature) failure,
-in which case partial output plus a .failures manifest is still written.
+Commands compute, main writes: a command computes everything it will write
+and returns its files with the quadrature failure that leaves them partial,
+or None, and main hands both to one writer.  So the exit codes keep their
+promise: 0, every output is written; 2, invalid input, and nothing is
+written; 3, a numerical (quadrature) failure, and the partial output is
+written with a .failures manifest, of the failed points with their best
+estimates and error bounds, next to the table that holds them.
 
 A command's flags are its DEFAULTS keys with '-' for '_' (t_end is
 --t-end), plus --out and --config.  Flag precedence: command line >
@@ -176,49 +181,43 @@ def _series_columns(series) -> list[tuple[str, np.ndarray]]:
     ]
 
 
-def _write_table(path: str, fmt: str, columns, params) -> None:
-    if fmt == "csv":
-        output.write_csv(path, columns, params)
-    elif fmt == "structured-text":
-        entries = [(name, ",".join(output.fmt(v) for v in arr)) for name, arr in columns]
-        output.write_report(path, params, [("data", entries)])
-    else:
-        raise UsageError(f"format must be 'csv' or 'structured-text', got {fmt!r}")
+def _table(cfg: dict, columns, echo: dict) -> tuple:
+    """The file of a table at cfg's out in its format: CSV columns, or a
+    structured-text report whose [data] section holds them comma-joined."""
+    if cfg["format"] == "csv":
+        return cfg["out"], "csv", columns, echo
+    entries = [(name, ",".join(output.fmt(v) for v in arr)) for name, arr in columns]
+    return cfg["out"], "structured-text", [("data", entries)], echo
 
 
-def _write_series(path: str, fmt: str, compute, columns, echo: dict) -> int:
-    """Write the table columns(series) of the series compute() returns and
-    return the exit code.  When points fail (SeriesFailure), the table holds
-    their best estimates, a .failures manifest lists them, and the code is 3."""
-    try:
-        series, failure = compute(), None
-    except SeriesFailure as exc:
-        series, failure = exc.series, exc
-    _write_table(path, fmt, columns(series), echo)
+def _write(command: str, files, failure) -> int:
+    """Write every (path, format, body, echo) of files and return the exit
+    code.  A failure, a SeriesFailure or one QuadratureFailure, leaves them
+    partial: a .failures manifest of its failed points goes next to the last
+    file, the table that holds them, one stderr line names it, and the code
+    is 3."""
+    for path, fmt, body, echo in files:
+        if fmt == "csv":
+            output.write_csv(path, body, echo)
+        else:
+            output.write_report(path, echo, body)
     if failure is None:
         return 0
-    sections = []
-    for i, f in enumerate(failure.failures):
-        est = complex(f.estimate)
-        sections.append(
-            (f"failure {i}", [
-                ("t", f.t),
-                ("estimate_re", est.real),
-                ("estimate_im", est.imag),
-                ("error_bound", f.error_bound),
-                ("detail", f.detail),
-            ])
-        )
-    output.write_report(path + ".failures", echo, sections)
-    print(f"{echo['command']}: {failure}", file=sys.stderr)
+    failures = failure.failures if isinstance(failure, SeriesFailure) else [failure]
+    output.write_report(path + ".failures", echo, [
+        (f"failure {i}", [
+            ("t", f.t),
+            ("estimate_re", complex(f.estimate).real),
+            ("estimate_im", complex(f.estimate).imag),
+            ("error_bound", f.error_bound),
+            ("detail", f.detail),
+        ]) for i, f in enumerate(failures)])
+    print(f"decaylab {command}: {failure}", file=sys.stderr)
     return NUMERICAL_ERROR
 
 
 def _echo(cfg: dict, command: str) -> dict:
-    params = {"command": command}
-    for key in sorted(cfg):
-        params[key] = cfg[key]
-    return params
+    return {"command": command, **{key: cfg[key] for key in sorted(cfg)}}
 
 
 def _merge(command: str, args: argparse.Namespace) -> dict:
@@ -246,23 +245,40 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _quad_config(cfg: dict) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=float(cfg["abs_tol"]), rel_tol=float(cfg["rel_tol"]))
+def _setup(cfg: dict):
+    """The dephasing parameters, time grid and quadrature tolerances of cfg."""
+    return (DephasingParams(float(cfg["gamma"]), float(cfg["omega0"])),
+            build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"]),
+            QuadratureConfig(abs_tol=float(cfg["abs_tol"]), rel_tol=float(cfg["rel_tol"])))
+
+
+def _partial(series, *args):
+    """(series(*args), None), or the partial series of best estimates and
+    the SeriesFailure that names its failed points."""
+    try:
+        return series(*args), None
+    except SeriesFailure as exc:
+        return exc.series, exc
+
+
+def _survival_series(cfg: dict):
+    """What survival, reduced and gkls-compare share: the parameters, the
+    density of cfg's spec (the Lorentzian of the parameters without one),
+    and _partial's survival amplitude series on the time grid."""
+    params, grid, qcfg = _setup(cfg)
+    d = _load_density_spec(cfg.get("density"), params)
+    return params, d, *_partial(oscint.amplitude_series, d, grid, qcfg)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each computes everything it writes and returns its files, as
+# (path, format, body, echo), and the failure that leaves them partial or None
 
 
-def cmd_survival(cfg: dict) -> int:
-    params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
-    d = _load_density_spec(cfg["density"], params)
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
-    qcfg = _quad_config(cfg)
-    echo = _echo(cfg, "survival")
-    echo["density_label"] = d.label
-    compute = lambda: oscint.amplitude_series(d, grid, qcfg)
-    return _write_series(cfg["out"], cfg["format"], compute, _series_columns, echo)
+def cmd_survival(cfg: dict):
+    _, d, series, failure = _survival_series(cfg)
+    echo = {**_echo(cfg, "survival"), "density_label": d.label}
+    return [_table(cfg, _series_columns(series), echo)], failure
 
 
 def _qubit_from_cfg(cfg: dict) -> pocket.QubitState:
@@ -271,98 +287,71 @@ def _qubit_from_cfg(cfg: dict) -> pocket.QubitState:
     return pocket.QubitState(rho00, 1.0 - rho00, rho01)
 
 
-def cmd_reduced(cfg: dict) -> int:
-    params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
+def cmd_reduced(cfg: dict):
     rho0 = _qubit_from_cfg(cfg)
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
-    qcfg = _quad_config(cfg)
-    model = pocket.PocketModel(params)
-    echo = _echo(cfg, "reduced")
-
-    def rows(series):
-        states = pocket.dephased_states(rho0, series)
-        return [
-            ("t", series.times),
-            ("rho00", np.array([s.rho00 for s in states])),
-            ("rho11", np.array([s.rho11 for s in states])),
-            ("re_rho01", np.array([s.rho01.real for s in states])),
-            ("im_rho01", np.array([s.rho01.imag for s in states])),
-            ("sigma_x", np.array([2.0 * s.rho01.real for s in states])),
-        ]
-
-    compute = lambda: oscint.amplitude_series(model.environment_density, grid, qcfg)
-    return _write_series(cfg["out"], cfg["format"], compute, rows, echo)
+    _, _, series, failure = _survival_series(cfg)
+    states = pocket.dephased_states(rho0, series)
+    return [_table(cfg, [
+        ("t", series.times),
+        ("rho00", np.array([s.rho00 for s in states])),
+        ("rho11", np.array([s.rho11 for s in states])),
+        ("re_rho01", np.array([s.rho01.real for s in states])),
+        ("im_rho01", np.array([s.rho01.imag for s in states])),
+        ("sigma_x", np.array([2.0 * s.rho01.real for s in states])),
+    ], _echo(cfg, "reduced"))], failure
 
 
-def cmd_gkls_compare(cfg: dict) -> int:
-    params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
+def cmd_gkls_compare(cfg: dict):
     rho0 = _qubit_from_cfg(cfg)
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
-    qcfg = _quad_config(cfg)
-    model = pocket.PocketModel(params)
-    echo = _echo(cfg, "gkls-compare")
-
-    def columns(series):
-        gens = [gkls.generator_from_params(params, mode) for mode in gkls.CONVENTIONS]
-        comparisons = [gkls.compare_series_vs_semigroup(g, rho0, series) for g in gens]
-        for comp in comparisons:
-            echo[f"max_distance_{comp.convention}"] = output.fmt(comp.max_distance)
-        return [("t", series.times)] + [
-            (f"distance_{comp.convention}", comp.distances) for comp in comparisons
-        ]
-
-    compute = lambda: oscint.amplitude_series(model.environment_density, grid, qcfg)
-    return _write_series(cfg["out"], cfg["format"], compute, columns, echo)
+    params, _, series, failure = _survival_series(cfg)
+    echo, columns = _echo(cfg, "gkls-compare"), [("t", series.times)]
+    for mode in gkls.CONVENTIONS:
+        generator = gkls.generator_from_params(params, mode)
+        comp = gkls.compare_series_vs_semigroup(generator, rho0, series)
+        echo[f"max_distance_{comp.convention}"] = output.fmt(comp.max_distance)
+        columns.append((f"distance_{comp.convention}", comp.distances))
+    return [_table(cfg, columns, echo)], failure
 
 
-def _pw_amplitude(cfg: dict, qcfg: QuadratureConfig):
+def _pw_amplitude(cfg: dict, params: DephasingParams, grid, qcfg: QuadratureConfig):
     """Amplitude callable (or quadrature series) plus the series used for fits."""
     kind = cfg["amplitude"]
-    params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
-    if kind == "dephasing":
-        gamma, om0 = params.gamma, params.omega0
-        amp = lambda t: np.exp(-gamma * abs(t) / 2.0) * np.exp(-1j * om0 * t)
-        series = oscint.ComplexTimeSeries(grid, np.array([amp(t) for t in grid]))
-        return amp, series
-    if kind == "halfline-exp":
-        rate = float(cfg["rate"])
-        if not 0 < rate < math.inf:
-            raise UsageError(f"rate must be finite and positive, got {rate}")
-        amp = lambda t: rate / complex(rate, t)
-        series = oscint.ComplexTimeSeries(grid, np.array([amp(t) for t in grid]))
-        return amp, series
-    if kind == "constant":
-        amp = lambda t: 1.0 + 0.0j
-        series = oscint.ComplexTimeSeries(grid, np.ones(grid.shape, dtype=complex))
-        return amp, series
     if kind == "global-survival":
         w0 = float(cfg["w0"])
         d = lorentzian_density(params)
         series = oscint.global_survival_series((w0, 1.0 - w0), d, grid, qcfg)
         return series, series
-    raise UsageError(
-        f"amplitude must be dephasing/halfline-exp/constant/global-survival, got {kind!r}"
-    )
+    if kind == "dephasing":
+        gamma, om0 = params.gamma, params.omega0
+        amp = lambda t: np.exp(-gamma * abs(t) / 2.0) * np.exp(-1j * om0 * t)
+    elif kind == "halfline-exp":
+        rate = float(cfg["rate"])
+        if not 0 < rate < math.inf:
+            raise UsageError(f"rate must be finite and positive, got {rate}")
+        amp = lambda t: rate / complex(rate, t)
+    else:  # "constant"
+        amp = lambda t: 1.0 + 0.0j
+    return amp, oscint.ComplexTimeSeries(grid, np.array([amp(t) for t in grid]))
 
 
-def cmd_pw(cfg: dict) -> int:
-    qcfg = _quad_config(cfg)
+def cmd_pw(cfg: dict):
+    params, grid, qcfg = _setup(cfg)
     Ts = [float(tok) for tok in str(cfg["T_values"]).split(",") if tok.strip()]
     echo = _echo(cfg, "pw")
+    # no report without the series and its sweep: a failure of either leaves
+    # the series' values as a table
     try:
-        amplitude, series = _pw_amplitude(cfg, qcfg)
+        amplitude, series = _pw_amplitude(cfg, params, grid, qcfg)
+        fit_window = cfg.get("fit_window")
+        if fit_window:
+            lo, hi = (float(x) for x in str(fit_window).split(","))
+        else:
+            lo, hi = float(series.times[0]), float(series.times[-1])
+        growth = diagnostics.fit_pw_growth(amplitude, Ts, qcfg)
     except SeriesFailure as exc:
-        def partial():
-            raise exc
-        # no report without the series: its partial values as a table
-        return _write_series(cfg["out"], "csv", partial, _series_columns, echo)
-    fit_window = cfg.get("fit_window")
-    if fit_window:
-        lo, hi = (float(x) for x in str(fit_window).split(","))
-    else:
-        lo, hi = float(series.times[0]), float(series.times[-1])
-    growth = diagnostics.fit_pw_growth(amplitude, Ts, qcfg)
+        return [(cfg["out"], "csv", _series_columns(exc.series), echo)], exc
+    except QuadratureFailure as exc:
+        return [(cfg["out"], "csv", _series_columns(series), echo)], exc
     fit = diagnostics.exponential_fit(series, (lo, hi))
     sections = [
         ("pw", [(f"T={output.fmt(T)}", v) for T, v in growth.pw_values]),
@@ -380,22 +369,18 @@ def cmd_pw(cfg: dict) -> int:
         ]),
         ("longtime", [("abs_amplitude", float(abs(series.values[-1])))]),
     ]
-    output.write_report(cfg["out"], echo, sections)
-    return 0
+    return [(cfg["out"], "structured-text", sections, echo)], None
 
 
-def cmd_potential(cfg: dict) -> int:
-    params = DephasingParams(float(cfg["gamma"]), float(cfg["omega0"]))
-    qcfg = _quad_config(cfg)
-    # a bad grid is a usage error before any file is written, and so is one
-    # too short for the exponential fit of the factor
-    grid = build_time_grid(cfg["t_start"], cfg["t_end"], cfg["n_points"], cfg["spacing"])
+def cmd_potential(cfg: dict):
+    params, grid, qcfg = _setup(cfg)
+    # a grid too short for the exponential fit of the factor is a usage error
+    # before anything is computed
     if grid.size < diagnostics.MIN_FIT_SAMPLES:
         raise UsageError(f"n_points must be >= {diagnostics.MIN_FIT_SAMPLES} for the factor's "
                          f"exponential fit, got {cfg['n_points']}")
     pot = _load_potential_spec(cfg["potential"], bool(cfg["fd_derivative"]))
-    echo = _echo(cfg, "potential")
-    echo["potential_label"] = pot.label
+    echo = {**_echo(cfg, "potential"), "potential_label": pot.label}
     state = potential.build_initial_state(pot, params)
     prefix = cfg["out"]
 
@@ -405,22 +390,20 @@ def cmd_potential(cfg: dict) -> int:
     e_hi = params.omega0 + half * math.tan(math.pi * (0.995 - 0.5))
     xs = np.linspace(pot.W_inverse(e_lo), pot.W_inverse(e_hi), 401)
     dens = state.density.density(xs)
-    output.write_csv(prefix + "_density.csv", [("x", xs), ("density", dens)], echo)
 
     # inverse round trip on [-20, 20]
     xr = np.linspace(-20.0, 20.0, 401)
     resid = np.array([abs(pot.W_inverse(pot.W(float(x))) - float(x)) for x in xr])
-    output.write_csv(prefix + "_roundtrip.csv", [("x", xr), ("roundtrip_residual", resid)], echo)
 
-    def columns(series):
-        fit = diagnostics.exponential_fit(series, (float(grid[0]), float(grid[-1])))
-        echo["fit_rate"] = output.fmt(fit.rate)
-        echo["fit_amplitude"] = output.fmt(fit.amplitude)
-        echo["fit_residual"] = output.fmt(fit.residual)
-        return _series_columns(series)
-
-    compute = lambda: potential.generalized_factor_series(pot, params, grid, qcfg, state)
-    return _write_series(prefix + "_factor.csv", "csv", compute, columns, echo)
+    series, failure = _partial(potential.generalized_factor_series, pot, params, grid, qcfg,
+                               state)
+    fit = diagnostics.exponential_fit(series, (float(grid[0]), float(grid[-1])))
+    fit_echo = {**echo, **{f"fit_{key}": output.fmt(v) for key, v in fit._asdict().items()}}
+    return [
+        (prefix + "_density.csv", "csv", [("x", xs), ("density", dens)], echo),
+        (prefix + "_roundtrip.csv", "csv", [("x", xr), ("roundtrip_residual", resid)], echo),
+        (prefix + "_factor.csv", "csv", _series_columns(series), fit_echo),
+    ], failure
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +514,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge(args.command, args)
-        return _COMMANDS[args.command](cfg)
+        return _write(args.command, *_COMMANDS[args.command](cfg))
     except (UsageError, ExpressionError, potential.MonotonicityError,
             potential.RangeError, ValueError, OverflowError, OSError) as exc:
         print(f"decaylab {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (QuadratureFailure, SeriesFailure) as exc:
-        print(f"decaylab {args.command}: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

@@ -103,7 +103,9 @@ def _pw_from_series(series: ComplexTimeSeries, t_lo: float, t_hi: float) -> floa
 
 
 def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[float, float]]:
-    """(T, pw(T)) along an increasing sweep, computed incrementally."""
+    """(T, pw(T)) along an increasing sweep, computed incrementally.  An
+    increment that does not converge raises the QuadratureFailure of its
+    integral over [previous T, T], with t = T."""
     cfg = cfg or QuadratureConfig()
     Ts = [float(T) for T in Ts]
     for T in Ts:
@@ -125,8 +127,8 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
     for T in Ts:
         # decade break points keep the adaptive subdivision shallow on long ranges
         pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if prev < p < T] or None
-        acc += 2.0 * _checked(None, *_quad(integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg,
-                                           "Paley-Wiener sweep increment", pts))
+        acc += 2.0 * _checked(T, *_quad(integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg,
+                                        "Paley-Wiener sweep increment", pts))
         out.append((T, acc))
         prev = T
     return out

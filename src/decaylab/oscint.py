@@ -71,6 +71,8 @@ from .spectral import SpectralDensity
 
 # fixed settings of the engine, described in QuadratureConfig
 _MAX_SUBDIVISIONS = 200
+# the bisections of a refined cell that gain nothing but roundoff before it stops
+_ROUNDOFF_BISECTIONS = 10
 _NEGLIGIBLE_FACTOR = 0.02
 _STABLE_STEPS = 2
 # the most half-period cells of a monotone head
@@ -90,9 +92,11 @@ class QuadratureConfig:
     min_cells delays the convergence checks a few oscillations.
 
     Fixed, not settable: an adaptive QUADPACK call and a refined cell get at
-    most _MAX_SUBDIVISIONS (200) subintervals; a tail sum stops as truncated
-    after two consecutive cells below _NEGLIGIBLE_FACTOR (0.02) * abs_tol,
-    and as converged after _STABLE_STEPS (2) consecutive Wynn-stable estimates.
+    most _MAX_SUBDIVISIONS (200) subintervals, and a refined cell stops after
+    _ROUNDOFF_BISECTIONS (10) bisections that gain only roundoff; a tail sum
+    stops as truncated after two consecutive cells below _NEGLIGIBLE_FACTOR
+    (0.02) * abs_tol, and as converged after _STABLE_STEPS (2) consecutive
+    Wynn-stable estimates.
     """
 
     abs_tol: float = 1e-9
@@ -474,11 +478,15 @@ def _semi_infinite_osc(
         by a generator of requests (lo, hi, tol) to rule.  A first-pass miss
         is refined breadth first: each pass bisects its parts whose errors
         exceed their length share of tol, the largest first, until their summed
-        error meets max(tol, 1e-12 |value|) (dqagse's test) or _MAX_SUBDIVISIONS."""
+        error meets max(tol, 1e-12 |value|) (dqagse's test), _MAX_SUBDIVISIONS,
+        or _ROUNDOFF_BISECTIONS bisections whose halves sum to within 1e-5 of
+        the part's value with at least 0.99 of its error (dqagse's roundoff
+        test, iroff1)."""
         lo, hi = edges[:-1], edges[1:]
         cells = yield lo, hi, tol
         # each missed cell's parts (a, b, value, error), in order from its start
         parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
+        roundoff = dict.fromkeys(parts, 0)
 
         def total(ps):
             value, error = sum((p[2] for p in ps[1:]), ps[0][2]), sum(p[3] for p in ps)
@@ -489,11 +497,16 @@ def _semi_infinite_osc(
             return sorted(above, key=lambda p: -p[3])[:_MAX_SUBDIVISIONS - len(ps)]
 
         while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
-                        if not total(ps)[2] for p in to_bisect(j, ps)]:
+                        if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
+                        for p in to_bisect(j, ps)]:
             halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
                                  [e for _, p, m in split for e in (m, p[1])], tol))
             halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
                       for j, p, m in split}
+            for j, p, _ in split:
+                (_, _, v1, e1), (_, _, v2, e2) = halved[j, p[0]]
+                roundoff[j] += (abs(p[2] - (v1 + v2)) <= 1e-5 * abs(v1 + v2)
+                                and e1 + e2 >= 0.99 * p[3])
             parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
                      for j, ps in parts.items()}
         return zip(hi, [_judged(*total(parts[j]), cfg, "half-period cell") if j in parts

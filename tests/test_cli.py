@@ -270,7 +270,7 @@ SERIES_JOBS = {
 
 
 @pytest.mark.parametrize("command", list(SERIES_JOBS))
-def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, command):
+def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, capsys, command):
     module, name, grid_arg, flags, written = SERIES_JOBS[command]
     out = tmp_path / written
 
@@ -287,6 +287,30 @@ def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, co
     manifest = (str(out) + ".failures")
     text = open(manifest).read()
     assert "error_bound" in text and "stub" in text
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"decaylab {command}: ")
+
+
+def test_failed_pw_sweep_writes_its_series_and_manifest(tmp_path, capsys):
+    # at 1e-15 the sweep's first increment, over [0, 10], cannot converge:
+    # no report, but the series as a table and a manifest naming that T
+    out = tmp_path / "pw.csv"
+    assert run("pw", "--amplitude", "dephasing", "--gamma", "10", "--abs-tol", "1e-15",
+               "--rel-tol", "1e-15", "--out", str(out)) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pw.csv", "pw.csv.failures"]
+    _, names, cols = read_csv(str(out))
+    assert names == ["t", "re", "im", "abs"]
+    assert np.allclose(cols["abs"], np.exp(-5.0 * cols["t"]), rtol=1e-15, atol=0.0)
+    lines = (tmp_path / "pw.csv.failures").read_text().splitlines()
+    entry = dict(line.split(" = ", 1) for line in lines[lines.index("[failure 0]") + 1:] if line)
+    assert entry["t"] == "10"
+    assert entry["detail"] == "Paley-Wiener sweep increment did not converge"
+    # the estimate of int_0^10 5t/(1+t^2) dt, within its bound
+    bound = float(entry["error_bound"])
+    assert 0.0 < bound <= 1e-12
+    assert abs(float(entry["estimate_re"]) - 2.5 * math.log(101.0)) <= max(bound, 1e-14)
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("decaylab pw: ")
 
 
 def test_argparse_usage_error_is_exit_2():
@@ -522,6 +546,9 @@ MALFORMED_INPUTS = {
     "rel-tol-inf": ("survival", "--rel-tol", "inf"),
     # the factor's exponential fit needs 8 points; nothing is computed without them
     "potential-too-few-points": ("potential", "--n-points", "3"),
+    # the factor falls below the fit's 1e-14 floor: no file before the fit
+    "potential-fit-below-floor": ("potential", "--t-start", "60", "--t-end", "100",
+                                  "--n-points", "8"),
 }
 
 

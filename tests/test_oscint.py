@@ -605,7 +605,8 @@ _ONE_RULE = {
         lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG)),
     "finite_window": ("finite-window oscillatory integral", 3.0, lambda: restricted_amplitude(
         lorentzian_density(DephasingParams(1.0, 0.3)), -1.0, 2.0, 3.0, CFG)),
-    "pw_sweep": ("Paley-Wiener sweep increment", None, lambda: pw_sweep(
+    # the first increment, [0, 1], fails, named by its T
+    "pw_sweep": ("Paley-Wiener sweep increment", 1.0, lambda: pw_sweep(
         lambda t: cmath.exp(-0.5 * t), [1.0, 10.0], CFG)),
 }
 
@@ -642,9 +643,10 @@ def _block_rule_not_converged(monkeypatch, rel_error):
 
 def test_capped_cell_refinement_fails_only_beyond_its_target(monkeypatch):
     # a narrow Lorentzian inside one half-period: the head cell that holds
-    # its peak is refined to _MAX_SUBDIVISIONS parts without meeting its
-    # share of abs_tol; that alone does not fail the cell, an error above
-    # cfg.target(value) does, naming the cell and its t
+    # its peak stops refining without meeting its share of abs_tol (the faked
+    # errors never shrink, so every bisection counts as roundoff); that alone
+    # does not fail the cell, an error above cfg.target(value) does, naming
+    # the cell and its t
     call = lambda: generalized_dephasing_factor(exp_potential(), DephasingParams(1e-3, 0.0),
                                                 5.0, CFG)
     want = call()

@@ -23,6 +23,7 @@ from decaylab import (
     ramp_potential,
     symmetric_graded_grid,
 )
+from decaylab import oscint
 from decaylab.expressions import ExpressionError, parse_expression
 
 CFG = QuadratureConfig()
@@ -270,6 +271,26 @@ def test_potential_factors_over_the_stress_grid(name, cfg):
         if not abs(got - want) <= cfg.target(want):
             misses.append((gamma, ratio, gt, abs(got - want)))
     assert misses == []
+
+
+def test_roundoff_bound_cells_stop_refining(monkeypatch):
+    # exp at gamma = 1e-3, gamma*t = 1e4: the rounding of t*W(x) at t = 1e7
+    # holds up the error estimates of many refined head cells.  Each stops
+    # after the bisections that gain nothing but roundoff, instead of at 200
+    # parts (328,698 cells evaluated without the stop); the point still
+    # raises, with a bound that covers its error
+    cells, block_rule = [], oscint._qk21_cells
+
+    def counting(values, half, *args):
+        cells.append(len(half))
+        return block_rule(values, half, *args)
+
+    monkeypatch.setattr(oscint, "_qk21_cells", counting)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        generalized_dephasing_factor(exp_potential(), DephasingParams(1e-3, 0.0), 1e7, TIGHT)
+    assert sum(cells) <= 60_000
+    failure = exc_info.value
+    assert abs(failure.estimate - cmath.exp(-5e3)) <= failure.error_bound
 
 
 # V, W and W' take a float or an array; the array is what the cells evaluate
