@@ -337,6 +337,11 @@ def _pw_amplitude(cfg: dict, params: DephasingParams, grid, qcfg: QuadratureConf
 def cmd_pw(cfg: dict):
     params, grid, qcfg = _setup(cfg)
     Ts = [float(tok) for tok in str(cfg["T_values"]).split(",") if tok.strip()]
+    T = max(Ts, default=0.0)
+    # the sweep needs the series on [0, T]; global_survival names a bad w0 first
+    if cfg["amplitude"] == "global-survival" and 0 <= float(cfg["w0"]) <= 1 and (
+            grid[0] > 1e-12 or grid[-1] < T - 1e-12):
+        raise UsageError(f"the global-survival sweep needs --t-start 0 and --t-end {T:g}")
     echo = _echo(cfg, "pw")
     # no report without the series and its sweep: a failure of either leaves
     # the series' values as a table

@@ -4,16 +4,16 @@ The central object is a(t) = int exp(-i t W(E)) p(E) dE over full-line,
 half-line, and compact supports, with W the identity (the plain Fourier
 transform of a density) or a strictly increasing phase of range R (the
 generalized potentials).  One transform, restricted_amplitude, serves both:
-t = 0 is the mass integral, t < 0 the conjugate of the transform at -t,
-and tables have an exact transform.  The head of a half-line, the stretch
-before its extrapolated cells, has one rule for both phases, in the phase
-coordinate u: it reaches as far from u0 as the farthest feature point's
-phase, and _head_cuts cuts it at the feature points and geometrically
-beyond.  One QAWO routine, _linear_head (QUADPACK's oscillatory weights),
-integrates every finite interval of the linear phase between those cuts:
-a finite window, and the linear head however many oscillations it spans.
-The monotone head is one block of half-period cells whose edges include
-its cuts.  _judged holds the one convergence rule, of quad and the cells.
+t = 0 is the mass integral and t < 0 the conjugate of the transform at -t.
+The head of a half-line, the stretch before its extrapolated cells, has one
+rule for both phases, in the phase coordinate u: it reaches as far from u0
+as the farthest feature point's phase, and _head_cuts cuts it at the
+feature points and geometrically beyond; a finite window is a head with a
+finite end and no tail.  Each cell of a linear head, however many
+oscillations it spans, gets QUADPACK's dqc25f rule (_cc25_cells), exact for
+a table, whose cuts are its knots.  The monotone head is one block of
+half-period cells whose edges include its cuts.  _judged holds the one
+convergence rule, of quad and the cells.
 Infinite pieces are integrated over half-periods of the kernel (cells of
 phase length pi), with Wynn epsilon acceleration of the alternating cell
 sums; every piece walks outward from its split point, the piece below it
@@ -26,19 +26,18 @@ A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
 pass, the next cells of every t still summing are evaluated together: the
 density and the phase each take their nodes as one float64 array, and one
-rule call sums them.  The rule sums each cell in a fixed order, so a
-cell's bits do not depend on its block, and a series is bit-identical to
-its pointwise values.  Each t keeps its own QAWO head, Wynn table and stop
-rules, run in order over its own cells.  A cell that misses QUADPACK's
-first-pass test (dqagse's) is bisected in the passes that follow until its
-parts meet dqagse's test; others agree with quad to rounding.  This gives
-uniform accuracy in t without Filon-type weight tables; heavy algebraic
-tails converge through the acceleration instead of an (infeasibly large)
-explicit cutoff, and the analytic tail mass only enters a failure's bound.
+call of each rule sums them.  The rules sum each cell in a fixed order, so
+a cell's bits do not depend on its block, and a series is bit-identical to
+its pointwise values.  Each t keeps its own head, Wynn table and stop
+rules, run in order over its own cells.  A cell that misses its rule's
+first-pass test is bisected in the passes that follow until its parts meet
+dqagse's test; others agree with quad to rounding.  This gives uniform
+accuracy in t; heavy algebraic tails converge through the acceleration
+instead of an (infeasibly large) explicit cutoff, and the analytic tail
+mass only enters a failure's bound.
 
-A mass is exact when the density has a cdf (the difference of two of its
-values) or a table (the trapezoid); only a density without either has its
-masses integrated by adaptive quad.
+A mass is exact when the density has a cdf (a difference of two values);
+only a density without one has its masses integrated by adaptive quad.
 
 Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
@@ -183,11 +182,10 @@ def _judged(value, error, converged, cfg, what):
     return value, float(error), (f"{what} did not converge" if failed else None)
 
 
-def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None, weight=None, wvar=None):
-    """scipy's quad (QAWO for weight 'cos' or 'sin'), over a range in either
-    order, as a _judged triple: converged when full_output adds no message."""
+def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None):
+    """scipy's quad as a _judged triple: converged when full_output adds no message."""
     res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS, points=points,
-               weight=weight, wvar=wvar, full_output=1)
+               full_output=1)
     return _judged(res[0], res[1], len(res) == 3, cfg, what)
 
 
@@ -215,73 +213,17 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 def _mass(d, lo, hi, cfg):
     """mass_integral as a (value, error bound, detail) triple: exact from a
-    table or a cdf (bound 0), otherwise adaptive quad."""
+    cdf (bound 0), otherwise adaptive quad."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
-    if d.table is not None:
-        return _table_mass(d, lo, hi), 0.0, None
     if d.cdf is not None:
         return d.cdf(hi) - d.cdf(lo), 0.0, None
     pts = sorted(p for p in d.feature_points if lo < p < hi)
     if not (pts and math.isfinite(lo) and math.isfinite(hi)):
         pts = None  # quad takes break points on finite ranges only
     return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
-
-
-# ---------------------------------------------------------------------------
-# exact Fourier transform of piecewise-linear tables
-
-
-def _phi1(w: complex) -> complex:
-    # (e^w - 1)/w, stable near 0
-    if abs(w) < 1e-3:
-        return 1 + w / 2 + w**2 / 6 + w**3 / 24 + w**4 / 120 + w**5 / 720
-    return (cmath.exp(w) - 1.0) / w
-
-
-def _phi2(w: complex) -> complex:
-    # int_0^1 v e^{w v} dv = (w e^w - e^w + 1)/w^2, stable near 0
-    if abs(w) < 1e-3:
-        return 0.5 + w / 3 + w**2 / 8 + w**3 / 30 + w**4 / 144 + w**5 / 840
-    ew = cmath.exp(w)
-    return (w * ew - ew + 1.0) / (w * w)
-
-
-def _clipped_knots(d: SpectralDensity, lo: float, hi: float):
-    e, p = d.table
-    lo, hi = max(lo, float(e[0])), min(hi, float(e[-1]))
-    if not lo < hi:
-        return None
-    inner = (e > lo) & (e < hi)
-    ec = np.concatenate(([lo], e[inner], [hi]))
-    pc = np.interp(ec, e, p)
-    return ec, pc
-
-
-def _table_mass(d: SpectralDensity, lo: float, hi: float) -> float:
-    clipped = _clipped_knots(d, lo, hi)
-    if clipped is None:
-        return 0.0
-    ec, pc = clipped
-    return float(np.trapezoid(pc, ec))
-
-
-def _table_transform(d: SpectralDensity, lo: float, hi: float, t: float) -> complex:
-    """int_lo^hi p(E) e^{-iEt} dE for a piecewise-linear p, in closed form."""
-    clipped = _clipped_knots(d, lo, hi)
-    if clipped is None:
-        return 0.0 + 0.0j
-    ec, pc = clipped
-    total = 0.0 + 0.0j
-    for i in range(len(ec) - 1):
-        dl = float(ec[i + 1] - ec[i])
-        slope = (pc[i + 1] - pc[i]) / dl
-        w = -1j * t * dl
-        seg = dl * pc[i] * _phi1(w) + slope * dl * dl * _phi2(w)
-        total += cmath.exp(-1j * t * ec[i]) * seg
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +276,7 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     Kronrod-Gauss difference.  Returns one (value, error, accepted) per
     cell: the Kronrod value, the summed error estimates of both parts, and
     whether both parts' first pass passes dqagse's test (ier = 0 with no
-    refinement); other cells need the adaptive quad.
+    refinement); other cells are refined.
     """
     n = len(half_lengths)
     f = np.concatenate((values.real, values.imag), axis=1)
@@ -356,6 +298,79 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     value = result[:n] + 1j * result[n:]
     return list(zip(value.tolist(), (abserr[:n] + abserr[n:]).tolist(),
                     (ok[:n] & ok[n:]).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# 25-point Clenshaw-Curtis cells of the linear phase (QUADPACK dqc25f)
+
+
+def _chebyshev_interpolation(n):
+    """Values at the 25 nodes to the Chebyshev coefficients (rows) of their
+    interpolant on every (24/n)-th node, cos(pi jk/n) as an exact odd sine."""
+    k, full = np.arange(n + 1), np.zeros((25, 25))
+    halved = np.where(k % n, 1.0, 0.5)  # the end terms of both sums count half
+    cos = np.sin(np.pi * (n - 2 * (np.outer(k, k) % (2 * n))) / (2 * n))
+    full[:n + 1, ::24 // n] = (2.0 / n) * np.outer(halved, halved) * cos
+    return full
+
+
+# the nodes cos(j pi/24) from 1 to -1; the maps of the 25- and 13-point rules
+_CC25_NODES = np.sin(np.pi * np.arange(12, -13, -1) / 24.0)
+_CC25_COEFFICIENTS = np.array([_chebyshev_interpolation(24), _chebyshev_interpolation(12)])
+# the 64-point Gauss-Legendre rule's positive nodes, and its weights times
+# T_k there, doubled: T_k has k's parity, so each moment sums a mirror pair
+_GL64_NODES, _gl64_weights = (x[32:] for x in np.polynomial.legendre.leggauss(64))
+_GL64_CHEBYSHEV = 2.0 * np.polynomial.chebyshev.chebvander(_GL64_NODES, 24).T * _gl64_weights
+
+
+def _chebyshev_moments(omega):
+    """int_{-1}^{1} T_k(y) exp(-i omega y) dy for each omega of an array
+    (rows) and k = 0..24 (columns): by the 64-point Gauss-Legendre rule for
+    |omega| <= 24, above by the forward recursion (Piessens & Branders, J.
+    Comput. Appl. Math. 1 (1975) 153-164), which is stable for k < |omega|."""
+    moments = np.empty((omega.size, 25), dtype=complex)
+    near = np.abs(omega) <= 24.0
+    # the moments are real for even k (cos) and imaginary for odd k (sin)
+    theta = np.outer(omega[near], _GL64_NODES)
+    moments[near, 0::2] = np.einsum("km,nm->nk", _GL64_CHEBYSHEV[0::2], np.cos(theta))
+    moments[near, 1::2] = -1j * np.einsum("km,nm->nk", _GL64_CHEBYSHEV[1::2], np.sin(theta))
+    if near.all():
+        return moments
+    # with a = -omega and the moments m_k, i m_k: integrating T_k by parts
+    # (2 T_k = T'_{k+1}/(k+1) - T'_{k-1}/(k-1)) gives, in v_k = m_k/k,
+    # v_{k+1} = (-1)^k 2k v_k/a + v_{k-1} + c_k/(k^2 - 1), c_k from T_{k+1}'s
+    # end values: 4 cos(a)/a for even k, -4 sin(a)/a for odd k
+    a, k = -omega[~near], np.arange(2.0, 24.0)[:, None]
+    inv, sin, cos = 1.0 / a, np.sin(a), np.cos(a)
+    m0 = 2.0 * sin * inv
+    m1 = (m0 - 2.0 * cos) * inv
+    rows = [m0, m1, 0.5 * (m0 - 4.0 * m1 * inv)]
+    step = ((-1.0) ** k * 2 * k) * inv
+    ends = np.where(k % 2 == 0, 4.0 * cos * inv, -4.0 * sin * inv) / (k * k - 1)
+    for j in range(22):
+        rows.append(step[j] * rows[-1] + rows[-2] + ends[j])
+    far = np.array(rows).T * np.arange(25.0).clip(1.0)
+    moments[~near, 0::2], moments[~near, 1::2] = far[:, 0::2], 1j * far[:, 1::2]
+    return moments
+
+
+def _cc25_cells(values, centres, half_lengths, t, epsabs, epsrel):
+    """QUADPACK's dqc25f rule on a block of cells of the linear phase: one
+    (value, error, accepted) per cell of int weight(x) exp(-i t x) dx, from
+    the real weight at centres[i] + half_lengths[i] * _CC25_NODES (values[i]),
+    t and epsabs one per cell.  The weight's 25-point Clenshaw-Curtis
+    interpolant times exact Chebyshev moments of the kernel is the value,
+    however many oscillations the cell spans, its difference from the
+    13-point rule the error, accepted within max(epsabs, epsrel |value|).
+    Each sum is einsum's over a contiguous last axis, whose bits do not
+    depend on the block (over the first axis, a block of one cell's do)."""
+    coefficients = np.einsum("rkj,nj->rnk", _CC25_COEFFICIENTS, values)
+    moments = _chebyshev_moments(t * half_lengths)
+    result = (np.einsum("rnk,nk->rn", coefficients, moments)
+              * (half_lengths * np.exp(-1j * t * centres)))
+    value, error = result[0], np.abs(result[0] - result[1])
+    accepted = error <= np.maximum(epsabs, epsrel * np.abs(value))
+    return list(zip(value.tolist(), error.tolist(), accepted.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +412,6 @@ def _head_cuts(a, b, points):
     return sorted(cuts, reverse=way < 0)
 
 
-def _linear_head(weight, t, a, b, cfg, points, what):
-    """int_a^b weight(x) exp(-i t x) dx for t > 0 by QUADPACK's oscillatory
-    weights (QAWO), a cos and a sin solve per segment, over a range in
-    either order.  QAWO takes no break-point hints but any number of
-    oscillations, so the range is cut by _head_cuts, lest one segment span
-    many density scales.  Serves the linear head and the finite window;
-    returns a (value, error bound, detail) triple."""
-    head_tol = max(cfg.abs_tol / 8.0, 1e-15)
-    cuts = [a] + _head_cuts(a, b, points) + [b]
-    seg_tol = head_tol / (2 * (len(cuts) - 1))
-    parts = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        for kind, unit in (("cos", 1.0), ("sin", -1j)):
-            val, err, detail = _quad(weight, lo, hi, seg_tol, 1e-12, cfg, what,
-                                     weight=kind, wvar=t)
-            parts.append((unit * val, err, detail))
-    return _combine(parts)
-
-
 def _semi_infinite_osc(
     weight: Callable[[float], float],
     sums: Sequence[tuple[float, int]],
@@ -425,10 +421,12 @@ def _semi_infinite_osc(
     phase_inv: Callable[[float], float] | None = None,
     points: Sequence[float] = (),
     mass: Callable[[float, float], float] | None = None,
+    end: float | None = None,
 ):
     """int_{x0}^{way*inf} weight(x) exp(-i t phase(x)) dx for each (t, way) of
     sums, t > 0 and way = +1 or -1, for an increasing phase: one (value,
-    error bound, detail) triple per sum.
+    error bound, detail) triple per sum; with a finite end (way = +1, the
+    linear phase), int_{x0}^{end}, a head with no tail.
 
     A sum walks away from x0 in signed half-periods h = way*pi/t: its cells
     end at pin(u0 + (k+1)h), u0 = phase(x0), so a downward sum is minus the
@@ -437,27 +435,26 @@ def _semi_infinite_osc(
     tail beyond it feeds the epsilon table, so a far-off peak cannot poison
     the extrapolation.  One head rule serves both phases: the head reaches
     from u0 as far as the farthest feature point's phase on either side,
-    rounded up to whole half-periods, and is cut by _head_cuts in u.  The
-    linear head is one _linear_head call per sum; the monotone head is one
-    block of at most _MAX_HEAD_CELLS half-period cells plus its cuts as
-    further cell edges, mapped to x by phase_inv, with the head tolerance
-    split over its cells.
+    rounded up to whole half-periods (or to a window's end), and is cut by
+    _head_cuts in u into cells, the head tolerance split over them: the
+    linear head's cells are ruled by _cc25_cells; the monotone head adds at
+    most _MAX_HEAD_CELLS half-period edges, mapped to x by phase_inv.
 
     Each sum is a scalar loop (cell_sum) that asks for its cells, as
-    x-intervals, a block at a time: the monotone head, then min_cells +
-    _STABLE_STEPS tail cells per pass, and the halves of a block's first-pass
-    misses in the passes between (ruled).  A pass gathers the requests of
-    every sum still running into evaluations of at most _BLOCK_CELLS cells:
+    x-intervals, a block at a time: the head, then min_cells + _STABLE_STEPS
+    tail cells per pass, and the halves of a block's first-pass misses in
+    the passes between (ruled).  A pass gathers the requests of every sum
+    still running, by rule, into evaluations of at most _BLOCK_CELLS cells:
     weight and phase each take all their nodes as one float64 array
-    (SpectralDensity's array contract), and one _qk21_cells call rules on
-    all their cells, whose values do not depend on the block, so each sum
-    gets the bits it would get alone.  Each sum then runs its Wynn update
-    and stop rules over its own cells in order.  A head or cell that did not
-    converge (_judged's rule), a monotone head over the cap, or a tail sum
-    not stable within cfg.max_cells cells leaves by the one failure exit:
-    the best estimate, its bound plus mass(lo, hi), the mass beyond the last
-    cell summed.  A sum that stops with a bound above cfg.target(value)
-    fails, naming its bound.
+    (SpectralDensity's array contract), and one rule call rules on all their
+    cells, whose values do not depend on the block, so each sum gets the
+    bits it would get alone.  Each sum then runs its Wynn update and stop
+    rules over its own cells in order.  A head or cell that did not converge
+    (_judged's rule), a monotone head over the cap, or a tail sum not stable
+    within cfg.max_cells cells leaves by the one failure exit: the best
+    estimate, its bound plus mass(lo, hi), the mass beyond the last cell
+    summed.  A sum that stops with a bound above cfg.target(value) fails,
+    naming its bound.
     """
     identity = lambda u: u
     ph, pin = phase or identity, phase_inv or identity
@@ -466,6 +463,8 @@ def _semi_infinite_osc(
     # the head reaches as far from u0 as the farthest feature point's phase
     reach = max([abs(u - u0) for u in upoints], default=0.0)
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
+    head_name = ("half-period cell" if phase is not None else "oscillatory head integral"
+                 if end is None else "finite-window oscillatory integral")  # of its failures
 
     def settled(value, bound):
         """A stopped sum's triple: it succeeds only within cfg.target(value)."""
@@ -473,17 +472,18 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
-    def ruled(edges, tol):
+    def ruled(edges, tol, what="half-period cell", cc=False):
         """The cells between consecutive edges as (end, (value, error, detail))
-        by a generator of requests (lo, hi, tol) to rule.  A first-pass miss
-        is refined breadth first: each pass bisects its parts whose errors
-        exceed their length share of tol, the largest first, until their summed
-        error meets max(tol, 1e-12 |value|) (dqagse's test), _MAX_SUBDIVISIONS,
-        or _ROUNDOFF_BISECTIONS bisections whose halves sum to within 1e-5 of
+        by a generator of requests (lo, hi, tol, cc) to rule, by _cc25_cells
+        when cc, else by _qk21_cells.  A first-pass miss is refined breadth
+        first: each pass bisects its parts whose errors exceed their length
+        share of tol, the largest first, until their summed error meets
+        max(tol, 1e-12 |value|) (dqagse's test), _MAX_SUBDIVISIONS, or
+        _ROUNDOFF_BISECTIONS bisections whose halves sum to within 1e-5 of
         the part's value with at least 0.99 of its error (dqagse's roundoff
-        test, iroff1)."""
+        test, iroff1); then _judged rules on it as what."""
         lo, hi = edges[:-1], edges[1:]
-        cells = yield lo, hi, tol
+        cells = yield lo, hi, tol, cc
         # each missed cell's parts (a, b, value, error), in order from its start
         parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
         roundoff = dict.fromkeys(parts, 0)
@@ -500,7 +500,7 @@ def _semi_infinite_osc(
                         if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
                         for p in to_bisect(j, ps)]:
             halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
-                                 [e for _, p, m in split for e in (m, p[1])], tol))
+                                 [e for _, p, m in split for e in (m, p[1])], tol, cc))
             halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
                       for j, p, m in split}
             for j, p, _ in split:
@@ -509,7 +509,7 @@ def _semi_infinite_osc(
                                 and e1 + e2 >= 0.99 * p[3])
             parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
                      for j, ps in parts.items()}
-        return zip(hi, [_judged(*total(parts[j]), cfg, "half-period cell") if j in parts
+        return zip(hi, [_judged(*total(parts[j]), cfg, what) if j in parts
                         else (val, err, None) for j, (val, err, _) in enumerate(cells)])
 
     def cell_sum(t, way):
@@ -517,28 +517,24 @@ def _semi_infinite_osc(
         block of cells it needs; returns its triple."""
         h = way * math.pi / t
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
-        a, u_start = x0, u0
-        u_clear = u0 + way * reach
-        k_clear = int(math.ceil((u_clear - u0) / h))
+        a = x0
+        k_clear = int(math.ceil((u0 + way * reach - u0) / h)) if end is None else 0
+        u_start = u0 + k_clear * h if end is None else end
         if phase is not None and k_clear > _MAX_HEAD_CELLS:
             detail = f"head region spans {k_clear} oscillations"
-        elif k_clear > 0:
-            u_start = u0 + k_clear * h
-            if phase is None:
-                partial, quad_err, detail = _linear_head(weight, t, x0, u_start, cfg, points,
-                                                         "oscillatory head integral")
-                a = u_start
-            else:
-                # one block of half-periods and head cuts, summed plainly (the
-                # head stays out of the epsilon table, which only extrapolates
-                # the tail), ordered from u0; a ends at the last edge, pin(u_start)
-                us = sorted({u0 + (j + 1) * h for j in range(k_clear)}
-                            | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
-                head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-                for a, (val, err, cell_detail) in (yield from ruled([x0, *map(pin, us)], head_tol)):
-                    partial += val
-                    quad_err += err
-                    detail = detail or cell_detail
+        elif k_clear > 0 or end is not None:
+            # cuts and a monotone head's half-periods, ordered from u0, summed
+            # plainly (the epsilon table extrapolates the tail only)
+            us = {u0 + (j + 1) * h for j in range(k_clear)} if phase is not None else {u_start}
+            us = sorted(us | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
+            head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
+            for a, (val, err, cell_detail) in (yield from ruled([x0, *map(pin, us)], head_tol,
+                                                                head_name, phase is None)):
+                partial += val
+                quad_err += err
+                detail = detail or cell_detail
+        if end is not None:
+            return partial, quad_err, detail
 
         row: list = [partial] if partial != 0 else []
         est_prev = None
@@ -589,20 +585,24 @@ def _semi_infinite_osc(
 
     def rule(requests):
         """The block rule on the cells lo[j] to hi[j] of every request (t, lo,
-        hi, tol), from one evaluation of the integrand on all their nodes:
-        per request, its cells' (value, error, accepted)."""
-        ts, los, his, tols = zip(*requests)
+        hi, tol, cc), all of one rule, from one evaluation of the integrand on
+        all their nodes: per request, its cells' (value, error, accepted)."""
+        ts, los, his, tols, ccs = zip(*requests)
         sizes = [len(lo) for lo in los]
         lo, hi = np.concatenate(los), np.concatenate(his)
+        t, tol = np.repeat([ts, tols], sizes, axis=1)
         centr, hlgth = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x = centr + hlgth * _GK21_NODES[:, None]
-        values = weight(x) * np.exp(-1j * np.repeat(ts, sizes) * ph(x))
-        cells = _qk21_cells(values, hlgth, np.repeat(tols, sizes), 1e-12)
-        return [cells[end - n:end] for n, end in zip(sizes, np.cumsum(sizes).tolist())]
+        if ccs[0]:
+            x = centr[:, None] + hlgth[:, None] * _CC25_NODES
+            cells = _cc25_cells(weight(x), centr, hlgth, t, tol, 1e-12)
+        else:
+            x = centr + hlgth * _GK21_NODES[:, None]
+            cells = _qk21_cells(weight(x) * np.exp(-1j * t * ph(x)), hlgth, tol, 1e-12)
+        return [cells[stop - n:stop] for n, stop in zip(sizes, np.cumsum(sizes).tolist())]
 
     walks = [cell_sum(t, way) for t, way in sums]
     results = [None] * len(walks)
-    requests = {}  # sum index -> its pending (lo, hi, tol)
+    requests = {}  # sum index -> its pending (lo, hi, tol, cc)
 
     def advance(i, block):
         try:
@@ -619,12 +619,12 @@ def _semi_infinite_osc(
     for i in range(len(walks)):
         advance(i, None)
     while requests:
-        # one pass: the next block of every running sum, in evaluations of at
-        # most _BLOCK_CELLS cells (a larger block alone)
+        # one pass: the next block of every running sum, by rule, in
+        # evaluations of at most _BLOCK_CELLS cells (a larger block alone)
         group, size = [], 0
-        for i in list(requests):
+        for i in sorted(requests, key=lambda i: requests[i][3]):
             n = len(requests[i][1])
-            if group and size + n > _BLOCK_CELLS:
+            if group and (size + n > _BLOCK_CELLS or requests[i][3] != requests[group[0]][3]):
                 run(group)
                 group, size = [], 0
             group.append(i)
@@ -687,14 +687,13 @@ def restricted_amplitude(
 
     phase must be strictly increasing with range R and take a float or a
     float64 array (elementwise), and phase_inv is its inverse on floats;
-    omitted, the phase is the identity (the plain Fourier transform, exact
-    for tables and by QUADPACK weights on finite windows).  t must be
-    finite; t = 0 is the mass integral and t < 0 the conjugate of the
-    transform at -t.  Infinite ranges are summed in half-period cells
-    walking outward from a split point (the finite end, or d.center on the
-    full line, both ways in one batch).  When a piece fails, the one
-    QuadratureFailure raised carries the sum of both pieces' estimates
-    under the sum of their error bounds.
+    omitted, the phase is the identity (the plain Fourier transform, the
+    only phase of a finite window).  t must be finite; t = 0 is the mass
+    integral and t < 0 the conjugate of the transform at -t.  Infinite
+    ranges are summed in half-period cells walking outward from a split
+    point (the finite end, or d.center on the full line, both ways in one
+    batch).  When a piece fails, the one QuadratureFailure raised carries
+    the sum of both pieces' estimates under the sum of their error bounds.
     """
     return _point(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), t)
 
@@ -728,18 +727,14 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
         if t == 0:
             val, err, detail = _mass(d, lo, hi, cfg)
             triples[i] = (complex(val), err, detail)
-        elif d.table is not None and phase is None:
-            triples[i] = (_table_transform(d, lo, hi, abs(t)), 0.0, None)
-        elif math.isfinite(lo) and math.isfinite(hi):
-            if phase is not None:
-                raise ValueError("a nonlinear phase needs an infinite range")
-            triples[i] = _linear_head(d.density, abs(t), lo, hi, cfg, d.feature_points,
-                                      "finite-window oscillatory integral")
         else:
             moving.append(i)
     if moving:
-        # a half-line walks away from its finite end, the full line both ways
-        # from the centre, in one batch; a line's pieces combine lower first
+        # a window or a half-line walks from its finite end, the full line both
+        # ways from the centre, in one batch; a line's pieces combine lower first
+        end = hi if math.isfinite(lo) and math.isfinite(hi) else None
+        if end is not None and phase is not None:
+            raise ValueError("a nonlinear phase needs an infinite range")
         if math.isfinite(lo):
             x0, ways = lo, (1,)
         elif math.isfinite(hi):
@@ -749,7 +744,7 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
         loose = QuadratureConfig(1e-6, 1e-6)
         sums = [(abs(times[i]), way) for way in ways for i in moving]
         pieces = _semi_infinite_osc(d.density, sums, x0, cfg, phase, phase_inv, d.feature_points,
-                                    lambda a, b: mass_integral(d, a, b, loose))
+                                    lambda a, b: mass_integral(d, a, b, loose), end)
         for j, i in enumerate(moving):
             triples[i] = _combine(pieces[j::len(moving)])
     return [(value.conjugate(), bound, detail) if t < 0 else (value, bound, detail)

@@ -4,8 +4,8 @@ A spectral density is the probability density of energy in a given state.
 All densities here are absolutely continuous and carry enough metadata
 (support, center, feature points) for the quadrature engine to integrate
 them reliably on infinite supports.  Each density built here also knows its
-masses exactly: a closed-form distribution function (cdf), or for tables
-the exact trapezoid, so none of their masses is a quadrature.
+masses exactly: a closed-form distribution function (cdf), piecewise
+quadratic for tables, so none of their masses is a quadrature.
 """
 
 from __future__ import annotations
@@ -48,15 +48,12 @@ class SpectralDensity:
     Immutable after construction; evaluation is pure, so instances are safe
     for unrestricted concurrent use.
 
-    density takes a float.  A density that can reach the half-period cells
-    (infinite support, no table) must also take a float64 array of any
-    shape and return its values elementwise, to an ulp or two: the cells,
-    first-pass misses included, evaluate it only on arrays, once per block
-    of nodes.  So must a monotone phase W that the cells evaluate with it
-    (see potential.induced_map).  Lorentzian, exponential and transported
-    densities do; tables never reach the cells.  Floats come only from
-    QUADPACK: QAWO on linear heads and finite windows, and the masses of a
-    density without a cdf.
+    density takes a float64 array of any shape and returns its values
+    elementwise, to an ulp or two: every transform's cells, first-pass misses
+    included, evaluate it only on arrays, once per block of nodes, and so a
+    monotone phase W with it (see potential.induced_map).  It takes a float
+    too: floats reach it only through __call__ and, by QUADPACK, the masses
+    of a density without a cdf.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at
@@ -70,8 +67,6 @@ class SpectralDensity:
     cdf: Callable[[float], float] | None = None
     feature_points: tuple[float, ...] = ()
     label: str = "density"
-    # piecewise-linear knot table (energies, values); enables exact transforms
-    table: tuple | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -130,9 +125,7 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
         raise ValueError(f"rate must be finite and strictly positive, got {rate}")
 
     def dens(e):
-        if isinstance(e, np.ndarray):
-            return rate * np.exp(-rate * e)
-        return rate * math.exp(-rate * e)
+        return rate * np.exp(-rate * e)
 
     return SpectralDensity(
         density=dens,
@@ -150,9 +143,9 @@ def table_density(
     """Piecewise-linear density from (E, p(E)) knots on a compact support.
 
     Knots must be strictly increasing with non-negative values.  Outside the
-    declared support the density is zero.  Fourier transforms of table
-    densities are evaluated by the exact piecewise-linear formula, never by
-    quadrature.
+    declared support the density is zero.  Its cdf, the trapezoid up to an
+    energy, is piecewise quadratic; its knots inside the support are its
+    feature points, so each cell of a transform is linear and its rule exact.
     """
     e = np.asarray(energies, dtype=float)
     p = np.asarray(values, dtype=float)
@@ -168,22 +161,29 @@ def table_density(
     if lo > e[0] or hi < e[-1]:
         raise ValueError("declared support must contain all knots")
 
+    below = np.concatenate(([0.0], np.cumsum(np.diff(e) * (p[1:] + p[:-1]) / 2)))  # at each knot
+
     def dens(x):
-        return float(np.interp(x, e, p, left=0.0, right=0.0))
+        return np.interp(x, e, p, left=0.0, right=0.0)
+
+    def cdf(x):
+        y = min(max(x, e[0]), e[-1])  # the trapezoid up to x, clamped to the knots
+        i = max(int(np.searchsorted(e, y)) - 1, 0)
+        return float(below[i] + 0.5 * (y - e[i]) * (p[i] + np.interp(y, e, p)))
 
     return SpectralDensity(
         density=dens,
         support=(lo, hi),
         center=float(0.5 * (e[0] + e[-1])),
-        feature_points=tuple(float(x) for x in e[1:-1][:20]),
+        cdf=cdf,
+        feature_points=tuple(float(x) for x in e if lo < x < hi),
         label="user-table",
-        table=(e, p),
     )
 
 
 def normalize_check(d: SpectralDensity, cfg=None) -> float:
     """Integral of the density over its support, via the quadrature module
-    (exact for a density with a cdf or a table).
+    (exact for a density with a cdf).
 
     Callers assert |result - 1| <= 1e-10 for valid densities.  A quadrature
     non-convergence surfaces as a QuadratureFailure, never as a value.

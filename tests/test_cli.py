@@ -264,8 +264,9 @@ SERIES_JOBS = {
     # the factor's exponential fit needs at least 8 points
     "potential": (cli.potential, "generalized_factor_series", 2, ("--n-points", "8"),
                   "f.csv_factor.csv"),
-    "pw": (cli.oscint, "global_survival_series", 2, ("--amplitude", "global-survival"),
-           "f.csv"),
+    # a sweep within the grid [0, 2]
+    "pw": (cli.oscint, "global_survival_series", 2,
+           ("--amplitude", "global-survival", "--T-values", "0.02,0.2,1,2"), "f.csv"),
 }
 
 
@@ -289,6 +290,22 @@ def test_numerical_failure_writes_partial_and_manifest(tmp_path, monkeypatch, ca
     assert "error_bound" in text and "stub" in text
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"decaylab {command}: ")
+
+
+@pytest.mark.parametrize("grid", [(), ("--t-start", "0")], ids=["defaults", "t-start-0"])
+def test_global_survival_grid_short_of_the_sweep_fails_before_computing(
+        tmp_path, monkeypatch, capsys, grid):
+    # the sweep integrates the series over [0, 1000], the largest default T:
+    # the command's default grid, [0.25, 10], and [0, 10] are usage errors
+    # that name both flags, and no series is computed
+    calls = []
+    monkeypatch.setattr(cli.oscint, "global_survival_series", lambda *args: calls.append(args))
+    assert run("pw", "--amplitude", "global-survival", *grid,
+               "--out", str(tmp_path / "pw.txt")) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "--t-start 0" in line and "--t-end 1000" in line
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_pw_sweep_writes_its_series_and_manifest(tmp_path, capsys):

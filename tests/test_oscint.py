@@ -302,7 +302,8 @@ _LONG_HEADS = [
                          ids=[case[0] for case in _LONG_HEADS])
 def test_linear_head_spanning_many_oscillations(cfg, d, t, want):
     # the head up to the last feature point spans up to 1.6e6 oscillations;
-    # QAWO takes it whole, with no cap on their number
+    # each Clenshaw-Curtis cell between its cuts takes its share whole, with
+    # no cap on their number
     assert abs(fourier_amplitude(d, t, cfg) - want) <= cfg.target(want)
 
 
@@ -421,6 +422,15 @@ def test_table_transform_asymmetric_frozen():
     got = fourier_amplitude(d, 3.7, CFG)
     want = -0.17545101577386216057 - 0.19839670225059614299j
     assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1.5e-3, 2e-3, 3e-3, 5e-3, 1e-2])
+def test_ramp_table_at_small_t_matches_its_series(t):
+    # p(E) = 2E on [0, 1]: a(t) = sum_k 2 (-it)^k / (k! (k + 2)); the table's
+    # closed form once cancelled to 6e-11 relative at t = 2e-3
+    d = table_density([0.0, 1.0], [0.0, 2.0])
+    want = sum(2.0 * (-1j * t) ** k / (math.factorial(k) * (k + 2)) for k in range(20))
+    assert abs(fourier_amplitude(d, t, TIGHT) - want) <= TIGHT.target(want)
 
 
 def test_table_restricted_window():
@@ -596,49 +606,59 @@ def _quadpack_not_converged(monkeypatch, error):
     monkeypatch.setattr(oscint, "quad", failing)
 
 
-# (integral named in the failure, its time, the call)
+# (integral named in the failure, its time, the call, the rule that fails:
+# scipy's quad, or the cell rule of the linear head and the window)
 _ONE_RULE = {
     # without its cdf, so that the mass is integrated
     "mass_integral": ("mass integral", None, lambda: mass_integral(
-        replace(lorentzian_density(DephasingParams(1.0, 0.3)), cdf=None), 0.0, math.inf, CFG)),
+        replace(lorentzian_density(DephasingParams(1.0, 0.3)), cdf=None), 0.0, math.inf, CFG),
+        "quad"),
     "fourier_amplitude": ("oscillatory head integral", 2.0, lambda: fourier_amplitude(
-        lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG)),
+        lorentzian_density(DephasingParams(1.0, 0.3)), 2.0, CFG), "_cc25_cells"),
     "finite_window": ("finite-window oscillatory integral", 3.0, lambda: restricted_amplitude(
-        lorentzian_density(DephasingParams(1.0, 0.3)), -1.0, 2.0, 3.0, CFG)),
+        lorentzian_density(DephasingParams(1.0, 0.3)), -1.0, 2.0, 3.0, CFG), "_cc25_cells"),
     # the first increment, [0, 1], fails, named by its T
     "pw_sweep": ("Paley-Wiener sweep increment", 1.0, lambda: pw_sweep(
-        lambda t: cmath.exp(-0.5 * t), [1.0, 10.0], CFG)),
+        lambda t: cmath.exp(-0.5 * t), [1.0, 10.0], CFG), "quad"),
 }
 
 
 @pytest.mark.parametrize("name", list(_ONE_RULE))
 def test_one_convergence_rule(monkeypatch, name):
-    # QUADPACK's flag fails a result only when its error estimate also
+    # a rule's flag fails a result only when its error estimate also
     # exceeds cfg.target(value); the failure names the integral and its t
-    what, t, call = _ONE_RULE[name]
+    what, t, call, rule = _ONE_RULE[name]
     want = call()
-    # a faked error small enough that a point's summed bound stays within
-    # abs_tol (no case makes 64 calls), since a half-line sum whose bound
-    # exceeds its tolerance fails whatever QUADPACK's flag says
-    _quadpack_not_converged(monkeypatch, CFG.abs_tol / 64)
-    assert call() == want
-    _quadpack_not_converged(monkeypatch, 1.0)
+    if rule == "quad":
+        # a faked error small enough that a point's summed bound stays within
+        # abs_tol (no case makes 64 calls), since a half-line sum whose bound
+        # exceeds its tolerance fails whatever QUADPACK's flag says
+        _quadpack_not_converged(monkeypatch, CFG.abs_tol / 64)
+        assert call() == want
+        _quadpack_not_converged(monkeypatch, 1.0)
+    else:
+        # no cell is accepted and none meets its share of abs_tol, however it
+        # is bisected: within cfg.target(value) a cell passes, beyond it fails
+        _block_rule_not_converged(monkeypatch, CFG.rel_tol / 10, rule)
+        assert call() == pytest.approx(want, abs=CFG.abs_tol)
+        _block_rule_not_converged(monkeypatch, CFG.rel_tol * 10, rule)
     with pytest.raises(QuadratureFailure) as exc_info:
         call()
     assert exc_info.value.detail == f"{what} did not converge"
     assert exc_info.value.t == t
 
 
-def _block_rule_not_converged(monkeypatch, rel_error):
-    """Make the block rule miss every cell's first-pass test and report an
-    error of rel_error times the cell's magnitude, so that a refinement
-    whose parts carry weight never meets its cell's tolerance."""
-    block_rule = oscint._qk21_cells
+def _block_rule_not_converged(monkeypatch, rel_error, name="_qk21_cells"):
+    """Make the block rule name (the half-period cells' by default) miss
+    every cell's first-pass test and report an error of rel_error times the
+    cell's magnitude, so that a refinement whose parts carry weight never
+    meets its cell's tolerance."""
+    block_rule = getattr(oscint, name)
 
     def missing(*args):
         return [(val, rel_error * abs(val), False) for val, _, _ in block_rule(*args)]
 
-    monkeypatch.setattr(oscint, "_qk21_cells", missing)
+    monkeypatch.setattr(oscint, name, missing)
 
 
 def test_capped_cell_refinement_fails_only_beyond_its_target(monkeypatch):
@@ -763,12 +783,10 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
     assert got_err == pytest.approx(want_err, rel=1e-9)
 
 
-@pytest.mark.parametrize("mode", [{}, {"weight": "cos", "wvar": 5.0}], ids=["real", "qawo"])
-def test_quad_over_a_reversed_range_is_minus_the_ascending_one(mode):
-    # a downward linear head's QAWO segments run over reversed limits
+def test_quad_over_a_reversed_range_is_minus_the_ascending_one():
     f = lambda x: math.exp(-x) * math.cos(5.0 * x)
-    up = oscint._quad(f, 0.0, 3.0, 1e-12, 1e-12, CFG, "test", **mode)
-    down = oscint._quad(f, 3.0, 0.0, 1e-12, 1e-12, CFG, "test", **mode)
+    up = oscint._quad(f, 0.0, 3.0, 1e-12, 1e-12, CFG, "test")
+    down = oscint._quad(f, 3.0, 0.0, 1e-12, 1e-12, CFG, "test")
     assert down == (-up[0], up[1], up[2])
 
 
@@ -789,9 +807,9 @@ _REFLECTION_TIMES = [-2.0, 0.05, 0.3, 1.0, 3.0, 10.0, 40.0]
 def test_lower_half_line_equals_the_conjugated_mirror_image():
     # int_{-inf}^{x0} w(x) e^{-it W(x)} dx = conj(int_{-x0}^{inf} w(-y) e^{-it r(y)} dy)
     # with r(y) = -W(-y): the reflection the lower piece was summed by.  Each
-    # downward cell's nodes are the negated nodes of its mirror cell, so a
-    # monotone phase matches bit for bit; a linear head's QAWO segments
-    # run over reversed ranges, which differ in the last bits
+    # downward cell's nodes are the negated nodes of its mirror cell, and a
+    # linear head cell's moments the conjugated moments of its mirror cell,
+    # so both phases match bit for bit
     params = DephasingParams(1.0, 0.3)
     p = exp_potential()
     d = build_initial_state(p, params).density
@@ -810,7 +828,7 @@ def test_lower_half_line_equals_the_conjugated_mirror_image():
         for x0 in (d.center, 2.5, -4.0):
             got = restricted_amplitude_series(d, -math.inf, x0, _REFLECTION_TIMES, cfg)
             want = restricted_amplitude_series(mirror, -x0, math.inf, _REFLECTION_TIMES, cfg)
-            assert np.max(np.abs(got.values - want.values.conj())) <= 2 * cfg.abs_tol, (cfg, x0)
+            assert np.array_equal(got.values, want.values.conj()), (cfg, x0)
 
 
 def _reject_first_block(monkeypatch):
@@ -960,6 +978,17 @@ def test_cell_value_does_not_depend_on_its_block():
             part = oscint._qk21_cells(np.ascontiguousarray(values[:, cut]), half[cut],
                                       tols[cut], 1e-12)
             assert part == whole[cut], (size, start)
+    # so must a Clenshaw-Curtis cell's, its moments by the Gauss-Legendre rule
+    # or by the recursion (|t h| on both sides of 24)
+    t = np.repeat([0.3, 40.0, 900.0], 5)
+    weights = d.density(centre[:, None] + half[:, None] * oscint._CC25_NODES)
+    whole = oscint._cc25_cells(weights, centre, half, t, tols, 1e-12)
+    for size in range(1, 10):
+        for start in range(0, 16 - size):
+            cut = slice(start, start + size)
+            part = oscint._cc25_cells(weights[cut], centre[cut], half[cut], t[cut], tols[cut],
+                                      1e-12)
+            assert part == whole[cut], (size, start)
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -992,7 +1021,7 @@ def _no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature ran before the time grid was checked")
 
-    for name in ("_quad", "_qk21_cells", "_mass"):
+    for name in ("_quad", "_qk21_cells", "_cc25_cells", "_mass"):
         monkeypatch.setattr(oscint, name, refuse)
 
 

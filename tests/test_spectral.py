@@ -233,15 +233,21 @@ _CDF_CASES = {
 }
 
 
+def _table(params):
+    # knots omega0 + (-3, -1, 0, 2, 5) gamma, unnormalized
+    knots = params.omega0 + params.gamma * np.array([-3.0, -1.0, 0.0, 2.0, 5.0])
+    return table_density(knots, np.array([0.0, 1.0, 3.0, 0.5, 0.0]) / params.gamma), lambda e: e
+
+
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("kind", list(_CDF_CASES))
+@pytest.mark.parametrize("kind", [*_CDF_CASES, "table"])
 def test_cdf_masses_match_quadrature(kind, gamma):
     # exact masses against adaptive quad of the same density without its
     # cdf, on every window between omega0 + k gamma, k in ks, in energy
     ks = (-40, -3, -1, 0, 1, 3, 40)
     for ratio in (-2.5, 0.0, 0.7):
         omega0 = ratio * gamma
-        d, x_of = _CDF_CASES[kind](DephasingParams(gamma, omega0))
+        d, x_of = {**_CDF_CASES, "table": _table}[kind](DephasingParams(gamma, omega0))
         integrated = replace(d, cdf=None)
         ends = [x_of(omega0 + k * gamma) for k in ks]
         for i, lo in enumerate(ends):
