@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscint import ComplexTimeSeries, QuadratureConfig, _checked, _quad
+from . import oscint
+from .oscint import ComplexTimeSeries, QuadratureConfig, _checked, _summed
 
 # classifier thresholds, calibrated on the two closed-form reference cases:
 # the pure exponential fits c0 + c1 ln(1+T^2) to machine precision and keeps
@@ -122,15 +123,20 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
     def integrand(t: float) -> float:
         return _neglog(abs(amplitude(t))) / (1.0 + t * t)
 
-    acc = 0.0
-    prev = 0.0
-    for T in Ts:
-        # decade break points keep the adaptive subdivision shallow on long ranges
-        pts = [p for p in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if prev < p < T] or None
-        acc += 2.0 * _checked(T, *_quad(integrand, prev, T, cfg.abs_tol / 2, cfg.rel_tol, cfg,
-                                        "Paley-Wiener sweep increment", pts))
-        out.append((T, acc))
-        prev = T
+    # one walk over [0, max T], cut at every T and at the decades, which keep
+    # the adaptive subdivision shallow on long ranges: the right end of each
+    # piece, in order; an increment is judged on its own pieces.  quad is
+    # looked up in oscint at each call, as _quad does, so that perfbench's
+    # tracer, which replaces oscint.quad, counts the sweep
+    ends = sorted({p for p in (*Ts, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5) if p <= Ts[-1]})
+    acc, parts = 0.0, []
+    for end, piece in zip(ends, oscint.quad(integrand, 0.0, Ts[-1], cfg.abs_tol / 2,
+                                            cfg.rel_tol, ends)):
+        parts.append(piece)
+        if end in Ts:
+            acc += 2.0 * _checked(end, *_summed(parts, cfg, "Paley-Wiener sweep increment"))
+            out.append((end, acc))
+            parts = []
     return out
 
 

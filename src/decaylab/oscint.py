@@ -19,8 +19,8 @@ phase length pi), with Wynn epsilon acceleration of the alternating cell
 sums; every piece walks outward from its split point, the piece below it
 downward, and the two pieces of the full line are one batch.  Each tail
 cell, and each head cell of a monotone phase, gets QUADPACK's 21-point
-Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass by default
-(min_cells + 2).
+Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
+(_MIN_CELLS + _STABLE_STEPS).
 
 A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
@@ -31,13 +31,18 @@ a cell's bits do not depend on its block, and a series is bit-identical to
 its pointwise values.  Each t keeps its own head, Wynn table and stop
 rules, run in order over its own cells.  A cell that misses its rule's
 first-pass test is bisected in the passes that follow until its parts meet
-dqagse's test; others agree with quad to rounding.  This gives uniform
+dqagse's test; others agree with QUADPACK's to rounding.  This gives uniform
 accuracy in t; heavy algebraic tails converge through the acceleration
 instead of an (infeasibly large) explicit cutoff, and the analytic tail
 mass only enters a failure's bound.
 
 A mass is exact when the density has a cdf (a difference of two values);
-only a density without one has its masses integrated by adaptive quad.
+only a density without one has its masses integrated by quad, cut at its
+feature points.  quad, the one adaptive integrator of what is not
+oscillatory (those masses and diagnostics.pw_sweep), is built from the
+cells' parts: each of its pieces is a dqk21 cell, and a first-pass miss,
+of a piece or of a half-period or head cell, is bisected by one
+refinement, _ruled.
 
 Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
@@ -63,7 +68,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectral import SpectralDensity
 
@@ -74,6 +78,10 @@ _MAX_SUBDIVISIONS = 200
 _ROUNDOFF_BISECTIONS = 10
 _NEGLIGIBLE_FACTOR = 0.02
 _STABLE_STEPS = 2
+# the most half-period cells of an infinite piece's tail, and the cells
+# before its first convergence check
+_MAX_CELLS = 400
+_MIN_CELLS = 6
 # the most half-period cells of a monotone head
 _MAX_HEAD_CELLS = 20_000
 # the most cells of one evaluation of the integrand and the block rule,
@@ -84,31 +92,26 @@ _BLOCK_CELLS = 256
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and the cell budget of every integral.
+    """Tolerances of every integral.
 
     abs_tol and rel_tol, positive and finite, are the target accuracy.
-    max_cells caps the half-period cells of an infinite piece's tail;
-    min_cells delays the convergence checks a few oscillations.
 
-    Fixed, not settable: an adaptive QUADPACK call and a refined cell get at
-    most _MAX_SUBDIVISIONS (200) subintervals, and a refined cell stops after
-    _ROUNDOFF_BISECTIONS (10) bisections that gain only roundoff; a tail sum
-    stops as truncated after two consecutive cells below _NEGLIGIBLE_FACTOR
-    (0.02) * abs_tol, and as converged after _STABLE_STEPS (2) consecutive
-    Wynn-stable estimates.
+    Fixed, not settable: a refined cell or piece of quad gets at most
+    _MAX_SUBDIVISIONS (200) parts, and stops after _ROUNDOFF_BISECTIONS (10)
+    bisections that gain only roundoff; an infinite piece's tail sums at most
+    _MAX_CELLS (400) half-period cells and checks convergence from its
+    _MIN_CELLS-th (6th) on; it stops as truncated after two consecutive
+    cells below _NEGLIGIBLE_FACTOR (0.02) * abs_tol, and as converged after
+    _STABLE_STEPS (2) consecutive Wynn-stable estimates.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_cells: int = 400
-    min_cells: int = 6
 
     def __post_init__(self):
         for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
             if not 0 < tol < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {tol}")
-        if self.max_cells < self.min_cells or self.min_cells < 1:
-            raise ValueError("need max_cells >= min_cells >= 1")
 
     def target(self, value: complex) -> float:
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -182,11 +185,16 @@ def _judged(value, error, converged, cfg, what):
     return value, float(error), (f"{what} did not converge" if failed else None)
 
 
-def _quad(f, a, b, epsabs, epsrel, cfg, what, points=None):
-    """scipy's quad as a _judged triple: converged when full_output adds no message."""
-    res = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_MAX_SUBDIVISIONS, points=points,
-               full_output=1)
-    return _judged(res[0], res[1], len(res) == 3, cfg, what)
+def _summed(pieces, cfg, what):
+    """One _judged triple of pieces of quad: their values and errors add,
+    and it converged when every piece did."""
+    values, errors, converged = zip(*pieces)
+    return _judged(sum(values), sum(errors), all(converged), cfg, what)
+
+
+def _quad(f, a, b, epsabs, epsrel, cfg, what, points=()):
+    """quad over [a, b] as one _summed triple."""
+    return _summed(quad(f, a, b, epsabs, epsrel, points), cfg, what)
 
 
 def _checked(t, value, bound, detail):
@@ -213,17 +221,15 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 def _mass(d, lo, hi, cfg):
     """mass_integral as a (value, error bound, detail) triple: exact from a
-    cdf (bound 0), otherwise adaptive quad."""
+    cdf (bound 0), otherwise quad's, cut at the feature points."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
     if d.cdf is not None:
         return d.cdf(hi) - d.cdf(lo), 0.0, None
-    pts = sorted(p for p in d.feature_points if lo < p < hi)
-    if not (pts and math.isfinite(lo) and math.isfinite(hi)):
-        pts = None  # quad takes break points on finite ranges only
-    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", pts)
+    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral",
+                 d.feature_points)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +271,14 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     """QUADPACK's dqk21 rule and dqagse's first-pass test on a block of cells.
 
     values[:, i] is the complex integrand at centre_i + half_lengths[i] *
-    _GK21_NODES, and epsabs a float or one per cell.  As
+    _GK21_NODES, and epsabs a float or one per cell.  As scipy's
     quad(complex_func=True) does, the real and imaginary parts are
     integrated as two real integrals, with dqk21's error estimate and
     dqagse's acceptance test as array expressions.  The node sums are
     einsum's, column by column in a fixed order, so a cell's value and
     verdict do not depend on the block it is evaluated in (a BLAS product's
-    bits depend on a column's position); a cell's value agrees with quad's
-    to rounding and its error estimate to the cancellation in the
+    bits depend on a column's position); a cell's value agrees with
+    QUADPACK's to rounding and its error estimate to the cancellation in the
     Kronrod-Gauss difference.  Returns one (value, error, accepted) per
     cell: the Kronrod value, the summed error estimates of both parts, and
     whether both parts' first pass passes dqagse's test (ier = 0 with no
@@ -374,6 +380,101 @@ def _cc25_cells(values, centres, half_lengths, t, epsabs, epsrel):
 
 
 # ---------------------------------------------------------------------------
+# adaptive bisection of cells, and quad
+
+def _ruled(edges, tol, rel, cc=False):
+    """The cells between consecutive edges as (end, (value, error,
+    converged)) by a generator of requests (lo, hi, tol, cc) to rule, by
+    _cc25_cells when cc, else by _qk21_cells, each at the relative
+    tolerance rel.  A first-pass miss is refined breadth first: each pass
+    bisects its parts whose errors exceed their length share of tol, the
+    largest first, until their summed error meets max(tol, rel |value|)
+    (dqagse's test), _MAX_SUBDIVISIONS, or _ROUNDOFF_BISECTIONS bisections
+    whose halves sum to within 1e-5 of the part's value with at least 0.99
+    of its error (dqagse's roundoff test, iroff1); converged says whether the
+    first pass or the refined parts met the test."""
+    lo, hi = edges[:-1], edges[1:]
+    cells = yield lo, hi, tol, cc
+    # each missed cell's parts (a, b, value, error), in order from its start
+    parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
+    roundoff = dict.fromkeys(parts, 0)
+
+    def total(ps):
+        value, error = sum((p[2] for p in ps[1:]), ps[0][2]), sum(p[3] for p in ps)
+        return value, error, error <= max(tol, rel * abs(value))
+
+    def to_bisect(j, ps):
+        above = [p for p in ps if p[3] > tol * (p[1] - p[0]) / (hi[j] - lo[j])]
+        return sorted(above, key=lambda p: -p[3])[:_MAX_SUBDIVISIONS - len(ps)]
+
+    while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
+                    if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
+                    for p in to_bisect(j, ps)]:
+        halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
+                             [e for _, p, m in split for e in (m, p[1])], tol, cc))
+        halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
+                  for j, p, m in split}
+        for j, p, _ in split:
+            (_, _, v1, e1), (_, _, v2, e2) = halved[j, p[0]]
+            roundoff[j] += (abs(p[2] - (v1 + v2)) <= 1e-5 * abs(v1 + v2)
+                            and e1 + e2 >= 0.99 * p[3])
+        parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
+                 for j, ps in parts.items()}
+    return zip(hi, [total(parts[j]) if j in parts else (val, err, True)
+                    for j, (val, err, _) in enumerate(cells)])
+
+
+def quad(f, a, b, epsabs, epsrel, points=()):
+    """int_a^b f(x) dx by adaptive 21-point Gauss-Kronrod quadrature, f
+    called on one float at a time: one (value, error, converged) per piece
+    between a, the points strictly inside and b, converged when the piece
+    meets max(epsabs, epsrel |value|).
+
+    Each piece is a cell of _ruled, ruled by _qk21_cells and bisected in its
+    own coordinate: x between the outermost finite edges, and an infinite
+    end beyond its outermost edge c in s in (0, 1], x = c +- L (1 - s)/s with
+    L = max(1, |c|) (QUADPACK dqagie's map, scaled to c).  The full line
+    without points is one piece split at 0.  A reversed range is minus the
+    ascending one, piece by piece.
+    """
+    if b < a:
+        ascending = quad(f, b, a, epsabs, epsrel, points)
+        return [(-value, error, ok) for value, error, ok in reversed(ascending)]
+    if a == b:  # an empty range, at an infinite end too
+        return [(0.0, 0.0, True)]
+    edges = [a, *sorted({p for p in points if a < p < b}), b]
+
+    def ruled(cell_edges, x_of):
+        """The triples of the cells between cell_edges, each node u at x_of(u)
+        = (x, dx/du)."""
+        walk = _ruled(cell_edges, epsabs, epsrel)
+        lo, hi, tol, _ = next(walk)
+        while True:
+            lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+            half = 0.5 * (hi - lo)
+            x, dx = x_of(0.5 * (hi + lo) + half * _GK21_NODES[:, None])
+            values = np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+            try:
+                lo, hi, tol, _ = walk.send(_qk21_cells(values * dx, half, tol, epsrel))
+            except StopIteration as stop:
+                return [(value.real, error, ok) for _, (value, error, ok) in stop.value]
+
+    def beyond(c, way):
+        scale = max(1.0, abs(c))
+        return lambda s: (c + way * scale * (1.0 - s) / s, scale / (s * s))
+
+    span = [e for e in edges if math.isfinite(e)] or [0.0]
+    pieces = [*(ruled([0.0, 1.0], beyond(span[0], -1.0)) if a == -math.inf else ()),
+              *ruled(span, lambda x: (x, 1.0)),
+              *(ruled([0.0, 1.0], beyond(span[-1], 1.0)) if b == math.inf else ())]
+    if len(pieces) < len(edges):
+        return pieces
+    # the full line without points: its two halves are one piece
+    (v1, e1, ok1), (v2, e2, ok2) = pieces
+    return [(v1 + v2, e1 + e2, ok1 and ok2)]
+
+
+# ---------------------------------------------------------------------------
 # half-period cells + Wynn epsilon acceleration
 
 
@@ -441,9 +542,9 @@ def _semi_infinite_osc(
     most _MAX_HEAD_CELLS half-period edges, mapped to x by phase_inv.
 
     Each sum is a scalar loop (cell_sum) that asks for its cells, as
-    x-intervals, a block at a time: the head, then min_cells + _STABLE_STEPS
+    x-intervals, a block at a time: the head, then _MIN_CELLS + _STABLE_STEPS
     tail cells per pass, and the halves of a block's first-pass misses in
-    the passes between (ruled).  A pass gathers the requests of every sum
+    the passes between (_ruled).  A pass gathers the requests of every sum
     still running, by rule, into evaluations of at most _BLOCK_CELLS cells:
     weight and phase each take all their nodes as one float64 array
     (SpectralDensity's array contract), and one rule call rules on all their
@@ -451,7 +552,7 @@ def _semi_infinite_osc(
     bits it would get alone.  Each sum then runs its Wynn update and stop
     rules over its own cells in order.  A head or cell that did not converge
     (_judged's rule), a monotone head over the cap, or a tail sum not stable
-    within cfg.max_cells cells leaves by the one failure exit: the best
+    within _MAX_CELLS cells leaves by the one failure exit: the best
     estimate, its bound plus mass(lo, hi), the mass beyond the last cell
     summed.  A sum that stops with a bound above cfg.target(value) fails,
     naming its bound.
@@ -472,48 +573,8 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
-    def ruled(edges, tol, what="half-period cell", cc=False):
-        """The cells between consecutive edges as (end, (value, error, detail))
-        by a generator of requests (lo, hi, tol, cc) to rule, by _cc25_cells
-        when cc, else by _qk21_cells.  A first-pass miss is refined breadth
-        first: each pass bisects its parts whose errors exceed their length
-        share of tol, the largest first, until their summed error meets
-        max(tol, 1e-12 |value|) (dqagse's test), _MAX_SUBDIVISIONS, or
-        _ROUNDOFF_BISECTIONS bisections whose halves sum to within 1e-5 of
-        the part's value with at least 0.99 of its error (dqagse's roundoff
-        test, iroff1); then _judged rules on it as what."""
-        lo, hi = edges[:-1], edges[1:]
-        cells = yield lo, hi, tol, cc
-        # each missed cell's parts (a, b, value, error), in order from its start
-        parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
-        roundoff = dict.fromkeys(parts, 0)
-
-        def total(ps):
-            value, error = sum((p[2] for p in ps[1:]), ps[0][2]), sum(p[3] for p in ps)
-            return value, error, error <= max(tol, 1e-12 * abs(value))
-
-        def to_bisect(j, ps):
-            above = [p for p in ps if p[3] > tol * (p[1] - p[0]) / (hi[j] - lo[j])]
-            return sorted(above, key=lambda p: -p[3])[:_MAX_SUBDIVISIONS - len(ps)]
-
-        while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
-                        if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
-                        for p in to_bisect(j, ps)]:
-            halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
-                                 [e for _, p, m in split for e in (m, p[1])], tol, cc))
-            halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
-                      for j, p, m in split}
-            for j, p, _ in split:
-                (_, _, v1, e1), (_, _, v2, e2) = halved[j, p[0]]
-                roundoff[j] += (abs(p[2] - (v1 + v2)) <= 1e-5 * abs(v1 + v2)
-                                and e1 + e2 >= 0.99 * p[3])
-            parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
-                     for j, ps in parts.items()}
-        return zip(hi, [_judged(*total(parts[j]), cfg, what) if j in parts
-                        else (val, err, None) for j, (val, err, _) in enumerate(cells)])
-
     def cell_sum(t, way):
-        """The sum at (t, way) as a generator of ruled's requests for each
+        """The sum at (t, way) as a generator of _ruled's requests for each
         block of cells it needs; returns its triple."""
         h = way * math.pi / t
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
@@ -528,8 +589,9 @@ def _semi_infinite_osc(
             us = {u0 + (j + 1) * h for j in range(k_clear)} if phase is not None else {u_start}
             us = sorted(us | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
             head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-            for a, (val, err, cell_detail) in (yield from ruled([x0, *map(pin, us)], head_tol,
-                                                                head_name, phase is None)):
+            for a, cell in (yield from _ruled([x0, *map(pin, us)], head_tol, 1e-12,
+                                              phase is None)):
+                val, err, cell_detail = _judged(*cell, cfg, head_name)
                 partial += val
                 quad_err += err
                 detail = detail or cell_detail
@@ -541,12 +603,13 @@ def _semi_infinite_osc(
         stable = 0
         negligible = 0
         k = 0
-        while detail is None and k < cfg.max_cells:
-            # blocks of min_cells + _STABLE_STEPS cells: the first one reaches
+        while detail is None and k < _MAX_CELLS:
+            # blocks of _MIN_CELLS + _STABLE_STEPS cells: the first one reaches
             # the earliest Wynn-stable stop; cells past a stop are discarded
-            m = min(cfg.min_cells + _STABLE_STEPS, cfg.max_cells - k)
+            m = min(_MIN_CELLS + _STABLE_STEPS, _MAX_CELLS - k)
             edges = [a] + [pin(u_start + (k + j + 1) * h) for j in range(m)]
-            for b, (val, err, detail) in (yield from ruled(edges, cell_tol)):
+            for b, cell in (yield from _ruled(edges, cell_tol, 1e-12)):
+                val, err, detail = _judged(*cell, cfg, "half-period cell")
                 quad_err += err
                 partial += val
                 a = b
@@ -559,11 +622,11 @@ def _semi_infinite_osc(
                 # truncated-tail stop: consecutive negligible cells
                 if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
                     negligible += 1
-                    if negligible >= 2 and k + 1 >= cfg.min_cells:
+                    if negligible >= 2 and k + 1 >= _MIN_CELLS:
                         return settled(partial, quad_err + 3.0 * abs(val))
                 else:
                     negligible = 0
-                if est_prev is not None and k + 1 >= cfg.min_cells:
+                if est_prev is not None and k + 1 >= _MIN_CELLS:
                     delta = abs(est - est_prev)
                     if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
                         stable += 1
@@ -581,7 +644,7 @@ def _semi_infinite_osc(
             except Exception:
                 bound = math.inf
         return best, bound, (detail or
-                             f"oscillatory cell sum did not stabilize within {cfg.max_cells} cells")
+                             f"oscillatory cell sum did not stabilize within {_MAX_CELLS} cells")
 
     def rule(requests):
         """The block rule on the cells lo[j] to hi[j] of every request (t, lo,

@@ -289,16 +289,30 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
         return ValueError(f"W'({x:g}) = {slope} is not a usable Jacobian")
 
     def dens(x):
-        # a float, or a float64 array elementwise, like W and W'
-        slope = w_prime(x)
+        # a float, or a float64 array elementwise, like W and W'; it falls
+        # like W'/W^2, so it is 0 where W overflows
         if isinstance(x, np.ndarray):
+            wx = w(x)
+            overflow = np.isinf(wx)
+            if overflow.any():
+                out = np.zeros(x.shape)
+                out[~overflow] = dens(x[~overflow])
+                return out
+            slope = w_prime(x)
             bad = np.flatnonzero(~np.isfinite(slope) | (slope < -1e-9))
             if bad.size:
                 raise unusable(x.flat[bad[0]], slope.flat[bad[0]])
-            return np.maximum(slope, 0.0) * lor.density(w(x))
+            return np.maximum(slope, 0.0) * lor.density(wx)
+        try:
+            wx = w(x)
+        except OverflowError:  # a float V past the float range
+            return 0.0
+        if math.isinf(wx):
+            return 0.0
+        slope = w_prime(x)
         if not math.isfinite(slope) or slope < -1e-9:
             raise unusable(x, slope)
-        return max(slope, 0.0) * lor.density(w(x))
+        return max(slope, 0.0) * lor.density(wx)
 
     center = w_inv(params.omega0)
     features = tuple(w_inv(e) for e in lor.feature_points)

@@ -52,8 +52,8 @@ class SpectralDensity:
     elementwise, to an ulp or two: every transform's cells, first-pass misses
     included, evaluate it only on arrays, once per block of nodes, and so a
     monotone phase W with it (see potential.induced_map).  It takes a float
-    too: floats reach it only through __call__ and, by QUADPACK, the masses
-    of a density without a cdf.
+    too: floats reach it only through __call__ and, by oscint.quad, the
+    masses of a density without a cdf.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at

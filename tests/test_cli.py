@@ -626,3 +626,21 @@ def test_extreme_parameters_end_without_a_signal(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "gamma" in proc.stderr and "omega0" in proc.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_needs_no_scipy(tmp_path):
+    # a fresh interpreter imports the CLI without loading scipy, and the
+    # sweep (pw), survival and potential run with every scipy import refused
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        path for path in (src, os.environ.get("PYTHONPATH")) if path))
+    script = ("import sys\n"
+              "import decaylab.cli as cli\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+              "sys.modules['scipy'] = None\n"
+              "print([cli.main([command, '--out', sys.argv[1] + '/' + command])\n"
+              "       for command in ('pw', 'survival', 'potential')])\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[0, 0, 0]"], proc.stderr

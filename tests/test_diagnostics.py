@@ -73,7 +73,7 @@ def test_pw_requires_positive_T():
 ])
 def test_pw_sweep_rejects_non_positive_or_non_finite_T(Ts, bad):
     # before any quadrature or fit: a NaN once reached np.polyfit (LAPACK
-    # errors, "SVD did not converge"), an inf scipy's break points
+    # errors, "SVD did not converge"), an inf quad's break points
     with pytest.raises(ValueError, match=f"positive and finite, got {bad}$"):
         pw_sweep(exp_amp(1.0), Ts, CFG)
     if len(Ts) >= 4:

@@ -451,21 +451,28 @@ def test_table_restricted_window():
     assert abs(got - complex(float(re), float(im))) <= 1e-12
 
 
-def test_quadrature_failure_carries_estimate():
-    starved = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_cells=3, min_cells=1)
+def _starve(monkeypatch, max_cells, min_cells):
+    """Cap every tail at max_cells half-period cells, checked from the
+    min_cells-th on."""
+    monkeypatch.setattr(oscint, "_MAX_CELLS", max_cells)
+    monkeypatch.setattr(oscint, "_MIN_CELLS", min_cells)
+
+
+def test_quadrature_failure_carries_estimate(monkeypatch):
+    _starve(monkeypatch, 3, 1)
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     with pytest.raises(QuadratureFailure) as exc_info:
-        fourier_amplitude(d, 5.0, starved)
+        fourier_amplitude(d, 5.0, CFG)
     failure = exc_info.value
     assert math.isfinite(abs(complex(failure.estimate)))
     assert failure.error_bound > 0
 
 
-def test_series_failure_keeps_partial_data():
-    starved = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9, max_cells=3, min_cells=1)
+def test_series_failure_keeps_partial_data(monkeypatch):
+    _starve(monkeypatch, 3, 1)
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     with pytest.raises(SeriesFailure) as exc_info:
-        amplitude_series(d, [0.0, 5.0], starved)
+        amplitude_series(d, [0.0, 5.0], CFG)
     failure = exc_info.value
     assert len(failure.series) == 2
     assert failure.series.values[0] == pytest.approx(1.0, abs=1e-8)  # t=0 still fine
@@ -484,7 +491,7 @@ def test_time_series_validation():
 
 @pytest.mark.parametrize("kwargs", [
     {"abs_tol": 0.0}, {"abs_tol": -1e-9}, {"rel_tol": 0.0}, {"rel_tol": -1e-9},
-    {"min_cells": 0}, {"max_cells": 5, "min_cells": 6},
+    {"abs_tol": -math.inf}, {"rel_tol": math.nan},
     {"abs_tol": math.inf}, {"rel_tol": math.inf}, {"abs_tol": math.nan},
 ])
 def test_quadrature_config_validation(kwargs):
@@ -494,18 +501,18 @@ def test_quadrature_config_validation(kwargs):
 
 def test_quadrature_config_defaults():
     cfg = QuadratureConfig()
-    assert (cfg.abs_tol, cfg.rel_tol, cfg.max_cells, cfg.min_cells) == (1e-9, 1e-9, 400, 6)
+    assert (cfg.abs_tol, cfg.rel_tol) == (1e-9, 1e-9)
 
 
-def test_failure_estimate_sums_both_halves_under_their_bounds():
+def test_failure_estimate_sums_both_halves_under_their_bounds(monkeypatch):
     # six cells per half cannot stabilize; the failure must still bracket
     # the true value: conjugated lower estimate + upper estimate, under the
     # sum of both halves' bounds including the truncated tail masses
-    starved = QuadratureConfig(max_cells=6, min_cells=6)
+    _starve(monkeypatch, 6, 6)
     d = lorentzian_density(DephasingParams(1.0, 0.5))
     for t in (1.0, -1.0):
         with pytest.raises(QuadratureFailure) as exc_info:
-            fourier_amplitude(d, t, starved)
+            fourier_amplitude(d, t, CFG)
         failure = exc_info.value
         assert abs(failure.estimate - lorentz_exact(1.0, 0.5, t)) <= failure.error_bound
 
@@ -513,7 +520,6 @@ def test_failure_estimate_sums_both_halves_under_their_bounds():
 def test_halfline_and_global_failures_bracket_the_value():
     # starved halves fail; the raised estimate must still include the frozen
     # half-line mass, the spin weights and the other ramp side
-    starved = QuadratureConfig(max_cells=6, min_cells=6)
     d = lorentzian_density(DephasingParams(1.0, 0.5))
     for t in (0.5, 1.0, 3.0):
         cases = [(lambda c, w=w: global_survival(w, d, t, c))
@@ -521,11 +527,14 @@ def test_halfline_and_global_failures_bracket_the_value():
         cases += [(lambda c, side=side: halfline_amplitude(d, side, t, c))
                   for side in ("positive", "negative")]
         for amplitude in cases:
-            with pytest.raises(QuadratureFailure) as exc_info:
-                amplitude(starved)
+            want = amplitude(TIGHT)
+            with pytest.MonkeyPatch.context() as starved:
+                _starve(starved, 6, 6)
+                with pytest.raises(QuadratureFailure) as exc_info:
+                    amplitude(CFG)
             failure = exc_info.value
             assert failure.t == t
-            assert abs(failure.estimate - amplitude(TIGHT)) <= failure.error_bound
+            assert abs(failure.estimate - want) <= failure.error_bound
 
 
 def test_global_survival_series_integrates_frozen_masses_once():
@@ -595,19 +604,18 @@ def test_series_failure_holds_the_raised_failures(monkeypatch):
 
 
 def _quadpack_not_converged(monkeypatch, error):
-    """Make every scipy quad call report non-convergence: QUADPACK's 4-tuple,
-    its message appended, with the given error estimate."""
+    """Make every piece of every quad call report non-convergence, with the
+    given error estimate."""
     real = oscint.quad
 
     def failing(*args, **kwargs):
-        res = real(*args, **kwargs)
-        return res[0], error, res[2], "The maximum number of subdivisions has been achieved."
+        return [(value, error, False) for value, _, _ in real(*args, **kwargs)]
 
     monkeypatch.setattr(oscint, "quad", failing)
 
 
 # (integral named in the failure, its time, the call, the rule that fails:
-# scipy's quad, or the cell rule of the linear head and the window)
+# quad, or the cell rule of the linear head and the window)
 _ONE_RULE = {
     # without its cdf, so that the mass is integrated
     "mass_integral": ("mass integral", None, lambda: mass_integral(
@@ -631,8 +639,8 @@ def test_one_convergence_rule(monkeypatch, name):
     want = call()
     if rule == "quad":
         # a faked error small enough that a point's summed bound stays within
-        # abs_tol (no case makes 64 calls), since a half-line sum whose bound
-        # exceeds its tolerance fails whatever QUADPACK's flag says
+        # abs_tol (no case has 64 pieces), since a half-line sum whose bound
+        # exceeds its tolerance fails whatever quad's flag says
         _quadpack_not_converged(monkeypatch, CFG.abs_tol / 64)
         assert call() == want
         _quadpack_not_converged(monkeypatch, 1.0)
@@ -790,6 +798,32 @@ def test_quad_over_a_reversed_range_is_minus_the_ascending_one():
     assert down == (-up[0], up[1], up[2])
 
 
+# (a, b, points): quad's pieces run between a, the points strictly inside
+# and b, each compared with scipy's quad over the same piece
+_QUAD_CASES = {
+    "finite-with-points": (-1.0, 6.0, (0.3, -3.0, 2.5, 9.0, 2.5)),
+    "reversed": (6.0, -1.0, (0.3, 2.5)),
+    "upper-end": (0.3, math.inf, (2.5,)),
+    "lower-end": (-math.inf, 2.5, (0.3,)),
+    "full-line": (-math.inf, math.inf, ()),
+    "full-line-with-points": (-math.inf, math.inf, (-4.0, 0.3, 2.5)),
+}
+
+
+@pytest.mark.parametrize("name", list(_QUAD_CASES))
+def test_quad_matches_scipy_piece_by_piece(name):
+    a, b, points = _QUAD_CASES[name]
+    f = lambda x: 1.0 / (1.0 + (x - 0.3) ** 2) + math.exp(-x * x) * math.cos(3.0 * x)
+    inside = sorted({p for p in points if min(a, b) < p < max(a, b)}, reverse=b < a)
+    edges = [a, *inside, b]
+    pieces = oscint.quad(f, a, b, 1e-12, 1e-12, points)
+    assert len(pieces) == len(edges) - 1
+    for lo, hi, (value, error, converged) in zip(edges, edges[1:], pieces):
+        want, want_error = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert converged and error <= max(1e-12, 1e-12 * abs(value)), (lo, hi)
+        assert abs(value - want) <= 1e-12 + want_error, (lo, hi)
+
+
 def _mirrored(d, phase=None, phase_inv=None):
     """d reflected, y = -x: the density d(-y) with its points negated, and
     the phase -phase(-y) with its inverse -phase_inv(-u)."""
@@ -863,7 +897,7 @@ def test_downward_missed_cells_are_refined_over_reversed_limits(monkeypatch):
     want = lorentz_exact(gamma, omega0, t) - HALFLINE_REFS[(gamma, omega0, t)]
     _, calls = _reject_first_block(monkeypatch)
     got = restricted_amplitude(d, -math.inf, 0.0, t, TIGHT)
-    block = TIGHT.min_cells + oscint._STABLE_STEPS
+    block = oscint._MIN_CELLS + oscint._STABLE_STEPS
     assert [len(cells) for _, _, cells in calls[:2]] == [block, 2 * block]
     assert all(half < 0 for _, halves, _ in calls[:2] for half in halves)
     assert abs(got - want) <= 2 * TIGHT.abs_tol
@@ -1079,9 +1113,10 @@ _MIXED_GRID = [-3.0, -0.5, -1e-3, 0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10
                1e3, 1e5]
 
 
-@pytest.mark.parametrize("cfg", [CFG, QuadratureConfig(min_cells=3), TIGHT],
+@pytest.mark.parametrize("cfg,min_cells", [(CFG, 6), (CFG, 3), (TIGHT, 6)],
                          ids=["default", "min_cells=3", "tight"])
-def test_series_equal_their_points_failures_included(cfg):
+def test_series_equal_their_points_failures_included(monkeypatch, cfg, min_cells):
+    monkeypatch.setattr(oscint, "_MIN_CELLS", min_cells)
     params = DephasingParams(1.0, 0.3)
     d = lorentzian_density(params)
     failed = _assert_series_equals_points(

@@ -427,3 +427,16 @@ def test_density_on_array_rejects_a_bad_jacobian_like_its_float_call():
         dens(np.array([[0.5, 1.0], [2.0, 3.0]]))
     assert str(on_array.value) == str(on_float.value)
     assert "W'(0.5)" in str(on_array.value)
+
+
+@pytest.mark.parametrize("fd_derivative", [False, True], ids=["exact", "fd"])
+def test_density_is_zero_where_w_overflows(fd_derivative):
+    # the density falls like W'/W^2, so it is 0 where W = 2 sinh(x) leaves
+    # the float range, on floats and on arrays; other nodes keep their values
+    p = exp_potential(fd_derivative)
+    dens = build_initial_state(p, DephasingParams(1.0, 0.0)).density.density
+    assert dens(-800.0) == dens(1e4) == 0.0
+    got = dens(np.array([[-800.0, -1.0], [0.5, 1e4]]))
+    assert got[0, 0] == got[1, 1] == 0.0
+    assert got[0, 1] == dens(np.array([-1.0]))[0] and got[1, 0] == dens(np.array([0.5]))[0]
+    assert got[1, 0] == pytest.approx(dens(0.5), rel=1e-15)

@@ -243,13 +243,14 @@ def _table(params):
 @pytest.mark.parametrize("kind", [*_CDF_CASES, "table"])
 def test_cdf_masses_match_quadrature(kind, gamma):
     # exact masses against adaptive quad of the same density without its
-    # cdf, on every window between omega0 + k gamma, k in ks, in energy
+    # cdf, on every window between -inf, omega0 + k gamma for k in ks (in
+    # energy) and +inf
     ks = (-40, -3, -1, 0, 1, 3, 40)
-    for ratio in (-2.5, 0.0, 0.7):
+    for ratio in (-2.5, 0.0, 0.7, 1e3):
         omega0 = ratio * gamma
         d, x_of = {**_CDF_CASES, "table": _table}[kind](DephasingParams(gamma, omega0))
         integrated = replace(d, cdf=None)
-        ends = [x_of(omega0 + k * gamma) for k in ks]
+        ends = [-math.inf, *(x_of(omega0 + k * gamma) for k in ks), math.inf]
         for i, lo in enumerate(ends):
             for hi in ends[i + 1:]:
                 assert abs(mass_integral(d, lo, hi, TIGHT)
