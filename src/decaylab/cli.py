@@ -393,12 +393,12 @@ def cmd_potential(cfg: dict):
     half = params.gamma / 2.0
     e_lo = params.omega0 + half * math.tan(math.pi * (0.005 - 0.5))
     e_hi = params.omega0 + half * math.tan(math.pi * (0.995 - 0.5))
-    xs = np.linspace(pot.W_inverse(e_lo), pot.W_inverse(e_hi), 401)
+    xs = np.linspace(*pot.W_inverse(np.array([e_lo, e_hi])).tolist(), 401)
     dens = state.density.density(xs)
 
     # inverse round trip on [-20, 20]
     xr = np.linspace(-20.0, 20.0, 401)
-    resid = np.array([abs(pot.W_inverse(pot.W(float(x))) - float(x)) for x in xr])
+    resid = np.abs(pot.W_inverse(pot.W(xr)) - xr)
 
     series, failure = _partial(potential.generalized_factor_series, pot, params, grid, qcfg,
                                state)

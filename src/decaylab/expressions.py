@@ -3,7 +3,8 @@
 Grammar: the variable x, numeric constants, + - * / ^, and the calls
 exp, log, sinh, cosh, max.  '^' means power.  Parsed through the ast module
 with a strict node whitelist, so no other names or calls can execute.  A
-parsed expression takes a float (math) or a float64 array (numpy).
+parsed expression takes a float64 array and is evaluated elementwise with
+numpy, its constants float64 too.
 """
 
 from __future__ import annotations
@@ -15,24 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-def _saturating(fn, odd: bool = False):
-    # expressions must stay total on the line: intermediate float overflow
-    # saturates to the correct signed infinity instead of raising, so bounded
-    # combinations like 1/(1+exp(x)) stay evaluable everywhere
-    def wrapped(v):
-        try:
-            return fn(v)
-        except OverflowError:
-            return math.copysign(math.inf, v) if odd else math.inf
-    return wrapped
 
-
-_ALLOWED_CALLS = {"exp": _saturating(math.exp), "log": math.log,
-                  "sinh": _saturating(math.sinh, odd=True),
-                  "cosh": _saturating(math.cosh), "max": max}
-# the same calls on float64 arrays; numpy saturates overflow to the signed inf
-_ARRAY_CALLS = {"exp": np.exp, "log": np.log, "sinh": np.sinh, "cosh": np.cosh,
-                "max": lambda *args: functools.reduce(np.maximum, args)}
+_ALLOWED_CALLS = {"exp": np.exp, "log": np.log, "sinh": np.sinh, "cosh": np.cosh,
+                  "max": lambda *args: functools.reduce(np.maximum, args)}
 _ALLOWED_NAMES = {"x", "pi", "e"}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
@@ -75,16 +61,24 @@ def _validate(node: ast.AST, src: str) -> None:
         raise ExpressionError(f"syntax not allowed in {src!r}: {type(node).__name__}")
 
 
-def parse_expression(src: str) -> Callable[[float], float]:
-    """Compile an expression in x to a function of a float or a float64 array.
+class _Float64Constants(ast.NodeTransformer):
+    """Each numeric constant as float64(constant), so that all arithmetic is
+    numpy's, under one errstate."""
 
-    On a float it is evaluated with math; on an array, elementwise with
-    numpy, to an ulp or two of the float calls.  When numpy flags a division
-    by zero, an overflow or an invalid operation anywhere in the array, or
-    the result is not real, the whole array is evaluated float by float, so
-    a pole, a complex value or a domain error raises the same
-    ExpressionError naming x as the float call, and an overflow saturates
-    to the same signed infinity.
+    def visit_Constant(self, node):
+        return ast.Call(ast.Name("float64", ast.Load()), [node], [])
+
+
+def parse_expression(src: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile an expression in x to a function of a float64 array (0-d
+    included), evaluated elementwise with numpy.
+
+    An overflow saturates to the signed infinity (exp(x) at x = 1e3 is inf,
+    sinh(x) at -1e3 is -inf), so bounded combinations like 1/(1+exp(x))
+    stay evaluable everywhere.  A division by zero or a value that is not a
+    real number (a pole, log or a fractional power of a negative, inf - inf)
+    raises an ExpressionError naming the first x of the array, in its order,
+    where that happens.
     """
     text = src.replace("^", "**")
     try:
@@ -93,42 +87,41 @@ def parse_expression(src: str) -> Callable[[float], float]:
         raise ExpressionError(f"cannot parse {src!r}: {exc.msg}") from None
     _validate(tree, src)
     # compiled once as `lambda x: <expression>` whose only globals are the
-    # allowed calls and constants, for floats and again for arrays
+    # allowed calls, float64 and the constants
     lam = ast.parse("lambda x: 0", mode="eval")
-    lam.body.body = tree.body
+    lam.body.body = _Float64Constants().visit(tree.body)
     code = compile(ast.fix_missing_locations(lam), "<potential-expression>", "eval")
-    consts = dict(pi=math.pi, e=math.e, __builtins__={})
-    g = eval(code, dict(_ALLOWED_CALLS, **consts))
-    g_array = eval(code, dict(_ARRAY_CALLS, **consts))
+    g = eval(code, dict(_ALLOWED_CALLS, float64=np.float64, pi=np.float64(math.pi),
+                        e=np.float64(math.e), __builtins__={}))
+
+    def values(x):
+        # on a 1-d array, so every operation is a ufunc loop, whose bits do
+        # not depend on an element's neighbours
+        out = np.empty(x.shape)
+        with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+            out[...] = g(x)  # broadcast, for an expression without x
+        return out
 
     def f(x):
-        if isinstance(x, np.ndarray):
-            return on_array(x)
-        # a pole, a complex power or a domain error is an error in the
-        # expression at x, not in the program: an ExpressionError
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
         try:
-            return float(g(float(x)))
-        except ZeroDivisionError:
-            raise ExpressionError(f"{src!r} divides by zero at x = {x:g}") from None
-        except TypeError:  # float() or a call given a complex intermediate
-            raise ExpressionError(f"{src!r} is not a real number at x = {x:g}") from None
-        except ValueError:  # math's domain error, e.g. log of a negative
-            raise ExpressionError(f"{src!r} is outside its domain at x = {x:g}") from None
+            return values(flat).reshape(x.shape)
+        except FloatingPointError:
+            pass
+        # re-evaluated element by element, the first offending x names the error
+        for i, v in enumerate(flat.tolist()):
+            try:
+                values(flat[i:i + 1])
+            except FloatingPointError as exc:
+                raise ExpressionError(f"{src!r} is not a real number at x = {v:g} ({exc})") \
+                    from None
+        raise ExpressionError(f"{src!r} is not a real number")
 
-    def on_array(x):
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-                out = np.asarray(g_array(x))
-        except ArithmeticError:  # numpy's FloatingPointError, or Python's own
-            out = None
-        if out is None or out.dtype.kind not in "fiu":
-            return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
-        return np.broadcast_to(out, x.shape).astype(float)
-
-    # probe once so structural mistakes surface at parse time; domain errors
-    # (log of a negative, a pole, etc.) are legitimate at single points
+    # probe once so structural mistakes surface at parse time; a pole or a
+    # domain error is legitimate at single points
     try:
-        f(0.0)
-    except (ValueError, OverflowError):
+        f(np.zeros(1))
+    except ExpressionError:
         pass
     return f

@@ -24,11 +24,12 @@ Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
 
 A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
-pass, the next cells of every t still summing are evaluated together: the
-density and the phase each take their nodes as one float64 array, and one
-call of each rule sums them.  The rules sum each cell in a fixed order, so
-a cell's bits do not depend on its block, and a series is bit-identical to
-its pointwise values.  Each t keeps its own head, Wynn table and stop
+pass, the next cells of every t still summing are evaluated together: one
+phase_inv call maps the edges of every block they start, the density and
+the phase each take their nodes as one float64 array, and one call of each
+rule sums them.  Each edge and each cell is computed elementwise, so its
+bits do not depend on its array, and a series is bit-identical to its
+pointwise values.  Each t keeps its own head, Wynn table and stop
 rules, run in order over its own cells.  A cell that misses its rule's
 first-pass test is bisected in the passes that follow until its parts meet
 dqagse's test; others agree with QUADPACK's to rounding.  This gives uniform
@@ -82,8 +83,9 @@ _STABLE_STEPS = 2
 # before its first convergence check
 _MAX_CELLS = 400
 _MIN_CELLS = 6
-# the most half-period cells of a monotone head
-_MAX_HEAD_CELLS = 20_000
+# the most half-period cells of a monotone head (31,831 at gamma*t = 1e5):
+# their edges are one phase_inv call, their cells one evaluation
+_MAX_HEAD_CELLS = 65_536
 # the most cells of one evaluation of the integrand and the block rule,
 # unless one block alone has more: larger evaluations gain no speed and
 # cost memory
@@ -181,7 +183,7 @@ class ComplexTimeSeries:
 def _judged(value, error, converged, cfg, what):
     """(value, error, detail) under the one convergence rule: "<what> did not
     converge" when it did not and its error exceeds cfg.target(value)."""
-    failed = not converged and error > cfg.target(value)
+    failed = not converged and not error <= cfg.target(value)  # a NaN error fails
     return value, float(error), (f"{what} did not converge" if failed else None)
 
 
@@ -221,15 +223,15 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 def _mass(d, lo, hi, cfg):
     """mass_integral as a (value, error bound, detail) triple: exact from a
-    cdf (bound 0), otherwise quad's, cut at the feature points."""
+    cdf (bound 0), otherwise quad's of d's one float entry, __call__, cut at
+    the feature points."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
     if d.cdf is not None:
         return d.cdf(hi) - d.cdf(lo), 0.0, None
-    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral",
-                 d.feature_points)
+    return _quad(d, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", d.feature_points)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +516,12 @@ def _head_cuts(a, b, points):
 
 
 def _semi_infinite_osc(
-    weight: Callable[[float], float],
+    weight: Callable[[np.ndarray], np.ndarray],
     sums: Sequence[tuple[float, int]],
     x0: float,
     cfg: QuadratureConfig,
-    phase: Callable[[float], float] | None = None,
-    phase_inv: Callable[[float], float] | None = None,
+    phase: Callable[[np.ndarray], np.ndarray] | None = None,
+    phase_inv: Callable[[np.ndarray], np.ndarray] | None = None,
     points: Sequence[float] = (),
     mass: Callable[[float, float], float] | None = None,
     end: float | None = None,
@@ -530,8 +532,8 @@ def _semi_infinite_osc(
     linear phase), int_{x0}^{end}, a head with no tail.
 
     A sum walks away from x0 in signed half-periods h = way*pi/t: its cells
-    end at pin(u0 + (k+1)h), u0 = phase(x0), so a downward sum is minus the
-    integral until its triple is negated, once, when it stops.  The density
+    end at phase_inv(u0 + (k+1)h), u0 = phase(x0), so a downward sum is
+    minus the integral until its triple is negated, once, when it stops.  The density
     bulk is integrated as a single head piece; only the clean alternating
     tail beyond it feeds the epsilon table, so a far-off peak cannot poison
     the extrapolation.  One head rule serves both phases: the head reaches
@@ -544,21 +546,24 @@ def _semi_infinite_osc(
     Each sum is a scalar loop (cell_sum) that asks for its cells, as
     x-intervals, a block at a time: the head, then _MIN_CELLS + _STABLE_STEPS
     tail cells per pass, and the halves of a block's first-pass misses in
-    the passes between (_ruled).  A pass gathers the requests of every sum
-    still running, by rule, into evaluations of at most _BLOCK_CELLS cells:
+    the passes between (_ruled).  A monotone sum asks for a block's edges in
+    u to be mapped to x first, and a pass maps those of every sum asking by
+    one phase_inv call, on one float64 array (the linear phase's edges are x
+    already); it then gathers the requests of every sum still running, by
+    rule, into evaluations of at most _BLOCK_CELLS cells:
     weight and phase each take all their nodes as one float64 array
     (SpectralDensity's array contract), and one rule call rules on all their
-    cells, whose values do not depend on the block, so each sum gets the
-    bits it would get alone.  Each sum then runs its Wynn update and stop
-    rules over its own cells in order.  A head or cell that did not converge
+    cells.  Neither the inverse of an edge nor the value of a cell depends
+    on the others in its array, so each sum gets the bits it would get
+    alone.  Each sum then runs its Wynn update and stop rules over its own
+    cells in order.  A head or cell that did not converge
     (_judged's rule), a monotone head over the cap, or a tail sum not stable
     within _MAX_CELLS cells leaves by the one failure exit: the best
     estimate, its bound plus mass(lo, hi), the mass beyond the last cell
     summed.  A sum that stops with a bound above cfg.target(value) fails,
     naming its bound.
     """
-    identity = lambda u: u
-    ph, pin = phase or identity, phase_inv or identity
+    ph = phase or (lambda u: u)
     # the phase of the split point and of the feature points, one array call
     u0, *upoints = ph(np.array([x0, *points], dtype=float)).tolist()
     # the head reaches as far from u0 as the farthest feature point's phase
@@ -575,7 +580,8 @@ def _semi_infinite_osc(
 
     def cell_sum(t, way):
         """The sum at (t, way) as a generator of _ruled's requests for each
-        block of cells it needs; returns its triple."""
+        block of cells it needs, each block's edges in u asked for first as
+        (us,) when the phase has an inverse; returns its triple."""
         h = way * math.pi / t
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
         a = x0
@@ -589,8 +595,8 @@ def _semi_infinite_osc(
             us = {u0 + (j + 1) * h for j in range(k_clear)} if phase is not None else {u_start}
             us = sorted(us | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
             head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-            for a, cell in (yield from _ruled([x0, *map(pin, us)], head_tol, 1e-12,
-                                              phase is None)):
+            xs = (yield (us,)) if phase_inv is not None else us
+            for a, cell in (yield from _ruled([x0, *xs], head_tol, 1e-12, phase is None)):
                 val, err, cell_detail = _judged(*cell, cfg, head_name)
                 partial += val
                 quad_err += err
@@ -607,8 +613,9 @@ def _semi_infinite_osc(
             # blocks of _MIN_CELLS + _STABLE_STEPS cells: the first one reaches
             # the earliest Wynn-stable stop; cells past a stop are discarded
             m = min(_MIN_CELLS + _STABLE_STEPS, _MAX_CELLS - k)
-            edges = [a] + [pin(u_start + (k + j + 1) * h) for j in range(m)]
-            for b, cell in (yield from _ruled(edges, cell_tol, 1e-12)):
+            us = [u_start + (k + j + 1) * h for j in range(m)]
+            xs = (yield (us,)) if phase_inv is not None else us
+            for b, cell in (yield from _ruled([a, *xs], cell_tol, 1e-12)):
                 val, err, detail = _judged(*cell, cfg, "half-period cell")
                 quad_err += err
                 partial += val
@@ -665,7 +672,7 @@ def _semi_infinite_osc(
 
     walks = [cell_sum(t, way) for t, way in sums]
     results = [None] * len(walks)
-    requests = {}  # sum index -> its pending (lo, hi, tol, cc)
+    requests = {}  # sum index -> its pending (lo, hi, tol, cc), or (us,)
 
     def advance(i, block):
         try:
@@ -682,7 +689,14 @@ def _semi_infinite_osc(
     for i in range(len(walks)):
         advance(i, None)
     while requests:
-        # one pass: the next block of every running sum, by rule, in
+        # one pass: the edges in u that sums ask for, mapped to x by one
+        # phase_inv call, ...
+        asking = [i for i, request in requests.items() if len(request) == 1]
+        if asking:
+            xs = iter(phase_inv(np.array([u for i in asking for u in requests[i][0]])).tolist())
+            for i in asking:
+                advance(i, [next(xs) for _ in requests[i][0]])
+        # ... then the next cells of every running sum, by rule, in
         # evaluations of at most _BLOCK_CELLS cells (a larger block alone)
         group, size = [], 0
         for i in sorted(requests, key=lambda i: requests[i][3]):
@@ -743,19 +757,19 @@ def restricted_amplitude(
     hi: float,
     t: float,
     cfg: QuadratureConfig,
-    phase: Callable[[float], float] | None = None,
-    phase_inv: Callable[[float], float] | None = None,
+    phase: Callable[[np.ndarray], np.ndarray] | None = None,
+    phase_inv: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> complex:
     """int_lo^hi exp(-i t phase(E)) d(E) dE, clipped to the density's support.
 
-    phase must be strictly increasing with range R and take a float or a
-    float64 array (elementwise), and phase_inv is its inverse on floats;
-    omitted, the phase is the identity (the plain Fourier transform, the
-    only phase of a finite window).  t must be finite; t = 0 is the mass
-    integral and t < 0 the conjugate of the transform at -t.  Infinite
-    ranges are summed in half-period cells walking outward from a split
-    point (the finite end, or d.center on the full line, both ways in one
-    batch).  When a piece fails, the one QuadratureFailure raised carries
+    phase must be strictly increasing with range R, and it and its inverse
+    phase_inv take a float64 array, elementwise; one phase_inv call per pass
+    maps every cell edge the pass needs.  Omitted, the phase is the identity
+    (the plain Fourier transform, the only phase of a finite window).  t
+    must be finite; t = 0 is the mass integral and t < 0 the conjugate of
+    the transform at -t.  Infinite ranges are summed in half-period cells
+    walking outward from a split point (the finite end, or d.center on the
+    full line, both ways in one batch).  When a piece fails, the one QuadratureFailure raised carries
     the sum of both pieces' estimates under the sum of their error bounds.
     """
     return _point(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), t)
@@ -767,8 +781,8 @@ def restricted_amplitude_series(
     hi: float,
     times,
     cfg: QuadratureConfig,
-    phase: Callable[[float], float] | None = None,
-    phase_inv: Callable[[float], float] | None = None,
+    phase: Callable[[np.ndarray], np.ndarray] | None = None,
+    phase_inv: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ComplexTimeSeries:
     """restricted_amplitude on a time grid, in one batch, with SeriesFailure
     semantics."""

@@ -57,50 +57,62 @@ class RangeError(ValueError):
 class MonotonePotential:
     """A validated potential V with its induced odd map W and inverse.
 
-    V, V_prime, W and W_prime take a float or a float64 array, the array
-    elementwise (see induced_map); W_inverse takes a float.  Immutable
-    after construction (the inverse's bracket ladder is prepared eagerly);
-    all evaluations are pure, so instances are safe for unrestricted
-    concurrent use.
+    V, V_prime, W, W_prime and W_inverse each take a float64 array, 0-d
+    included, and return their values elementwise (see induced_map).
+    Immutable after construction; all evaluations are pure, so instances
+    are safe for unrestricted concurrent use.
     """
 
-    V: Callable[[float], float]
-    V_prime: Callable[[float], float] | None
-    W: Callable[[float], float]
-    W_prime: Callable[[float], float]
-    W_inverse: Callable[[float], float]
+    V: Callable[[np.ndarray], np.ndarray]
+    V_prime: Callable[[np.ndarray], np.ndarray] | None
+    W: Callable[[np.ndarray], np.ndarray]
+    W_prime: Callable[[np.ndarray], np.ndarray]
+    W_inverse: Callable[[np.ndarray], np.ndarray]
     label: str = "potential"
 
 
 def _elementwise(fn: Callable) -> Callable:
-    """fn as a function of a float or a float64 array, elementwise.
+    """fn as a function of a float64 array, elementwise.
 
     fn is kept when it maps the check grid to an array of its shape; a fn
-    that takes floats only (math.exp, or a max of floats) is lifted to loop
-    over an array's elements.
+    that takes floats only (math.exp, or a max of floats) is lifted once to
+    loop over an array's elements, an OverflowError counting as +inf (V and
+    V' are non-negative, so they leave the float range upward only).
     """
     try:
         probe = fn(_CHECK_GRID)
     except (TypeError, ValueError, ArithmeticError):
-        # a float-only fn on an array: retried float by float below, where
-        # a genuine error recurs
+        # a float-only fn on an array: lifted below, where a genuine error recurs
         probe = None
-    if isinstance(probe, np.ndarray) and probe.shape == _CHECK_GRID.shape:
+    if np.shape(probe) == _CHECK_GRID.shape:
         return fn
 
+    def one(v):
+        try:
+            return fn(v)
+        except OverflowError:
+            return math.inf
+
     def lifted(x):
-        if isinstance(x, np.ndarray):
-            return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-        return fn(x)
+        return np.array([one(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
     return lifted
 
 
+def _finite_targets(y) -> np.ndarray:
+    """y as a float64 array, or a ValueError naming its first target that is
+    not finite."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"W_inverse needs a finite target, got {y[~np.isfinite(y)][0]}")
+    return y
+
+
 def induced_map(
-    V: Callable[[float], float],
-    V_prime: Callable[[float], float] | None = None,
+    V: Callable[[np.ndarray], np.ndarray],
+    V_prime: Callable[[np.ndarray], np.ndarray] | None = None,
     label: str = "potential",
-    W_inverse: Callable[[float], float] | None = None,
+    W_inverse: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> MonotonePotential:
     """Validate V on a 1001-point grid over [-30, 30] and build the bundle.
 
@@ -110,15 +122,16 @@ def induced_map(
     difference with step h = 1e-3 * max(1, |x|), whose truncation error
     (h^4 W^(5) / 30) and roundoff (eps W / h) both stay near 1e-13 relative
     for smooth W of unit scale.  The inverse is W_inverse when supplied (an
-    exact closed form); otherwise doubling bracket expansion from [-1, 1]
-    (at most 200 doublings) followed by bisection to 1e-12, polished by one
-    Newton step on W'.
+    exact closed form); otherwise each target runs the same scalar steps,
+    the array's targets side by side: doubling bracket expansion from
+    [-1, 1] (at most 200 doublings), bisection to 1e-12, and one Newton
+    step on W'.  W is evaluated once per step, on the targets still
+    stepping, so an array's inverses equal each target's alone bit for bit.
+    A target W never reaches raises RangeError naming the first such one.
 
-    V and V_prime may take floats only; the bundle's V, V_prime, W and W'
-    take a float or a float64 array (elementwise, to an ulp or two of the
-    float calls; W and a differenced W' to an ulp or two of the terms they
-    subtract), with V and V_prime lifted here when they take floats only.
-    W_inverse takes floats.
+    V and V_prime take float64 arrays, or floats only, in which case they
+    are lifted here (see _elementwise); every callable of the bundle takes
+    a float64 array.
     """
     V = _elementwise(V)
     vals = V(_CHECK_GRID)
@@ -151,103 +164,92 @@ def induced_map(
             pair=(float(_CHECK_GRID[i]), float(_CHECK_GRID[i + 1])),
         )
 
-    def W(x: float) -> float:
+    def W(x):
         return V(x) - V(-x)
 
     if V_prime is not None:
         V_prime = _elementwise(V_prime)
 
-        def W_prime(x: float) -> float:
+        def W_prime(x):
             return V_prime(x) + V_prime(-x)
 
     else:
 
-        def W_prime(x: float) -> float:
-            if isinstance(x, np.ndarray):
-                h = _FD_STEP * np.maximum(1.0, np.abs(x))
-            else:
-                h = _FD_STEP * max(1.0, abs(x))
+        def W_prime(x):
+            h = _FD_STEP * np.maximum(1.0, np.abs(x))
             return (8.0 * (W(x + h) - W(x - h)) - (W(x + 2.0 * h) - W(x - 2.0 * h))) / (12.0 * h)
 
-    def _w_guarded(x: float) -> float:
-        # fast-growing potentials overflow the float range; the sign of the
-        # overflow is pinned by monotonicity, so brackets stay usable
-        try:
-            v = W(x)
-        except OverflowError:
-            return math.inf if x > 0 else -math.inf
-        if math.isnan(v):
-            raise RangeError(f"W({x:g}) evaluated to NaN")
-        return v
+    def _w_guarded(x):
+        # a fast-growing V saturates to +inf, and W = V(x) - V(-x) to the
+        # infinity of x's sign (monotonicity), so brackets stay usable
+        with np.errstate(over="ignore"):
+            w = W(x)
+        if np.isnan(w).any():
+            raise RangeError(f"W({x[np.isnan(w)][0]:g}) evaluated to NaN")
+        return w
 
-    def bisect_inverse(y: float) -> float:
-        if not math.isfinite(y):
-            raise ValueError(f"W_inverse needs a finite target, got {y}")
-        bracket = [-1.0, 1.0]
-        doublings = 0
-        # double the upper end while W(hi) < y, then the lower end while
-        # W(lo) > y, which is -W(lo) < -y
-        for end, sign in ((1, 1.0), (0, -1.0)):
-            while sign * _w_guarded(bracket[end]) < sign * y:
-                bracket[end] *= 2.0
-                doublings += 1
-                if doublings > _MAX_DOUBLINGS:
-                    raise RangeError(
-                        f"W never reaches {y:g}: bracket expansion failed after "
-                        f"{_MAX_DOUBLINGS} doublings (bounded potential?)"
-                    )
-        lo, hi = bracket
+    def bisect_inverse(y):
+        y = _finite_targets(y)
+        targets = y.ravel()
+        lo, hi = np.full(targets.size, -1.0), np.full(targets.size, 1.0)
+        doublings = np.zeros(targets.size, dtype=int)
+        # double each upper end while W(hi) < y, then each lower end while
+        # W(lo) > y, which is -W(lo) < -y; past 200 doublings in all, a
+        # target is out of W's range
+        for end, sign in ((hi, 1.0), (lo, -1.0)):
+            i = np.flatnonzero(doublings <= _MAX_DOUBLINGS)
+            while i.size:
+                i = i[sign * _w_guarded(end[i]) < sign * targets[i]]
+                end[i] *= 2.0
+                doublings[i] += 1
+                i = i[doublings[i] <= _MAX_DOUBLINGS]
+        if (doublings > _MAX_DOUBLINGS).any():
+            raise RangeError(
+                f"W never reaches {targets[doublings > _MAX_DOUBLINGS][0]:g}: bracket expansion "
+                f"failed after {_MAX_DOUBLINGS} doublings (bounded potential?)"
+            )
+        # bisect each bracket until its midpoint is an end, W hits the target
+        # there, or it is 1e-12 narrow
+        i = np.arange(targets.size)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
+            mid = 0.5 * (lo[i] + hi[i])
+            moving = (mid != lo[i]) & (mid != hi[i])
+            i, mid = i[moving], mid[moving]
+            if not i.size:
                 break
             w_mid = _w_guarded(mid)
-            if w_mid == y:
-                lo = hi = mid
-                break
-            if w_mid < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_TOL * max(1.0, abs(lo), abs(hi)):
-                break
+            hit, below = w_mid == targets[i], w_mid < targets[i]
+            lo[i] = np.where(below | hit, mid, lo[i])
+            hi[i] = np.where(below, hi[i], mid)
+            wide = hi[i] - lo[i] > _BISECT_TOL * np.maximum(1.0, np.abs([lo[i], hi[i]]).max(0))
+            i = i[wide & ~hit]
         x = 0.5 * (lo + hi)
-        try:
+        # one Newton step where W' is positive and finite (a difference
+        # stencil may reach past the float range) and the step is shorter
+        # than max(1, |x|)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slope = W_prime(x)
-        except OverflowError:  # a difference stencil past the float range
-            return x
-        if slope > 0 and math.isfinite(slope):
-            step = (_w_guarded(x) - y) / slope
-            if math.isfinite(step) and abs(step) < max(1.0, abs(x)):
-                x -= step
-        return x
+            i = np.flatnonzero((slope > 0) & np.isfinite(slope))
+            step = (_w_guarded(x[i]) - targets[i]) / slope[i]
+        short = np.isfinite(step) & (np.abs(step) < np.maximum(1.0, np.abs(x[i])))
+        x[i[short]] -= step[short]
+        return x.reshape(y.shape)
 
     return MonotonePotential(V, V_prime, W, W_prime, W_inverse or bisect_inverse, label)
 
 
 def _ramp(x):
-    return np.maximum(x, 0.0) if isinstance(x, np.ndarray) else max(x, 0.0)
+    return np.maximum(x, 0.0)
 
 
 def _ramp_prime(x):
     # symmetric subgradient at 0 keeps W' = 1 everywhere
-    if isinstance(x, np.ndarray):
-        return np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
-    return 1.0 if x > 0 else (0.5 if x == 0 else 0.0)
+    return 0.5 + 0.5 * np.sign(x)
 
 
-def _ramp_inverse(y: float) -> float:
-    if not math.isfinite(y):
-        raise ValueError(f"W_inverse needs a finite target, got {y}")
+def _ramp_inverse(y):
     # W(x) = x exactly; + 0.0 maps -0.0 to 0.0, as bisecting W does
-    return y + 0.0
-
-
-def _exp(x):
-    if isinstance(x, np.ndarray):
-        with np.errstate(over="ignore"):  # saturates to inf, as _w_guarded does
-            return np.exp(x)
-    return math.exp(x)
+    return _finite_targets(y) + 0.0
 
 
 def ramp_potential(fd_derivative: bool = False) -> MonotonePotential:
@@ -260,7 +262,7 @@ def ramp_potential(fd_derivative: bool = False) -> MonotonePotential:
 def exp_potential(fd_derivative: bool = False) -> MonotonePotential:
     """V(x) = exp(x); the induced map is W(x) = 2 sinh(x).  fd_derivative
     takes W' from the difference instead of V'."""
-    return induced_map(_exp, None if fd_derivative else _exp,
+    return induced_map(np.exp, None if fd_derivative else np.exp,
                        label="exp+fd" if fd_derivative else "exp")
 
 
@@ -274,55 +276,35 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
     needs V(+inf) = +inf (an overflow counts as +inf); a bounded V, whose W
     stays inside a finite range, raises RangeError.
     """
-    try:
-        top = float(p.V(math.inf))
-    except OverflowError:
-        top = math.inf
+    top = float(p.V(np.array(math.inf)))
     if top != math.inf:
         # V(-inf) lies in [0, V(0)], so W = V(x) - V(-x) is unbounded exactly
         # when V(+inf) is
         raise RangeError(f"V(+inf) = {top:g}: a bounded potential cannot carry the Lorentzian")
     lor = lorentzian_density(params)
-    w, w_prime, w_inv = p.W, p.W_prime, p.W_inverse
-
-    def unusable(x, slope):
-        return ValueError(f"W'({x:g}) = {slope} is not a usable Jacobian")
+    w, w_prime = p.W, p.W_prime
 
     def dens(x):
-        # a float, or a float64 array elementwise, like W and W'; it falls
-        # like W'/W^2, so it is 0 where W overflows
-        if isinstance(x, np.ndarray):
-            wx = w(x)
-            overflow = np.isinf(wx)
-            if overflow.any():
-                out = np.zeros(x.shape)
-                out[~overflow] = dens(x[~overflow])
-                return out
-            slope = w_prime(x)
-            bad = np.flatnonzero(~np.isfinite(slope) | (slope < -1e-9))
-            if bad.size:
-                raise unusable(x.flat[bad[0]], slope.flat[bad[0]])
-            return np.maximum(slope, 0.0) * lor.density(wx)
-        try:
-            wx = w(x)
-        except OverflowError:  # a float V past the float range
-            return 0.0
-        if math.isinf(wx):
-            return 0.0
-        slope = w_prime(x)
-        if not math.isfinite(slope) or slope < -1e-9:
-            raise unusable(x, slope)
-        return max(slope, 0.0) * lor.density(wx)
+        # a float64 array elementwise, like W and W'; it falls like W'/W^2,
+        # so it is 0 where W or W^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            wx, slope = w(x), w_prime(x)
+            values = np.maximum(slope, 0.0) * lor.density(wx)
+        finite = np.isfinite(wx)
+        bad = finite & (~np.isfinite(slope) | (slope < -1e-9))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise ValueError(f"W'({x.flat[i]:g}) = {slope.flat[i]} is not a usable Jacobian")
+        return np.where(finite, values, 0.0)
 
-    center = w_inv(params.omega0)
-    features = tuple(w_inv(e) for e in lor.feature_points)
+    center, *features = p.W_inverse(np.array([params.omega0, *lor.feature_points])).tolist()
     return InitialStateSpec(
         density=SpectralDensity(
             density=dens,
             support=(-math.inf, math.inf),
             center=center,
-            cdf=lambda x: lor.cdf(w(x) if math.isfinite(x) else x),
-            feature_points=features,
+            cdf=lambda x: lor.cdf(float(w(np.array(x))) if math.isfinite(x) else x),
+            feature_points=tuple(features),
             label=f"transported({p.label}, gamma={params.gamma:g}, omega0={params.omega0:g})",
         )
     )

@@ -48,12 +48,12 @@ class SpectralDensity:
     Immutable after construction; evaluation is pure, so instances are safe
     for unrestricted concurrent use.
 
-    density takes a float64 array of any shape and returns its values
-    elementwise, to an ulp or two: every transform's cells, first-pass misses
-    included, evaluate it only on arrays, once per block of nodes, and so a
-    monotone phase W with it (see potential.induced_map).  It takes a float
-    too: floats reach it only through __call__ and, by oscint.quad, the
-    masses of a density without a cdf.
+    density takes a float64 array of any shape, 0-d included, and returns
+    its values elementwise: every transform's cells, first-pass misses
+    included, evaluate it once per block of nodes, and so a monotone phase W
+    with it (see potential.induced_map).  __call__ is the one entry that
+    takes a float, as a 0-d array; oscint.quad integrates the masses of a
+    density without a cdf through it, one float at a time.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at
@@ -61,7 +61,7 @@ class SpectralDensity:
     without one has its masses integrated by adaptive quadrature.
     """
 
-    density: Callable[[float], float]
+    density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] = (-math.inf, math.inf)
     center: float = 0.0
     cdf: Callable[[float], float] | None = None
@@ -74,10 +74,11 @@ class SpectralDensity:
             raise ValueError(f"empty support {self.support}")
 
     def __call__(self, energy: float) -> float:
-        """Evaluate the density at one energy; zero outside the declared support."""
+        """Evaluate the density at one energy, as a 0-d array; zero outside
+        the declared support."""
         lo, hi = self.support
         e = float(energy)
-        return float(self.density(e)) if lo <= e <= hi else 0.0
+        return float(self.density(np.array(e))) if lo <= e <= hi else 0.0
 
 
 @dataclass(frozen=True)

@@ -189,11 +189,13 @@ def test_criterion_6_generalized_potentials():
                        (induced_map(math.exp, None, label="exp-fd"), "fd")):
         state = build_initial_state(pot, params)
         assert abs(normalize_check(state.density, CFG) - 1.0) <= 1e-8
-        for x in np.linspace(-6.0, 6.0, 101):
-            want = closed_form(1.0, 0.0, float(x))
-            assert abs(state.density.density(float(x)) - want) <= 1e-10 * max(1.0, want)
-        for x in np.linspace(-20.0, 20.0, 81):
-            assert abs(pot.W_inverse(pot.W(float(x))) - x) <= 1e-9
+        xs = np.linspace(-6.0, 6.0, 101)
+        for x, got in zip(xs.tolist(), state.density.density(xs).tolist()):
+            want = closed_form(1.0, 0.0, x)
+            assert abs(got - want) <= 1e-10 * max(1.0, want)
+        xs = np.linspace(-20.0, 20.0, 81)
+        for x, back in zip(xs.tolist(), pot.W_inverse(pot.W(xs)).tolist()):
+            assert abs(back - x) <= 1e-9
         ts = np.linspace(0.25, 10.0, 40)
         series = generalized_factor_series(pot, params, ts, TIGHT, state)
         fit = exponential_fit(series, (0.0, 10.0))

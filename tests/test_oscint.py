@@ -14,6 +14,7 @@ from decaylab import (
     QuadratureConfig,
     QuadratureFailure,
     SeriesFailure,
+    SpectralDensity,
     amplitude_series,
     exponential_density,
     fourier_amplitude,
@@ -688,14 +689,14 @@ def test_capped_cell_refinement_fails_only_beyond_its_target(monkeypatch):
 
 
 def test_monotone_head_over_the_cap_bounds_its_estimate():
-    # 1e5 / pi half-periods between the centre and the feature points on
+    # 1e6 / pi half-periods between the centre and the feature points on
     # each side: the failure's bound is the tail mass it left out
     params = DephasingParams(1.0, 0.3)
-    t = 1e5
+    t = 1e6
     with pytest.raises(QuadratureFailure) as exc_info:
         generalized_dephasing_factor(exp_potential(), params, t, CFG)
     failure = exc_info.value
-    assert failure.detail == "head region spans 31831 oscillations"
+    assert failure.detail == "head region spans 318310 oscillations"
     assert math.isfinite(failure.error_bound)
     assert abs(failure.estimate - lorentz_exact(1.0, 0.3, t)) <= failure.error_bound
 
@@ -789,6 +790,15 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
     # Kronrod-Gauss cancellation
     assert got == pytest.approx(want, rel=1e-15)
     assert got_err == pytest.approx(want_err, rel=1e-9)
+
+
+def test_nan_integrand_fails_its_mass():
+    # a NaN error is not within any tolerance: the one convergence rule
+    # fails it instead of returning nan
+    d = SpectralDensity(lambda e: math.nan if 0.2 < e < 0.3 else math.exp(-e),
+                        support=(0.0, math.inf))
+    with pytest.raises(QuadratureFailure):
+        mass_integral(d, 0.0, math.inf, QuadratureConfig())
 
 
 def test_quad_over_a_reversed_range_is_minus_the_ascending_one():
@@ -1107,10 +1117,10 @@ def _assert_series_equals_points(series_call, point_call, grid):
     return len(failures)
 
 
-# t = 0, negative t, and gamma*t over 1e-8..1e5 (gamma = 1); a monotone head
-# at t = 1e5 spans more half-periods than the cap and fails
+# t = 0, negative t, and gamma*t over 1e-8..1e6 (gamma = 1); a monotone head
+# at t = 1e6 spans more half-periods than the cap and fails
 _MIXED_GRID = [-3.0, -0.5, -1e-3, 0.0, 1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 100.0,
-               1e3, 1e5]
+               1e3, 1e5, 1e6]
 
 
 @pytest.mark.parametrize("cfg,min_cells", [(CFG, 6), (CFG, 3), (TIGHT, 6)],

@@ -208,7 +208,7 @@ def test_tail_class_validation():
 def _transported(potential):
     def case(params):
         p = potential()
-        return build_initial_state(p, params).density, p.W_inverse
+        return build_initial_state(p, params).density, lambda e: float(p.W_inverse(np.array(e)))
     return case
 
 
