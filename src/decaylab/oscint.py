@@ -27,12 +27,15 @@ per time, and the single-time functions are the batch of one.  On each
 pass, the next cells of every t still summing are evaluated together: one
 phase_inv call maps the edges of every block they start, the density and
 the phase each take their nodes as one float64 array, and one call of each
-rule sums them.  Each edge and each cell is computed elementwise, so its
-bits do not depend on its array, and a series is bit-identical to its
-pointwise values.  Each t keeps its own head, Wynn table and stop
-rules, run in order over its own cells.  A cell that misses its rule's
-first-pass test is bisected in the passes that follow until its parts meet
-dqagse's test; others agree with QUADPACK's to rounding.  This gives uniform
+rule sums them, at most _BLOCK_CELLS cells an evaluation.  Each edge and
+each cell is computed elementwise, so its bits do not depend on its array,
+and a series is bit-identical to its pointwise values.  Each t keeps its
+own head; the tail is array-wide: every running sum's cells are summed,
+its Wynn table extended column by column and its stop rules applied as
+masks over all the sums together, in Python's complex arithmetic bit for
+bit.  A cell that misses its rule's first-pass test is bisected in the
+passes that follow until its parts meet dqagse's test; others agree with
+QUADPACK's to rounding.  This gives uniform
 accuracy in t; heavy algebraic tails converge through the acceleration
 instead of an (infeasibly large) explicit cutoff, and the analytic tail
 mass only enters a failure's bound.
@@ -64,7 +67,6 @@ batches agree exactly.
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -86,9 +88,9 @@ _MIN_CELLS = 6
 # the most half-period cells of a monotone head (31,831 at gamma*t = 1e5):
 # their edges are one phase_inv call, their cells one evaluation
 _MAX_HEAD_CELLS = 65_536
-# the most cells of one evaluation of the integrand and the block rule,
-# unless one block alone has more: larger evaluations gain no speed and
-# cost memory
+# the most cells of one evaluation of the integrand and the block rule, a
+# larger block's taken in slices: larger evaluations gain no speed and cost
+# memory
 _BLOCK_CELLS = 256
 
 
@@ -266,6 +268,7 @@ _WG[1::2] = [
 _GK21_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
 _GK21_WEIGHTS = np.array([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
 _EPMACH = np.finfo(float).eps
+_DBL_MAX = np.finfo(float).max
 _UFLOW = np.finfo(float).tiny
 
 
@@ -480,26 +483,54 @@ def quad(f, a, b, epsabs, epsrel, points=()):
 # half-period cells + Wynn epsilon acceleration
 
 
-def _wynn_row(prev_row: list, s_new: complex) -> list:
-    """Append one partial sum to the progressive epsilon table; returns new row."""
-    cur = [s_new]
-    for k in range(1, len(prev_row) + 1):
-        denom = cur[k - 1] - prev_row[k - 1]
-        if abs(denom) < 1e-300 or not cmath.isfinite(denom):
-            break
-        prior = prev_row[k - 2] if k >= 2 else 0.0
-        nxt = prior + 1.0 / denom
-        if not cmath.isfinite(nxt):
-            break
-        cur.append(nxt)
-    return cur
+def _modulus(z):
+    """abs(z) of a complex array as CPython computes it, bit for bit (hypot);
+    numpy's abs differs in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
-def _wynn_estimate(row: list) -> complex:
-    n = len(row) - 1
-    if n % 2 == 1:
-        n -= 1
-    return row[n]
+def _wynn_block(rows, partials):
+    """The epsilon tables (Wynn, MTAC 10 (1956) 91-96) of many sums, each
+    extended by a block of partial sums, column by column over all of them.
+
+    Row i of partials holds sum i's next partial sums in order, and row i of
+    rows the last row of its table so far, not finite past its end.  A new
+    row starts with its partial sum and appends entry k = prev[k-2] +
+    1/(cur[k-1] - prev[k-1]), prev[-1] = 0, while k <= len(prev); it ends at
+    a difference of modulus below 1e-300 or not finite, or at an entry not
+    finite.  Returns each new row's estimate, its last entry of even index,
+    and the last new rows, not finite past their ends.
+
+    The arithmetic is the scalar table's, Python's complex numbers': the
+    modulus by hypot (_modulus), and 1/z by np.reciprocal, which is Smith's
+    algorithm as CPython's complex division computes it (_Py_c_quot), bit
+    for bit but for the sign of a zero part.  That sign cannot reach an
+    entry: x + 0.0 and x - 0.0 are x but for x = -0.0, and no entry has a
+    part -0.0 when no partial sum has (a running sum from 0.0 never has), as
+    an IEEE sum is -0.0 only of two parts -0.0.  A difference that ends a
+    row is replaced by nan, so that the entry, and every entry it reaches,
+    is not finite."""
+    n, m = partials.shape
+    width = rows.shape[1]
+    estimates, last = partials, [partials[:, -1]]
+    # column k of the tables: the previous row's entry, then the new rows'
+    col = np.concatenate((rows[:, :1], partials), axis=1)
+    before = 0.0
+    for k in range(1, width + m):
+        denom = col[:, 1:] - col[:, :-1]
+        size = _modulus(denom)
+        denom = np.where((size >= 1e-300) & (size <= _DBL_MAX), denom, np.nan)
+        entry = before + np.reciprocal(denom)
+        finite = np.isfinite(entry)
+        if not finite.any():
+            break
+        if k % 2 == 0:
+            estimates = np.where(finite, entry, estimates)
+        last.append(entry[:, -1])
+        before = col[:, :-1]
+        col = np.concatenate((rows[:, k:k + 1] if k < width else np.full((n, 1), np.nan),
+                              entry), axis=1)
+    return estimates, np.stack(last, axis=1)
 
 
 def _head_cuts(a, b, points):
@@ -543,25 +574,30 @@ def _semi_infinite_osc(
     linear head's cells are ruled by _cc25_cells; the monotone head adds at
     most _MAX_HEAD_CELLS half-period edges, mapped to x by phase_inv.
 
-    Each sum is a scalar loop (cell_sum) that asks for its cells, as
-    x-intervals, a block at a time: the head, then _MIN_CELLS + _STABLE_STEPS
-    tail cells per pass, and the halves of a block's first-pass misses in
-    the passes between (_ruled).  A monotone sum asks for a block's edges in
-    u to be mapped to x first, and a pass maps those of every sum asking by
-    one phase_inv call, on one float64 array (the linear phase's edges are x
-    already); it then gathers the requests of every sum still running, by
-    rule, into evaluations of at most _BLOCK_CELLS cells:
-    weight and phase each take all their nodes as one float64 array
+    Each head is a scalar walk (head) that asks for its cells, as
+    x-intervals, and for the halves of their first-pass misses in the passes
+    between (_ruled).  The tail is array-wide: each pass takes the next
+    _MIN_CELLS + _STABLE_STEPS cells of every sum in its tail as one (sums x
+    cells) block.  A pass maps the edges in u of every monotone block, head
+    or tail, by one phase_inv call on one float64 array (the linear phase's
+    edges are x already); it then rules the cells of every running sum, by
+    rule, in evaluations of at most _BLOCK_CELLS cells, however large a
+    block: weight and phase each take all their nodes as one float64 array
     (SpectralDensity's array contract), and one rule call rules on all their
     cells.  Neither the inverse of an edge nor the value of a cell depends
     on the others in its array, so each sum gets the bits it would get
-    alone.  Each sum then runs its Wynn update and stop rules over its own
-    cells in order.  A head or cell that did not converge
-    (_judged's rule), a monotone head over the cap, or a tail sum not stable
-    within _MAX_CELLS cells leaves by the one failure exit: the best
-    estimate, its bound plus mass(lo, hi), the mass beyond the last cell
-    summed.  A sum that stops with a bound above cfg.target(value) fails,
-    naming its bound.
+    alone.  A tail block with a first-pass miss is refined by _ruled; the
+    others, and refined blocks once done, go to the array stage (tail):
+    cumulative sums of the values and errors, every sum's epsilon table
+    extended column by column (_wynn_block), and _judged's rule and the stop
+    rules as masks, in the arithmetic of Python's complex numbers (hypot
+    for abs), so each sum stops at the first cell where a rule fires and
+    the cells after it are discarded.  A head or cell that
+    did not converge (_judged's rule), a monotone head over the cap, or a
+    tail sum not stable within _MAX_CELLS cells leaves by the one failure
+    exit: the best estimate, its bound plus mass(lo, hi), the mass beyond
+    the last cell summed.  A sum that stops with a bound above
+    cfg.target(value) fails, naming its bound.
     """
     ph = phase or (lambda u: u)
     # the phase of the split point and of the feature points, one array call
@@ -571,6 +607,15 @@ def _semi_infinite_osc(
     cell_tol = max(cfg.abs_tol / 64.0, 1e-15)
     head_name = ("half-period cell" if phase is not None else "oscillatory head integral"
                  if end is None else "finite-window oscillatory integral")  # of its failures
+    # the stop constants, read at each call; a tail block has m cells
+    m, max_cells, min_cells = _MIN_CELLS + _STABLE_STEPS, _MAX_CELLS, _MIN_CELLS
+    stable_steps, negligible = _STABLE_STEPS, _NEGLIGIBLE_FACTOR * cfg.abs_tol
+    # the floor of a Wynn-stable step, max(0.1 abs_tol, 0.1 rel_tol |est|, 5e-15)
+    least = max(0.1 * cfg.abs_tol, 5e-15)
+    results = [None] * len(sums)
+
+    def finish(i, value, bound, detail):
+        results[i] = (-value if sums[i][1] < 0 else value), bound, detail
 
     def settled(value, bound):
         """A stopped sum's triple: it succeeds only within cfg.target(value)."""
@@ -578,10 +623,24 @@ def _semi_infinite_osc(
             return value, bound, None
         return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
-    def cell_sum(t, way):
-        """The sum at (t, way) as a generator of _ruled's requests for each
-        block of cells it needs, each block's edges in u asked for first as
-        (us,) when the phase has an inverse; returns its triple."""
+    def unsettled(i, best, partial, quad_err, a, detail=None):
+        """The failure exit of sum i: its best estimate, under its bound plus
+        the mass beyond a, the end of the last cell summed."""
+        bound = quad_err + abs(best - partial)
+        if mass is not None:
+            try:
+                bound += abs(mass(*sorted((a, sums[i][1] * math.inf))))
+            except Exception:
+                bound = math.inf
+        return best, bound, (detail or
+                             f"oscillatory cell sum did not stabilize within {max_cells} cells")
+
+    def head(t, way):
+        """The head of the sum at (t, way) as a generator of _ruled's requests
+        for its cells, their edges in u asked for first as (us,) when the
+        phase has an inverse; returns (value, error, detail, a, u_start, h):
+        its sum, error and failure, its end in x and in u, and the signed
+        half-period."""
         h = way * math.pi / t
         partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
         a = x0
@@ -601,112 +660,202 @@ def _semi_infinite_osc(
                 partial += val
                 quad_err += err
                 detail = detail or cell_detail
-        if end is not None:
-            return partial, quad_err, detail
+        return partial, quad_err, detail, a, u_start, h
 
-        row: list = [partial] if partial != 0 else []
-        est_prev = None
-        stable = 0
-        negligible = 0
-        k = 0
-        while detail is None and k < _MAX_CELLS:
-            # blocks of _MIN_CELLS + _STABLE_STEPS cells: the first one reaches
-            # the earliest Wynn-stable stop; cells past a stop are discarded
-            m = min(_MIN_CELLS + _STABLE_STEPS, _MAX_CELLS - k)
-            us = [u_start + (k + j + 1) * h for j in range(m)]
-            xs = (yield (us,)) if phase_inv is not None else us
-            for b, cell in (yield from _ruled([a, *xs], cell_tol, 1e-12)):
-                val, err, detail = _judged(*cell, cfg, "half-period cell")
-                quad_err += err
-                partial += val
-                a = b
-                if detail is not None:
-                    break
-                row = _wynn_row(row, partial)
-                est = _wynn_estimate(row)
-                if not cmath.isfinite(est):
-                    est = partial
-                # truncated-tail stop: consecutive negligible cells
-                if abs(val) < _NEGLIGIBLE_FACTOR * cfg.abs_tol:
-                    negligible += 1
-                    if negligible >= 2 and k + 1 >= _MIN_CELLS:
-                        return settled(partial, quad_err + 3.0 * abs(val))
-                else:
-                    negligible = 0
-                if est_prev is not None and k + 1 >= _MIN_CELLS:
-                    delta = abs(est - est_prev)
-                    if delta <= max(0.1 * cfg.abs_tol, 0.1 * cfg.rel_tol * abs(est), 5e-15):
-                        stable += 1
-                        if stable >= _STABLE_STEPS:
-                            return settled(est, quad_err + delta)
-                    else:
-                        stable = 0
-                est_prev = est
-                k += 1
-        best = est_prev if est_prev is not None else partial
-        bound = quad_err + abs(best - partial)
-        if mass is not None:
-            try:
-                bound += abs(mass(*sorted((a, way * math.inf))))
-            except Exception:
-                bound = math.inf
-        return best, bound, (detail or
-                             f"oscillatory cell sum did not stabilize within {_MAX_CELLS} cells")
+    def rule(t, lo, hi, tol, cc):
+        """The block rule on the cells lo[j] to hi[j] at t[j] and tol[j] (flat
+        float arrays), by _cc25_cells when cc, else by _qk21_cells, in
+        evaluations of at most _BLOCK_CELLS cells (larger ones gain no speed
+        and cost memory): each cell's (value, error, accepted)."""
+        cells = []
+        for start in range(0, len(lo), _BLOCK_CELLS):
+            cut = slice(start, start + _BLOCK_CELLS)
+            centr, hlgth = 0.5 * (hi[cut] + lo[cut]), 0.5 * (hi[cut] - lo[cut])
+            if cc:
+                x = centr[:, None] + hlgth[:, None] * _CC25_NODES
+                cells += _cc25_cells(weight(x), centr, hlgth, t[cut], tol[cut], 1e-12)
+            else:
+                x = centr + hlgth * _GK21_NODES[:, None]
+                cells += _qk21_cells(weight(x) * np.exp(-1j * t[cut] * ph(x)), hlgth, tol[cut],
+                                     1e-12)
+        return cells
 
-    def rule(requests):
-        """The block rule on the cells lo[j] to hi[j] of every request (t, lo,
-        hi, tol, cc), all of one rule, from one evaluation of the integrand on
-        all their nodes: per request, its cells' (value, error, accepted)."""
-        ts, los, his, tols, ccs = zip(*requests)
-        sizes = [len(lo) for lo in los]
-        lo, hi = np.concatenate(los), np.concatenate(his)
-        t, tol = np.repeat([ts, tols], sizes, axis=1)
-        centr, hlgth = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        if ccs[0]:
-            x = centr[:, None] + hlgth[:, None] * _CC25_NODES
-            cells = _cc25_cells(weight(x), centr, hlgth, t, tol, 1e-12)
-        else:
-            x = centr + hlgth * _GK21_NODES[:, None]
-            cells = _qk21_cells(weight(x) * np.exp(-1j * t * ph(x)), hlgth, tol, 1e-12)
-        return [cells[stop - n:stop] for n, stop in zip(sizes, np.cumsum(sizes).tolist())]
-
-    walks = [cell_sum(t, way) for t, way in sums]
-    results = [None] * len(walks)
+    # each sum's tail: where it stands after its head and its cells so far
+    # (partial, quad_err, a_of, k cells), its last estimate and epsilon row,
+    # whether its last cell was negligible, its count of consecutive stable
+    # estimates, and the x edges of its current block
+    n = len(sums)
+    t_of = np.array([t for t, _ in sums], dtype=float)
+    u_start, h, a_of, quad_err = np.zeros((4, n))
+    partial, est_prev = np.zeros((2, n), dtype=complex)
+    k, stable_run, row_len = np.zeros((3, n), dtype=int)
+    was_small = np.zeros(n, dtype=bool)
+    rows, block_hi = np.full((n, 1), np.nan, dtype=complex), np.zeros((n, m))
+    j = np.arange(m)
+    walks = [head(t, way) for t, way in sums]
     requests = {}  # sum index -> its pending (lo, hi, tol, cc), or (us,)
+    refining, ready = set(), {}  # tail blocks refined by _ruled, and their cells once done
+    due = []  # the sums whose next tail block is due
 
-    def advance(i, block):
+    def tail(ids, vals, errs, converged):
+        """The array stage: each block of cells (rows of vals, errs and
+        converged) of the sums ids summed in order, their epsilon tables
+        extended, and the one convergence rule and the stop rules applied
+        cell by cell as masks (cells past _MAX_CELLS never stop a sum)."""
+        nonlocal rows
+        kk = k[ids]
+        kj = kk[:, None] + j  # each cell's index in its tail
+        with np.errstate(all="ignore"):
+            size = _modulus(vals)
+            failed = ~converged
+            if failed.any():
+                failed &= ~(errs <= np.fmax(cfg.abs_tol, cfg.rel_tol * size))
+            sums_, errsum = (np.add.accumulate(np.concatenate((x[ids, None], y), axis=1),
+                                               axis=1)[:, 1:]
+                             for x, y in ((partial, vals), (quad_err, errs)))
+            est, last = _wynn_block(rows[ids, :max(1, row_len[ids].max())], sums_)
+            # truncated-tail stop: two consecutive negligible cells
+            small = size < negligible
+            small_before = np.concatenate((was_small[ids, None], small[:, :-1]), axis=1)
+            truncated = small & small_before & (kj >= min_cells - 1)
+            # Wynn-stable stop: consecutive estimates within the target, from
+            # the second estimate on
+            delta = _modulus(est - np.concatenate((est_prev[ids, None], est[:, :-1]), axis=1))
+            stable = ((delta <= np.fmax(0.1 * cfg.rel_tol * _modulus(est), least))
+                      & (kj >= max(1, min_cells - 1)))
+        stables = j - np.maximum.accumulate(np.where(stable, -1 - stable_run[ids, None], j),
+                                            axis=1)
+        stops = (failed | truncated | (stable & (stables >= stable_steps))) & (kj < max_cells)
+        stopped, first = stops.any(axis=1), stops.argmax(axis=1).tolist()
+        for r in np.flatnonzero(stopped).tolist():
+            i, c = int(ids[r]), first[r]
+            value, bound = complex(sums_[r, c]), float(errsum[r, c])
+            if failed[r, c]:
+                best = complex(est[r, c - 1] if c else est_prev[i] if k[i] else value)
+                finish(i, *unsettled(i, best, value, bound, float(block_hi[i, c]),
+                                     "half-period cell did not converge"))
+            elif truncated[r, c]:
+                finish(i, *settled(value, float(errsum[r, c] + 3.0 * size[r, c])))
+            else:
+                finish(i, *settled(complex(est[r, c]), float(errsum[r, c] + delta[r, c])))
+        if stopped.all():
+            return
+        # the others go on from their block's last cell, or leave by the
+        # failure exit after _MAX_CELLS cells
+        going = np.flatnonzero(~stopped)
+        ids, c = ids[going], np.minimum(m, max_cells - kk[going]) - 1
+        partial[ids], quad_err[ids] = sums_[going, c], errsum[going, c]
+        est_prev[ids] = est[going, c]
+        a_of[ids], k[ids] = block_hi[ids, c], kk[going] + c + 1
+        was_small[ids], stable_run[ids] = small[going, c], stables[going, c]
+        if last.shape[1] > rows.shape[1]:
+            rows = np.concatenate((rows, np.full((n, last.shape[1] - rows.shape[1]), np.nan,
+                                                 dtype=complex)), axis=1)
+        rows[ids, :last.shape[1]], row_len[ids] = last[going], np.isfinite(last[going]).sum(axis=1)
+        over = k[ids] >= max_cells
+        due.extend(ids[~over].tolist())
+        for i in ids[over].tolist():
+            finish(i, *unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
+                                 float(a_of[i])))
+
+    def advance(i, cells):
         try:
-            requests[i] = walks[i].send(block)
+            requests[i] = walks[i].send(cells)
         except StopIteration as stop:
             requests.pop(i, None)
-            value, bound, detail = stop.value
-            results[i] = (-value if sums[i][1] < 0 else value), bound, detail
+            if i in refining:
+                refining.discard(i)
+                ready[i] = [cell for _, cell in stop.value]
+                return
+            value, err, detail, a, u_start[i], h[i] = stop.value
+            if end is not None:
+                finish(i, value, err, detail)
+            elif detail is not None:
+                finish(i, *unsettled(i, value, value, err, a, detail))
+            else:
+                partial[i], quad_err[i], a_of[i] = value, err, a
+                if value != 0:  # the epsilon table starts with a nonzero head
+                    rows[i, 0], row_len[i] = value, 1
+                if max_cells > 0:
+                    due.append(i)
+                else:
+                    finish(i, *unsettled(i, value, value, err, a))
 
-    def run(group):
-        for i, block in zip(group, rule([(sums[i][0], *requests[i]) for i in group])):
-            advance(i, block)
-
-    for i in range(len(walks)):
+    for i in range(n):
         advance(i, None)
-    while requests:
-        # one pass: the edges in u that sums ask for, mapped to x by one
+    while requests or due:
+        # one pass: the next tail block of every sum due one, its edges in u
+        # (its cells past _MAX_CELLS are not valid), ...
+        if tails := bool(due):
+            ids = np.array(due)
+            due.clear()
+            kk = k[ids, None]
+            valid = kk + j < max_cells
+            xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
+        # ... the edges in u of every head and tail block mapped to x by one
         # phase_inv call, ...
         asking = [i for i, request in requests.items() if len(request) == 1]
-        if asking:
-            xs = iter(phase_inv(np.array([u for i in asking for u in requests[i][0]])).tolist())
+        if phase_inv is not None and (asking or tails):
+            us = [u for i in asking for u in requests[i][0]]
+            mapped = phase_inv(np.concatenate((us, xs[valid])) if tails else np.array(us))
+            if tails:
+                xs[valid] = mapped[len(us):]
+            mapped = iter(mapped[:len(us)].tolist())
             for i in asking:
-                advance(i, [next(xs) for _ in requests[i][0]])
-        # ... then the next cells of every running sum, by rule, in
-        # evaluations of at most _BLOCK_CELLS cells (a larger block alone)
-        group, size = [], 0
-        for i in sorted(requests, key=lambda i: requests[i][3]):
-            n = len(requests[i][1])
-            if group and (size + n > _BLOCK_CELLS or requests[i][3] != requests[group[0]][3]):
-                run(group)
-                group, size = [], 0
-            group.append(i)
-            size += n
-        run(group)
+                advance(i, [next(mapped) for _ in requests[i][0]])
+        # ... then the cells of every running sum by rule, the tail blocks'
+        # after the other requests of _qk21_cells
+        pending = list(requests.items())
+        requests.clear()
+        for cc in (True, False):
+            group = [(i, request) for i, request in pending if request[3] == cc]
+            parts, sizes = [], [len(request[0]) for _, request in group]
+            if group:
+                t, tol = np.repeat([[sums[i][0] for i, _ in group],
+                                    [request[2] for _, request in group]], sizes, axis=1)
+                parts.append((t, np.concatenate([request[0] for _, request in group]),
+                              np.concatenate([request[1] for _, request in group]), tol))
+            if tails and not cc:
+                block_hi[ids] = xs
+                lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
+                parts.append((t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
+                              np.full(lo.size, cell_tol)))
+            if parts:
+                cells = rule(*(np.concatenate(p) if len(parts) > 1 else p[0]
+                               for p in zip(*parts)), cc)
+                for (i, _), size, stop in zip(group, sizes, np.cumsum(sizes).tolist()):
+                    advance(i, cells[stop - size:stop])
+        # the tail blocks' first passes (past _MAX_CELLS, cells of value 0,
+        # converged): a block with a miss goes to _ruled; the others, and
+        # refined blocks once done, to the array stage
+        if tails:
+            firsts = cells[sum(sizes):]
+            if valid.all():
+                stage = [np.array(column).reshape(valid.shape) for column in zip(*firsts)]
+            else:
+                stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
+                for part, column in zip(stage, zip(*firsts)):
+                    part[valid] = column
+            if not stage[2].all():
+                missed = ~stage[2].all(axis=1)
+                starts = np.cumsum(valid.sum(axis=1)).tolist()
+                for r in np.flatnonzero(missed).tolist():
+                    i, size = int(ids[r]), int(valid[r].sum())
+                    walks[i] = _ruled([float(a_of[i]), *xs[r, :size].tolist()], cell_tol, 1e-12)
+                    next(walks[i])
+                    refining.add(i)
+                    advance(i, firsts[starts[r] - size:starts[r]])
+                ids, stage = ids[~missed], [part[~missed] for part in stage]
+        if ready:
+            padded = [cell for i in ready for cell in (ready[i] + [(0j, 0.0, True)] * m)[:m]]
+            more = [np.array(column).reshape(len(ready), m) for column in zip(*padded)]
+            ids, stage = ((np.concatenate((ids, list(ready))),
+                           [np.concatenate(pair) for pair in zip(stage, more)]) if tails
+                          else (np.array(list(ready)), more))
+            ready.clear()
+            tails = True
+        if tails and ids.size:
+            tail(ids, *stage)
     return results
 
 

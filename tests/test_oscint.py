@@ -1143,3 +1143,167 @@ def test_series_equal_their_points_failures_included(monkeypatch, cfg, min_cells
             lambda ts: generalized_factor_series(p, params, ts, cfg, state),
             lambda t: generalized_dephasing_factor(p, params, t, cfg, state), _MIXED_GRID)
     assert failed >= 3  # at least every potential's head over the cap
+
+
+# ---------------------------------------------------------------------------
+# the array tail's epsilon table, against the scalar table it replaced
+
+
+def _wynn_row(prev_row: list, s_new: complex) -> list:
+    """Append one partial sum to the progressive epsilon table; returns new row."""
+    cur = [s_new]
+    for k in range(1, len(prev_row) + 1):
+        denom = cur[k - 1] - prev_row[k - 1]
+        if abs(denom) < 1e-300 or not cmath.isfinite(denom):
+            break
+        prior = prev_row[k - 2] if k >= 2 else 0.0
+        nxt = prior + 1.0 / denom
+        if not cmath.isfinite(nxt):
+            break
+        cur.append(nxt)
+    return cur
+
+
+def _wynn_estimate(row: list) -> complex:
+    n = len(row) - 1
+    if n % 2 == 1:
+        n -= 1
+    return row[n]
+
+
+def _bits(values):
+    """The bit patterns of complex values, to compare them bit for bit."""
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.int64).reshape(-1, 2).tolist()
+
+
+def _partial_sums(terms):
+    """The running sums of terms from 0.0 + 0.0j, as the tail sums its cells."""
+    partial, sums = 0.0 + 0.0j, []
+    for term in terms:
+        partial += term
+        sums.append(partial)
+    return sums
+
+
+def _wynn_batches():
+    """(name, partial sums of each sum, how many of them each sum's table
+    has before the first block), seeded."""
+    rng = np.random.default_rng(21)
+    n = 9 + 4 * 8
+
+    def alternating(count):
+        # complex terms of alternating sign and geometric decay, as tail cells
+        ratio = rng.uniform(0.3, 0.95, count) * np.exp(1j * rng.uniform(-0.4, 0.4, count))
+        first = rng.normal(size=count) + 1j * rng.normal(size=count)
+        return [(first[i] * (-ratio[i]) ** np.arange(n)).tolist() for i in range(count)]
+
+    mixed = [_partial_sums(terms) for terms in alternating(7)]
+    repeated = []
+    for terms in alternating(6):
+        zero = rng.random(n) < 0.4  # exactly zero cells: repeated partial sums
+        repeated.append(_partial_sums([0j if z else term for z, term in zip(zero, terms)]))
+    repeated.append([1.5 + 0.5j] * n)
+    odd = [complex(math.inf, 1.0), complex(math.nan, 0.0), complex(-math.inf, math.inf),
+           complex(2.0, math.nan), complex(0.0, -math.inf)]
+    non_finite = []
+    for terms in alternating(6):
+        at = rng.choice(n, size=2, replace=False)
+        for spot in at:
+            terms[spot] = odd[rng.integers(len(odd))]
+        non_finite.append(_partial_sums(terms))
+    leibniz = _partial_sums([(-1.0) ** k / (2 * k + 1) + 0.0j for k in range(n + 12)])
+    imaginary = _partial_sums([1j * (-0.5) ** k for k in range(n + 12)])
+    series = [leibniz[s:s + n] for s in (0, 3, 12)] + [imaginary[s:s + n] for s in (0, 7)]
+    return [
+        ("mixed lengths", mixed, rng.integers(0, 10, len(mixed)).tolist()),
+        ("repeated partial sums", repeated, rng.integers(0, 10, len(repeated)).tolist()),
+        ("inf and nan", non_finite, rng.integers(0, 10, len(non_finite)).tolist()),
+        ("Leibniz and imaginary", series, [0, 1, 9, 0, 5]),
+    ]
+
+
+@pytest.mark.parametrize("name,partials,before", _wynn_batches(),
+                         ids=[batch[0] for batch in _wynn_batches()])
+def test_array_epsilon_table_equals_the_scalar_table(name, partials, before):
+    # every sum's table first takes its first `before` partial sums one by
+    # one (the scalar table), then blocks of 8 all together; each new row's
+    # estimate and each block's last row are the scalar table's bit for bit
+    # (a last row is not finite past its end)
+    m = 8
+    tables = [[] for _ in partials]
+    for table, sums, count in zip(tables, partials, before):
+        for s in sums[:count]:
+            table[:] = _wynn_row(table, s)
+    rows = np.full((len(tables), max(1, *map(len, tables))), np.nan, dtype=complex)
+    for row, table in zip(rows, tables):
+        row[:len(table)] = table
+    for start in range(0, 4 * m, m):
+        block = np.array([sums[count + start:count + start + m]
+                          for sums, count in zip(partials, before)])
+        with np.errstate(all="ignore"):
+            estimates, rows = oscint._wynn_block(rows, block)
+        for i, (table, row) in enumerate(zip(tables, rows)):
+            want = []
+            for s in block[i].tolist():
+                table[:] = _wynn_row(table, s)
+                want.append(_wynn_estimate(table))
+            assert _bits(estimates[i]) == _bits(want), (name, i, start)
+            assert _bits(row[:len(table)]) == _bits(table), (name, i, start)
+            assert not np.isfinite(row[len(table):]).any(), (name, i, start)
+
+
+def test_reciprocal_and_modulus_are_pythons():
+    # the table's 1/z is np.reciprocal, Smith's algorithm as CPython's 1.0/z
+    # computes it: bit for bit, but for the sign of a zero part, which cannot
+    # reach the table (no entry has a part -0.0); its |z| is _modulus, Python's
+    # abs(z) bit for bit.  Signed zeros, subnormals and infinities, over the
+    # vector loop of a long array and the short loop of a short one
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1.0, 3.0,
+               1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    signs = rng.choice([-1.0, 1.0], (2, 20_000))
+    random = signs * 10.0 ** rng.uniform(-323, 308, (2, 20_000))
+    zs = [complex(a, b) for a in special for b in special] + [complex(a, b) for a, b in random.T]
+    zs = [z for z in zs if z != 0]  # 1.0/0j raises ZeroDivisionError
+    for batch in (zs, zs[:3], zs[-5:]):
+        with np.errstate(all="ignore"):
+            reciprocals = np.reciprocal(np.array(batch)).tolist()
+            moduli = oscint._modulus(np.array(batch)).tolist()
+        for z, got, size in zip(batch, reciprocals, moduli):
+            want = 1.0 / z
+            for x, y in ((want.real, got.real), (want.imag, got.imag)):
+                if math.isnan(x) or x == 0:
+                    assert math.isnan(y) if math.isnan(x) else y == 0, z
+                else:
+                    assert _bits(complex(x)) == _bits(complex(y)), z
+            try:
+                want = abs(z)
+            except OverflowError:  # Python raises where hypot is inf
+                want = math.inf
+            assert _bits(complex(size)) == _bits(complex(want)) or math.isnan(want), z
+
+
+def test_evaluations_are_sliced_to_block_cells(monkeypatch):
+    # a monotone head of hundreds of half-periods per sum: with _BLOCK_CELLS
+    # at 16, weight never takes more than 16 cells of nodes, and every value
+    # and failure (t = 1e6: the head over the cap) is the same, bit for bit
+    p, params = exp_potential(), DephasingParams(1.0, 0.3)
+    state = build_initial_state(p, params)
+    density, sizes = state.density.density, []
+
+    def outcomes():
+        sizes.clear()
+        recording = lambda x: (sizes.append(np.size(x)), density(x))[1]
+        watched = replace(state, density=replace(state.density, density=recording))
+        return [_outcome(lambda t=t: generalized_dephasing_factor(p, params, t, TIGHT, watched))
+                for t in (0.5, 50.0, 1e3, 1e6)]
+
+    want = outcomes()
+    assert max(sizes) > 16 * 21  # an evaluation of more than 16 cells
+    monkeypatch.setattr(oscint, "_BLOCK_CELLS", 16)
+    got = outcomes()
+    assert max(sizes) <= 16 * 21
+    assert _bits([value for value, _ in got]) == _bits([value for value, _ in want])
+    fields = lambda f: None if f is None else (f.detail, f.estimate, f.error_bound, f.t)
+    assert [fields(f) for _, f in got] == [fields(f) for _, f in want]
+    assert want[-1][1] is not None

@@ -10,9 +10,12 @@ whether the non-numeric text matches (every file, every number masked, file
 names included), and the largest numeric change in units of the job's
 tolerance: |new - old| / max(abs_tol, rel_tol * |old|), with the tolerances
 taken from the job's --abs-tol/--rel-tol (the CLI's 1e-9 when omitted).
+The fit parameters of a header (`# fit_residual = ...`, `fit_amplitude`,
+`fit_rate`) are fits to values that carry their own errors, so their
+largest change ("fit") is reported apart from the values' ("drift").
 Numbers are compared in order; when the text differs the drift is not
-computed ("-").  The last line summarises all jobs.  Exits 1 if any exit
-code or text differs, else 0.
+computed ("-").  The last line summarises all jobs, with each maximum.
+Exits 1 if any exit code or text differs, else 0.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import re
 import sys
 
 NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])|\b(?:nan|inf)\b")
+FIT = re.compile(rb"^# fit_\w+ = ")
 DEFAULT_TOL = 1e-9
 
 
@@ -50,24 +54,25 @@ def read_job(directory: str) -> dict:
 
 
 def job_drift(old: dict, new: dict, abs_tol: float, rel_tol: float):
-    """(text matches, largest change in tolerance units or None)."""
+    """(text matches, largest change of the values and of the fit
+    parameters in tolerance units, each None when the text differs)."""
     if sorted(old) != sorted(new):
-        return False, None
-    worst = 0.0
+        return False, None, None
+    worst = {False: 0.0, True: 0.0}  # by whether the line is a fit parameter
     for name in old:
-        text_old, nums_old = split_numbers(old[name])
-        text_new, nums_new = split_numbers(new[name])
-        if text_old != text_new:
-            return False, None
-        for a, b in zip(nums_old, nums_new):
-            if a == b:
-                continue
-            x, y = float(a), float(b)
-            if x == y:
-                continue
-            change = abs(y - x) / max(abs_tol, rel_tol * abs(x))
-            worst = max(worst, change if math.isfinite(change) else math.inf)
-    return True, worst
+        if split_numbers(old[name])[0] != split_numbers(new[name])[0]:
+            return False, None, None
+        for line_old, line_new in zip(old[name].splitlines(), new[name].splitlines()):
+            fit = bool(FIT.match(line_old))
+            for a, b in zip(split_numbers(line_old)[1], split_numbers(line_new)[1]):
+                if a == b:
+                    continue
+                x, y = float(a), float(b)
+                if x == y:
+                    continue
+                change = abs(y - x) / max(abs_tol, rel_tol * abs(x))
+                worst[fit] = max(worst[fit], change if math.isfinite(change) else math.inf)
+    return True, worst[False], worst[True]
 
 
 def main(argv=None) -> int:
@@ -86,24 +91,27 @@ def main(argv=None) -> int:
         return 1
 
     exit_diff = text_diff = 0
-    worst, worst_index = 0.0, None
+    worst = {"drift": (0.0, None), "fit": (0.0, None)}  # each maximum and its job
     for index, (old, new) in enumerate(zip(old_jobs, new_jobs)):
         same_exit = old["exit"] == new["exit"]
-        same_text, drift = job_drift(
+        same_text, *drifts = job_drift(
             read_job(os.path.join(args.parent_dir, str(index))),
             read_job(os.path.join(args.change_dir, str(index))),
             *tolerances(old["argv"]),
         )
         exit_diff += not same_exit
         text_diff += not same_text
-        if drift is not None and (worst_index is None or drift > worst):
-            worst, worst_index = drift, index
-        shown = "-" if drift is None else f"{drift:.3g}"
+        shown = []
+        for key, drift in zip(worst, drifts):
+            if drift is not None and (worst[key][1] is None or drift > worst[key][0]):
+                worst[key] = drift, index
+            shown.append(f"{key}={'-' if drift is None else f'{drift:.3g}'}")
         print(f"{index} exit={'same' if same_exit else 'DIFF'} "
-              f"text={'same' if same_text else 'DIFF'} drift={shown} "
+              f"text={'same' if same_text else 'DIFF'} {' '.join(shown)} "
               f"{' '.join(old['argv'])}")
     print(f"jobs={len(old_jobs)} exit_diff={exit_diff} text_diff={text_diff} "
-          f"max_drift={worst:.3g} (job {worst_index})")
+          + " ".join(f"max_{key}={value:.3g} (job {index})"
+                     for key, (value, index) in worst.items()))
     return 1 if exit_diff or text_diff else 0
 
 
