@@ -27,18 +27,18 @@ per time, and the single-time functions are the batch of one.  On each
 pass, the next cells of every t still summing are evaluated together: one
 phase_inv call maps the edges of every block they start, the density and
 the phase each take their nodes as one float64 array, and one call of each
-rule sums them, at most _BLOCK_CELLS cells an evaluation.  Each edge and
-each cell is computed elementwise, so its bits do not depend on its array,
-and a series is bit-identical to its pointwise values.  Each t keeps its
-own head; the tail is array-wide: every running sum's cells are summed,
-its Wynn table extended column by column and its stop rules applied as
-masks over all the sums together, in Python's complex arithmetic bit for
-bit.  A cell that misses its rule's first-pass test is bisected in the
-passes that follow until its parts meet dqagse's test; others agree with
-QUADPACK's to rounding.  This gives uniform
-accuracy in t; heavy algebraic tails converge through the acceleration
-instead of an (infeasibly large) explicit cutoff, and the analytic tail
-mass only enters a failure's bound.
+rule gives their values, errors and verdicts as arrays, at most
+_BLOCK_CELLS cells an evaluation.  Each edge and each cell is computed
+elementwise, so its bits do not depend on its array, and a series is
+bit-identical to its pointwise values.  Each t keeps its own head; the
+tail is array-wide: every running sum's cells are summed, its Wynn table
+extended column by column and its stop rules applied as masks over all the
+sums together, in Python's complex arithmetic bit for bit.  Every block,
+head or tail, has dqagse's structure: a first pass, then _ruled bisects
+only its misses until their parts meet dqagse's test; others agree with
+QUADPACK's to rounding.  This gives uniform accuracy in t; heavy algebraic
+tails converge through the acceleration instead of an (infeasibly large)
+explicit cutoff, and the analytic tail mass only enters a failure's bound.
 
 A mass is exact when the density has a cdf (a difference of two values);
 only a density without one has its masses integrated by quad, cut at its
@@ -86,7 +86,7 @@ _STABLE_STEPS = 2
 _MAX_CELLS = 400
 _MIN_CELLS = 6
 # the most half-period cells of a monotone head (31,831 at gamma*t = 1e5):
-# their edges are one phase_inv call, their cells one evaluation
+# their edges are one phase_inv call, their cells one first-pass request
 _MAX_HEAD_CELLS = 65_536
 # the most cells of one evaluation of the integrand and the block rule, a
 # larger block's taken in slices: larger evaluations gain no speed and cost
@@ -284,9 +284,9 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     verdict do not depend on the block it is evaluated in (a BLAS product's
     bits depend on a column's position); a cell's value agrees with
     QUADPACK's to rounding and its error estimate to the cancellation in the
-    Kronrod-Gauss difference.  Returns one (value, error, accepted) per
-    cell: the Kronrod value, the summed error estimates of both parts, and
-    whether both parts' first pass passes dqagse's test (ier = 0 with no
+    Kronrod-Gauss difference.  Returns three arrays, one entry a cell: the
+    Kronrod values, the summed error estimates of both parts, and whether
+    both parts' first pass passes dqagse's test (ier = 0 with no
     refinement); other cells are refined.
     """
     n = len(half_lengths)
@@ -306,9 +306,7 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     errbnd = np.maximum(np.tile(np.broadcast_to(epsabs, n), 2), epsrel * np.abs(result))
     roundoff = (abserr <= (100.0 * _EPMACH) * resabs) & (abserr > errbnd)
     ok = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0))
-    value = result[:n] + 1j * result[n:]
-    return list(zip(value.tolist(), (abserr[:n] + abserr[n:]).tolist(),
-                    (ok[:n] & ok[n:]).tolist()))
+    return result[:n] + 1j * result[n:], abserr[:n] + abserr[n:], ok[:n] & ok[n:]
 
 
 # ---------------------------------------------------------------------------
@@ -366,42 +364,46 @@ def _chebyshev_moments(omega):
 
 
 def _cc25_cells(values, centres, half_lengths, t, epsabs, epsrel):
-    """QUADPACK's dqc25f rule on a block of cells of the linear phase: one
-    (value, error, accepted) per cell of int weight(x) exp(-i t x) dx, from
-    the real weight at centres[i] + half_lengths[i] * _CC25_NODES (values[i]),
-    t and epsabs one per cell.  The weight's 25-point Clenshaw-Curtis
-    interpolant times exact Chebyshev moments of the kernel is the value,
-    however many oscillations the cell spans, its difference from the
-    13-point rule the error, accepted within max(epsabs, epsrel |value|).
-    Each sum is einsum's over a contiguous last axis, whose bits do not
-    depend on the block (over the first axis, a block of one cell's do)."""
+    """QUADPACK's dqc25f rule on a block of cells of the linear phase: the
+    arrays (values, errors, accepted), one entry a cell, of int weight(x)
+    exp(-i t x) dx, from the real weight at centres[i] + half_lengths[i] *
+    _CC25_NODES (values[i]), t and epsabs one per cell.  The weight's 25-point
+    Clenshaw-Curtis interpolant times exact Chebyshev moments of the kernel is
+    the value, however many oscillations the cell spans, its difference from
+    the 13-point rule the error, accepted within max(epsabs, epsrel |value|).
+    Each sum is einsum's over a contiguous last axis, whose bits do not depend
+    on the block (over the first axis, a block of one cell's do)."""
     coefficients = np.einsum("rkj,nj->rnk", _CC25_COEFFICIENTS, values)
     moments = _chebyshev_moments(t * half_lengths)
     result = (np.einsum("rnk,nk->rn", coefficients, moments)
               * (half_lengths * np.exp(-1j * t * centres)))
     value, error = result[0], np.abs(result[0] - result[1])
-    accepted = error <= np.maximum(epsabs, epsrel * np.abs(value))
-    return list(zip(value.tolist(), error.tolist(), accepted.tolist()))
+    return value, error, error <= np.maximum(epsabs, epsrel * np.abs(value))
 
 
 # ---------------------------------------------------------------------------
 # adaptive bisection of cells, and quad
 
-def _ruled(edges, tol, rel, cc=False):
-    """The cells between consecutive edges as (end, (value, error,
-    converged)) by a generator of requests (lo, hi, tol, cc) to rule, by
-    _cc25_cells when cc, else by _qk21_cells, each at the relative
-    tolerance rel.  A first-pass miss is refined breadth first: each pass
+def _ruled(edges, cells, tol, rel, cc=False):
+    """The refinement of the cells between consecutive edges from cells, the
+    (values, errors, accepted) arrays of the rule's first pass on them: a
+    generator of requests (lo, hi, tol, cc) for the halves it bisects, by
+    _cc25_cells when cc, else by _qk21_cells, at the relative tolerance rel,
+    sent their arrays; it returns (ends, values, errors, converged), at once
+    when every cell was accepted.  A miss is refined breadth first: each pass
     bisects its parts whose errors exceed their length share of tol, the
     largest first, until their summed error meets max(tol, rel |value|)
     (dqagse's test), _MAX_SUBDIVISIONS, or _ROUNDOFF_BISECTIONS bisections
     whose halves sum to within 1e-5 of the part's value with at least 0.99
-    of its error (dqagse's roundoff test, iroff1); converged says whether the
-    first pass or the refined parts met the test."""
+    of its error (dqagse's roundoff test, iroff1); converged says whether
+    the first pass or the refined parts met the test."""
     lo, hi = edges[:-1], edges[1:]
-    cells = yield lo, hi, tol, cc
+    values, errors, accepted = cells
+    missed = (~accepted).nonzero()[0].tolist()
+    if not missed:
+        return hi, values, errors, accepted
     # each missed cell's parts (a, b, value, error), in order from its start
-    parts = {j: [(lo[j], hi[j], val, err)] for j, (val, err, ok) in enumerate(cells) if not ok}
+    parts = {j: [(lo[j], hi[j], values[j].item(), errors[j].item())] for j in missed}
     roundoff = dict.fromkeys(parts, 0)
 
     def total(ps):
@@ -415,9 +417,10 @@ def _ruled(edges, tol, rel, cc=False):
     while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
                     if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
                     for p in to_bisect(j, ps)]:
-        halves = iter((yield [e for _, p, m in split for e in (p[0], m)],
-                             [e for _, p, m in split for e in (m, p[1])], tol, cc))
-        halved = {(j, p[0]): [(p[0], m, *next(halves)[:2]), (m, p[1], *next(halves)[:2])]
+        half_values, half_errors, _ = yield ([e for _, p, m in split for e in (p[0], m)],
+                                             [e for _, p, m in split for e in (m, p[1])], tol, cc)
+        halves = zip(half_values.tolist(), half_errors.tolist())
+        halved = {(j, p[0]): [(p[0], m, *next(halves)), (m, p[1], *next(halves))]
                   for j, p, m in split}
         for j, p, _ in split:
             (_, _, v1, e1), (_, _, v2, e2) = halved[j, p[0]]
@@ -425,8 +428,10 @@ def _ruled(edges, tol, rel, cc=False):
                             and e1 + e2 >= 0.99 * p[3])
         parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
                  for j, ps in parts.items()}
-    return zip(hi, [total(parts[j]) if j in parts else (val, err, True)
-                    for j, (val, err, _) in enumerate(cells)])
+    values, errors, converged = values.copy(), errors.copy(), accepted.copy()
+    for j in missed:
+        values[j], errors[j], converged[j] = total(parts[j])
+    return hi, values, errors, converged
 
 
 def quad(f, a, b, epsabs, epsrel, points=()):
@@ -435,12 +440,12 @@ def quad(f, a, b, epsabs, epsrel, points=()):
     between a, the points strictly inside and b, converged when the piece
     meets max(epsabs, epsrel |value|).
 
-    Each piece is a cell of _ruled, ruled by _qk21_cells and bisected in its
-    own coordinate: x between the outermost finite edges, and an infinite
-    end beyond its outermost edge c in s in (0, 1], x = c +- L (1 - s)/s with
-    L = max(1, |c|) (QUADPACK dqagie's map, scaled to c).  The full line
-    without points is one piece split at 0.  A reversed range is minus the
-    ascending one, piece by piece.
+    Each piece is a cell: one _qk21_cells call is its first pass, and _ruled
+    bisects a miss in its own coordinate: x between the outermost finite
+    edges, and an infinite end beyond its outermost edge c in s in (0, 1],
+    x = c +- L (1 - s)/s with L = max(1, |c|) (QUADPACK dqagie's map, scaled
+    to c).  The full line without points is one piece split at 0.  A
+    reversed range is minus the ascending one, piece by piece.
     """
     if b < a:
         ascending = quad(f, b, a, epsabs, epsrel, points)
@@ -452,17 +457,21 @@ def quad(f, a, b, epsabs, epsrel, points=()):
     def ruled(cell_edges, x_of):
         """The triples of the cells between cell_edges, each node u at x_of(u)
         = (x, dx/du)."""
-        walk = _ruled(cell_edges, epsabs, epsrel)
-        lo, hi, tol, _ = next(walk)
-        while True:
+        def rule(lo, hi, tol):
             lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
             half = 0.5 * (hi - lo)
             x, dx = x_of(0.5 * (hi + lo) + half * _GK21_NODES[:, None])
             values = np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-            try:
-                lo, hi, tol, _ = walk.send(_qk21_cells(values * dx, half, tol, epsrel))
-            except StopIteration as stop:
-                return [(value.real, error, ok) for _, (value, error, ok) in stop.value]
+            return _qk21_cells(values * dx, half, tol, epsrel)
+
+        walk = _ruled(cell_edges, rule(cell_edges[:-1], cell_edges[1:], epsabs), epsabs, epsrel)
+        try:
+            lo, hi, tol, _ = next(walk)
+            while True:
+                lo, hi, tol, _ = walk.send(rule(lo, hi, tol))
+        except StopIteration as stop:
+            _, values, errors, converged = stop.value
+        return list(zip(values.real.tolist(), errors.tolist(), converged.tolist()))
 
     def beyond(c, way):
         scale = max(1.0, abs(c))
@@ -574,30 +583,31 @@ def _semi_infinite_osc(
     linear head's cells are ruled by _cc25_cells; the monotone head adds at
     most _MAX_HEAD_CELLS half-period edges, mapped to x by phase_inv.
 
-    Each head is a scalar walk (head) that asks for its cells, as
-    x-intervals, and for the halves of their first-pass misses in the passes
-    between (_ruled).  The tail is array-wide: each pass takes the next
-    _MIN_CELLS + _STABLE_STEPS cells of every sum in its tail as one (sums x
-    cells) block.  A pass maps the edges in u of every monotone block, head
-    or tail, by one phase_inv call on one float64 array (the linear phase's
-    edges are x already); it then rules the cells of every running sum, by
-    rule, in evaluations of at most _BLOCK_CELLS cells, however large a
-    block: weight and phase each take all their nodes as one float64 array
-    (SpectralDensity's array contract), and one rule call rules on all their
-    cells.  Neither the inverse of an edge nor the value of a cell depends
+    Every block of cells, a head or a tail block, gets its first pass as one
+    request (lo, hi, tol, cc) of the pass loop, and a block with a miss
+    starts a walk of _ruled, whose requests for halves join the passes that
+    follow.  One phase_inv call maps the edges in u of every monotone head
+    before the first pass (the linear phase's edges are x already); each
+    tail pass takes the next _MIN_CELLS + _STABLE_STEPS cells of every sum
+    in its tail as one (sums x cells) block, its edges mapped by one
+    phase_inv call.  A pass rules the cells of every request, by rule, in
+    evaluations of at most _BLOCK_CELLS cells, however large a block: weight
+    and phase each take all their nodes as one float64 array
+    (SpectralDensity's array contract), and one rule call gives their
+    arrays.  Neither the inverse of an edge nor the value of a cell depends
     on the others in its array, so each sum gets the bits it would get
-    alone.  A tail block with a first-pass miss is refined by _ruled; the
-    others, and refined blocks once done, go to the array stage (tail):
+    alone.  A refined head is summed plainly under _judged (headed); a tail
+    block, once refined if it missed, goes to the array stage (tail):
     cumulative sums of the values and errors, every sum's epsilon table
     extended column by column (_wynn_block), and _judged's rule and the stop
-    rules as masks, in the arithmetic of Python's complex numbers (hypot
-    for abs), so each sum stops at the first cell where a rule fires and
-    the cells after it are discarded.  A head or cell that
-    did not converge (_judged's rule), a monotone head over the cap, or a
-    tail sum not stable within _MAX_CELLS cells leaves by the one failure
-    exit: the best estimate, its bound plus mass(lo, hi), the mass beyond
-    the last cell summed.  A sum that stops with a bound above
-    cfg.target(value) fails, naming its bound.
+    rules as masks, in the arithmetic of Python's complex numbers (hypot for
+    abs), so each sum stops at the first cell where a rule fires and the
+    cells after it are discarded.  A head or cell that did not converge
+    (_judged's rule), a monotone head over the cap, or a tail sum not stable
+    within _MAX_CELLS cells leaves by the one failure exit: the best
+    estimate, its bound plus mass(lo, hi), the mass beyond the last cell
+    summed.  A sum that stops with a bound above cfg.target(value) fails,
+    naming its bound.
     """
     ph = phase or (lambda u: u)
     # the phase of the split point and of the feature points, one array call
@@ -635,50 +645,23 @@ def _semi_infinite_osc(
         return best, bound, (detail or
                              f"oscillatory cell sum did not stabilize within {max_cells} cells")
 
-    def head(t, way):
-        """The head of the sum at (t, way) as a generator of _ruled's requests
-        for its cells, their edges in u asked for first as (us,) when the
-        phase has an inverse; returns (value, error, detail, a, u_start, h):
-        its sum, error and failure, its end in x and in u, and the signed
-        half-period."""
-        h = way * math.pi / t
-        partial, quad_err, detail = 0.0 + 0.0j, 0.0, None
-        a = x0
-        k_clear = int(math.ceil((u0 + way * reach - u0) / h)) if end is None else 0
-        u_start = u0 + k_clear * h if end is None else end
-        if phase is not None and k_clear > _MAX_HEAD_CELLS:
-            detail = f"head region spans {k_clear} oscillations"
-        elif k_clear > 0 or end is not None:
-            # cuts and a monotone head's half-periods, ordered from u0, summed
-            # plainly (the epsilon table extrapolates the tail only)
-            us = {u0 + (j + 1) * h for j in range(k_clear)} if phase is not None else {u_start}
-            us = sorted(us | set(_head_cuts(u0, u_start, upoints)), reverse=way < 0)
-            head_tol = max(cfg.abs_tol / (8.0 * len(us)), 1e-15)
-            xs = (yield (us,)) if phase_inv is not None else us
-            for a, cell in (yield from _ruled([x0, *xs], head_tol, 1e-12, phase is None)):
-                val, err, cell_detail = _judged(*cell, cfg, head_name)
-                partial += val
-                quad_err += err
-                detail = detail or cell_detail
-        return partial, quad_err, detail, a, u_start, h
-
     def rule(t, lo, hi, tol, cc):
         """The block rule on the cells lo[j] to hi[j] at t[j] and tol[j] (flat
         float arrays), by _cc25_cells when cc, else by _qk21_cells, in
         evaluations of at most _BLOCK_CELLS cells (larger ones gain no speed
-        and cost memory): each cell's (value, error, accepted)."""
+        and cost memory): the cells' (values, errors, accepted) arrays."""
         cells = []
         for start in range(0, len(lo), _BLOCK_CELLS):
             cut = slice(start, start + _BLOCK_CELLS)
             centr, hlgth = 0.5 * (hi[cut] + lo[cut]), 0.5 * (hi[cut] - lo[cut])
             if cc:
                 x = centr[:, None] + hlgth[:, None] * _CC25_NODES
-                cells += _cc25_cells(weight(x), centr, hlgth, t[cut], tol[cut], 1e-12)
+                cells.append(_cc25_cells(weight(x), centr, hlgth, t[cut], tol[cut], 1e-12))
             else:
                 x = centr + hlgth * _GK21_NODES[:, None]
-                cells += _qk21_cells(weight(x) * np.exp(-1j * t[cut] * ph(x)), hlgth, tol[cut],
-                                     1e-12)
-        return cells
+                cells.append(_qk21_cells(weight(x) * np.exp(-1j * t[cut] * ph(x)), hlgth,
+                                         tol[cut], 1e-12))
+        return cells[0] if len(cells) == 1 else [np.concatenate(part) for part in zip(*cells)]
 
     # each sum's tail: where it stands after its head and its cells so far
     # (partial, quad_err, a_of, k cells), its last estimate and epsilon row,
@@ -692,9 +675,9 @@ def _semi_infinite_osc(
     was_small = np.zeros(n, dtype=bool)
     rows, block_hi = np.full((n, 1), np.nan, dtype=complex), np.zeros((n, m))
     j = np.arange(m)
-    walks = [head(t, way) for t, way in sums]
-    requests = {}  # sum index -> its pending (lo, hi, tol, cc), or (us,)
-    refining, ready = set(), {}  # tail blocks refined by _ruled, and their cells once done
+    requests = {}  # sum index -> its pending (lo, hi, tol, cc) for rule
+    walks = {}  # sum index -> its last walk of _ruled, and what takes its result
+    ready = {}  # sum index -> its refined tail block's (values, errors, converged)
     due = []  # the sums whose next tail block is due
 
     def tail(ids, vals, errs, converged):
@@ -758,53 +741,81 @@ def _semi_infinite_osc(
             finish(i, *unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
                                  float(a_of[i])))
 
-    def advance(i, cells):
-        try:
-            requests[i] = walks[i].send(cells)
-        except StopIteration as stop:
-            requests.pop(i, None)
-            if i in refining:
-                refining.discard(i)
-                ready[i] = [cell for _, cell in stop.value]
-                return
-            value, err, detail, a, u_start[i], h[i] = stop.value
-            if end is not None:
-                finish(i, value, err, detail)
-            elif detail is not None:
-                finish(i, *unsettled(i, value, value, err, a, detail))
-            else:
-                partial[i], quad_err[i], a_of[i] = value, err, a
-                if value != 0:  # the epsilon table starts with a nonzero head
-                    rows[i, 0], row_len[i] = value, 1
-                if max_cells > 0:
-                    due.append(i)
-                else:
-                    finish(i, *unsettled(i, value, value, err, a))
+    def padded(valid, values, errors, accepted):
+        """The cells as blocks of valid's shape, in order in each row's valid
+        prefix, and past it cells of value 0, converged."""
+        stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
+        for part, column in zip(stage, (values, errors, accepted)):
+            part[valid] = column
+        return stage
 
-    for i in range(n):
-        advance(i, None)
+    def advance(i, cells=None):
+        walk, then = walks[i]
+        try:
+            requests[i] = walk.send(cells)
+        except StopIteration as stop:
+            then(i, *stop.value)
+
+    def headed(i, ends, values, errors, converged, detail=None):
+        """Sum i's head summed plainly in cell order under _judged: a window
+        finishes, a failed head takes the failure exit, any other starts its
+        tail (the epsilon table extrapolates the tail only)."""
+        value, bound = 0.0 + 0.0j, 0.0
+        for cell in zip(values.tolist(), errors.tolist(), converged.tolist()):
+            val, err, cell_detail = _judged(*cell, cfg, head_name)
+            value += val
+            bound += err
+            detail = detail or cell_detail
+        if end is not None:
+            finish(i, value, bound, detail)
+        elif detail is not None:
+            finish(i, *unsettled(i, value, value, bound, ends[-1], detail))
+        else:
+            partial[i], quad_err[i], a_of[i] = value, bound, ends[-1]
+            if value != 0:  # the epsilon table starts with a nonzero head
+                rows[i, 0], row_len[i] = value, 1
+            due.append(i)
+
+    def refined(i, ends, *cells):
+        ready[i] = cells
+
+    # each head's edges in u, ordered from u0: its cuts, and a monotone
+    # head's half-periods; a head without cells ends at x0 at once
+    heads = {}
+    for i, (t, way) in enumerate(sums):
+        h[i] = step = way * math.pi / t
+        k_clear = int(math.ceil((u0 + way * reach - u0) / step)) if end is None else 0
+        u_start[i] = u_end = u0 + k_clear * step if end is None else end
+        if phase is not None and k_clear > _MAX_HEAD_CELLS:
+            headed(i, [x0], *np.zeros((3, 0)), f"head region spans {k_clear} oscillations")
+        elif k_clear > 0 or end is not None:
+            us = {u0 + (c + 1) * step for c in range(k_clear)} if phase is not None else {u_end}
+            heads[i] = sorted(us | set(_head_cuts(u0, u_end, upoints)), reverse=way < 0)
+        else:
+            headed(i, [x0], *np.zeros((3, 0)))
+    # every monotone head's edges mapped to x by one phase_inv call; each
+    # head's first pass is one request, its tolerance split over its cells
+    if phase_inv is not None and heads:
+        xs = iter(phase_inv(np.array([u for us in heads.values() for u in us])).tolist())
+        heads = {i: [next(xs) for _ in us] for i, us in heads.items()}
+    for i, hi in heads.items():
+        requests[i] = [x0, *hi[:-1]], hi, max(cfg.abs_tol / (8.0 * len(hi)), 1e-15), phase is None
     while requests or due:
         # one pass: the next tail block of every sum due one, its edges in u
-        # (its cells past _MAX_CELLS are not valid), ...
+        # mapped to x by one phase_inv call (its cells past _MAX_CELLS are
+        # not valid), ...
         if tails := bool(due):
             ids = np.array(due)
             due.clear()
             kk = k[ids, None]
             valid = kk + j < max_cells
             xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
-        # ... the edges in u of every head and tail block mapped to x by one
-        # phase_inv call, ...
-        asking = [i for i, request in requests.items() if len(request) == 1]
-        if phase_inv is not None and (asking or tails):
-            us = [u for i in asking for u in requests[i][0]]
-            mapped = phase_inv(np.concatenate((us, xs[valid])) if tails else np.array(us))
-            if tails:
-                xs[valid] = mapped[len(us):]
-            mapped = iter(mapped[:len(us)].tolist())
-            for i in asking:
-                advance(i, [next(mapped) for _ in requests[i][0]])
-        # ... then the cells of every running sum by rule, the tail blocks'
-        # after the other requests of _qk21_cells
+            if phase_inv is not None:
+                xs[valid] = phase_inv(xs[valid])
+            block_hi[ids] = xs
+        # ... then the cells of every request and tail block by rule, the
+        # tail blocks' after the other requests of _qk21_cells: a head's
+        # first pass starts its walk of _ruled, and a walk is sent its halves
         pending = list(requests.items())
         requests.clear()
         for cc in (True, False):
@@ -816,39 +827,35 @@ def _semi_infinite_osc(
                 parts.append((t, np.concatenate([request[0] for _, request in group]),
                               np.concatenate([request[1] for _, request in group]), tol))
             if tails and not cc:
-                block_hi[ids] = xs
                 lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
                 parts.append((t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
                               np.full(lo.size, cell_tol)))
             if parts:
                 cells = rule(*(np.concatenate(p) if len(parts) > 1 else p[0]
                                for p in zip(*parts)), cc)
-                for (i, _), size, stop in zip(group, sizes, np.cumsum(sizes).tolist()):
-                    advance(i, cells[stop - size:stop])
+                for (i, (_, hi, tol, _)), stop in zip(group, np.cumsum(sizes).tolist()):
+                    block = [part[stop - len(hi):stop] for part in cells]
+                    if i in walks:
+                        advance(i, block)
+                    else:  # a head's first pass starts its walk
+                        walks[i] = _ruled([x0, *hi], block, tol, 1e-12, cc), headed
+                        advance(i)
         # the tail blocks' first passes (past _MAX_CELLS, cells of value 0,
-        # converged): a block with a miss goes to _ruled; the others, and
-        # refined blocks once done, to the array stage
+        # converged): a block with a miss is refined by _ruled; the others,
+        # and refined blocks once done, go to the array stage
         if tails:
-            firsts = cells[sum(sizes):]
-            if valid.all():
-                stage = [np.array(column).reshape(valid.shape) for column in zip(*firsts)]
-            else:
-                stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
-                for part, column in zip(stage, zip(*firsts)):
-                    part[valid] = column
+            stage = padded(valid, *(part[sum(sizes):] for part in cells))
             if not stage[2].all():
                 missed = ~stage[2].all(axis=1)
-                starts = np.cumsum(valid.sum(axis=1)).tolist()
                 for r in np.flatnonzero(missed).tolist():
                     i, size = int(ids[r]), int(valid[r].sum())
-                    walks[i] = _ruled([float(a_of[i]), *xs[r, :size].tolist()], cell_tol, 1e-12)
-                    next(walks[i])
-                    refining.add(i)
-                    advance(i, firsts[starts[r] - size:starts[r]])
+                    walks[i] = (_ruled([float(a_of[i]), *xs[r, :size].tolist()],
+                                       [part[r, :size] for part in stage], cell_tol, 1e-12), refined)
+                    advance(i)
                 ids, stage = ids[~missed], [part[~missed] for part in stage]
         if ready:
-            padded = [cell for i in ready for cell in (ready[i] + [(0j, 0.0, True)] * m)[:m]]
-            more = [np.array(column).reshape(len(ready), m) for column in zip(*padded)]
+            more = padded(j < np.array([len(cells[0]) for cells in ready.values()])[:, None],
+                          *(np.concatenate(part) for part in zip(*ready.values())))
             ids, stage = ((np.concatenate((ids, list(ready))),
                            [np.concatenate(pair) for pair in zip(stage, more)]) if tails
                           else (np.array(list(ready)), more))
@@ -866,7 +873,7 @@ def _semi_infinite_osc(
 def _time_grid(times) -> np.ndarray:
     """times as a float array, checked before any quadrature runs: 1-d,
     finite and strictly increasing, or a ValueError naming t."""
-    t = np.asarray(list(times), dtype=float)
+    t = np.array(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"t must be a 1-d grid, got shape {t.shape}")
     bad = t[~np.isfinite(t)]

@@ -665,7 +665,8 @@ def _block_rule_not_converged(monkeypatch, rel_error, name="_qk21_cells"):
     block_rule = getattr(oscint, name)
 
     def missing(*args):
-        return [(val, rel_error * abs(val), False) for val, _, _ in block_rule(*args)]
+        values, _, accepted = block_rule(*args)
+        return values, rel_error * np.abs(values), np.zeros_like(accepted)
 
     monkeypatch.setattr(oscint, name, missing)
 
@@ -720,7 +721,7 @@ def test_qk21_cells_match_quad_first_pass(tol):
                 return d.density(x) * np.exp(-1j * t * x)
 
             cells = oscint._qk21_cells(*_gk21_cell_values(f, a, b), cell_tol, 1e-12)
-            for i, (val, err, accepted) in enumerate(cells):
+            for i, (val, err, accepted) in enumerate(zip(*cells)):
                 parts = [
                     quad(lambda x, g=g: g(f(x)), a[i], b[i], epsabs=cell_tol, epsrel=1e-12,
                          limit=200, full_output=1)
@@ -744,7 +745,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
     t, h = 0.5, 2.0 * math.pi
     values, half = _gk21_cell_values(lambda x: d.density(x) * np.exp(-1j * t * x),
                                      np.array([0.0]), np.array([h]))
-    [(_, _, accepted)] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
+    _, _, [accepted] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
     assert not accepted
     [(got, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
 
@@ -752,7 +753,8 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
     block_rule = oscint._qk21_cells
 
     def reject_all(*args):
-        return [(val, err, False) for val, err, _ in block_rule(*args)]
+        values, errors, accepted = block_rule(*args)
+        return values, errors, np.zeros_like(accepted)
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
     [(want, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
@@ -781,7 +783,8 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
     block_rule = oscint._qk21_cells
 
     def reject_all(*args):
-        return [(val, err, False) for val, err, _ in block_rule(*args)]
+        values, errors, accepted = block_rule(*args)
+        return values, errors, np.zeros_like(accepted)
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
     [(want, want_err, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
@@ -890,7 +893,8 @@ def _reject_first_block(monkeypatch):
         cells = block_rule(values, half, *args)
         calls.append((nodes[-1][10] if nodes else None, half, cells))  # node 10: the centre
         if len(calls) <= 1:
-            cells = [(val, 1.0, False) for val, _, _ in cells]
+            values, errors, accepted = cells
+            cells = values, np.ones_like(errors), np.zeros_like(accepted)
         return cells
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_first)
@@ -908,7 +912,7 @@ def test_downward_missed_cells_are_refined_over_reversed_limits(monkeypatch):
     _, calls = _reject_first_block(monkeypatch)
     got = restricted_amplitude(d, -math.inf, 0.0, t, TIGHT)
     block = oscint._MIN_CELLS + oscint._STABLE_STEPS
-    assert [len(cells) for _, _, cells in calls[:2]] == [block, 2 * block]
+    assert [len(values) for _, _, (values, _, _) in calls[:2]] == [block, 2 * block]
     assert all(half < 0 for _, halves, _ in calls[:2] for half in halves)
     assert abs(got - want) <= 2 * TIGHT.abs_tol
 
@@ -929,14 +933,47 @@ def test_missed_cells_are_refined_to_quad_without_quad(monkeypatch, way):
     weight_of, calls = _reject_first_block(monkeypatch)
     [(got, _, detail)] = oscint._semi_infinite_osc(weight_of(d.density), [(t, way)], x0, CFG)
     assert detail is None
-    (centres, halves, _), (_, _, parts) = calls[:2]
+    (centres, halves, _), (_, _, (parts, _, _)) = calls[:2]
     assert len(parts) == 2 * len(centres)  # each missed cell in two halves
     for j, (centre, half) in enumerate(zip(centres, halves)):
-        refined = parts[2 * j][0] + parts[2 * j + 1][0]
+        refined = parts[2 * j] + parts[2 * j + 1]
         lo, hi = sorted((centre - half, centre + half))
         want, _ = quad(lambda x: d.density(x) * cmath.exp(-1j * t * x), lo, hi,
                        epsabs=cell_tol, epsrel=1e-12, complex_func=True)
         assert abs(refined - (want if way > 0 else -want)) <= cell_tol, j
+
+
+def test_ruled_refines_only_the_missed_cells():
+    # _ruled starts from its block's first pass: with every cell accepted it
+    # returns those cells at once and asks for nothing; with one cell missed,
+    # its error above tol, its first request holds only that cell's halves
+    f = lambda x: np.exp(-x * x - 3j * x)
+    edges, tol = [-2.0, -0.5, 0.4, 1.0, 2.5], 1e-9
+    cells = oscint._qk21_cells(*_gk21_cell_values(f, np.array(edges[:-1]), np.array(edges[1:])),
+                               tol, 1e-12)
+    assert cells[2].all()
+    with pytest.raises(StopIteration) as stop:
+        next(oscint._ruled(edges, cells, tol, 1e-12))
+    ends, *got = stop.value.value
+    assert ends == edges[1:] and _same_bits(got, cells)
+
+    values, errors, accepted = (array.copy() for array in cells)
+    errors[2], accepted[2] = 1.0, False
+    walk = oscint._ruled(edges, (values, errors, accepted), tol, 1e-12)
+    middle = 0.5 * (edges[2] + edges[3])
+    assert next(walk) == ([edges[2], middle], [middle, edges[3]], tol, False)
+    # the refined cell converges on its halves; the others are the first pass
+    halves = oscint._qk21_cells(*_gk21_cell_values(f, np.array([edges[2], middle]),
+                                                   np.array([middle, edges[3]])), tol, 1e-12)
+    with pytest.raises(StopIteration) as stop:
+        walk.send(halves)
+    _, got_values, got_errors, converged = stop.value.value
+    assert converged.all()
+    assert got_values[2] == halves[0][0] + halves[0][1]
+    assert got_errors[2] == halves[1][0] + halves[1][1]
+    others = [0, 1, 3]
+    assert _same_bits([got_values[others], got_errors[others]],
+                      [cells[0][others], cells[1][others]])
 
 
 def test_cells_call_the_transported_density_only_on_arrays():
@@ -1003,6 +1040,13 @@ def test_a_full_line_grid_is_one_engine_call(monkeypatch):
     assert len(calls) == 1
 
 
+def _same_bits(got, want):
+    """Whether the arrays of got and want have equal dtypes, shapes and bits."""
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
 def test_cell_value_does_not_depend_on_its_block():
     # a series sums the cells of all its times in one block; each cell's
     # value, error and verdict must be bit for bit those of the same cell in
@@ -1021,7 +1065,7 @@ def test_cell_value_does_not_depend_on_its_block():
             cut = slice(start, start + size)
             part = oscint._qk21_cells(np.ascontiguousarray(values[:, cut]), half[cut],
                                       tols[cut], 1e-12)
-            assert part == whole[cut], (size, start)
+            assert _same_bits(part, [array[cut] for array in whole]), (size, start)
     # so must a Clenshaw-Curtis cell's, its moments by the Gauss-Legendre rule
     # or by the recursion (|t h| on both sides of 24)
     t = np.repeat([0.3, 40.0, 900.0], 5)
@@ -1032,7 +1076,7 @@ def test_cell_value_does_not_depend_on_its_block():
             cut = slice(start, start + size)
             part = oscint._cc25_cells(weights[cut], centre[cut], half[cut], t[cut], tols[cut],
                                       1e-12)
-            assert part == whole[cut], (size, start)
+            assert _same_bits(part, [array[cut] for array in whole]), (size, start)
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -1085,6 +1129,7 @@ def test_every_public_amplitude_rejects_a_non_finite_t(monkeypatch, bad):
     ([2.0, 1.0], "strictly increasing"),
     ([0.0, 1.0, 1.0], "strictly increasing"),
     ([[0.0, 1.0], [2.0, 3.0]], "1-d"),
+    (0.5, "1-d"),
 ])
 def test_series_grid_is_checked_before_any_quadrature(monkeypatch, grid, message):
     cases = _every_public_amplitude()
