@@ -33,10 +33,11 @@ elementwise, so its bits do not depend on its array, and a series is
 bit-identical to its pointwise values.  Each t keeps its own head; the
 tail is array-wide: every running sum's cells are summed, its Wynn table
 extended column by column and its stop rules applied as masks over all the
-sums together, in Python's complex arithmetic bit for bit.  Every block,
-head or tail, has dqagse's structure: a first pass, then _ruled bisects
-only its misses until their parts meet dqagse's test; others agree with
-QUADPACK's to rounding.  This gives uniform accuracy in t; heavy algebraic
+sums together, in Python's complex arithmetic bit for bit.  Every stage,
+the heads of all sums or one tail pass, has dqagse's structure: a first
+pass, then _refine bisects all its misses together, one rule call per
+level, until their parts meet dqagse's test; others agree with QUADPACK's
+to rounding.  This gives uniform accuracy in t; heavy algebraic
 tails converge through the acceleration instead of an (infeasibly large)
 explicit cutoff, and the analytic tail mass only enters a failure's bound.
 
@@ -44,9 +45,9 @@ A mass is exact when the density has a cdf (a difference of two values);
 only a density without one has its masses integrated by quad, cut at its
 feature points.  quad, the one adaptive integrator of what is not
 oscillatory (those masses and diagnostics.pw_sweep), is built from the
-cells' parts: each of its pieces is a dqk21 cell, and a first-pass miss,
-of a piece or of a half-period or head cell, is bisected by one
-refinement, _ruled.
+cells' parts: each of its pieces is a dqk21 cell, and first-pass misses,
+of pieces or of half-period or head cells, are bisected by one
+refinement, _refine.
 
 Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
@@ -86,7 +87,8 @@ _STABLE_STEPS = 2
 _MAX_CELLS = 400
 _MIN_CELLS = 6
 # the most half-period cells of a monotone head (31,831 at gamma*t = 1e5):
-# their edges are one phase_inv call, their cells one first-pass request
+# the edges of every head are one phase_inv call, their cells one stage of
+# first pass and refinement
 _MAX_HEAD_CELLS = 65_536
 # the most cells of one evaluation of the integrand and the block rule, a
 # larger block's taken in slices: larger evaluations gain no speed and cost
@@ -384,54 +386,81 @@ def _cc25_cells(values, centres, half_lengths, t, epsabs, epsrel):
 # ---------------------------------------------------------------------------
 # adaptive bisection of cells, and quad
 
-def _ruled(edges, cells, tol, rel, cc=False):
-    """The refinement of the cells between consecutive edges from cells, the
-    (values, errors, accepted) arrays of the rule's first pass on them: a
-    generator of requests (lo, hi, tol, cc) for the halves it bisects, by
-    _cc25_cells when cc, else by _qk21_cells, at the relative tolerance rel,
-    sent their arrays; it returns (ends, values, errors, converged), at once
-    when every cell was accepted.  A miss is refined breadth first: each pass
-    bisects its parts whose errors exceed their length share of tol, the
-    largest first, until their summed error meets max(tol, rel |value|)
-    (dqagse's test), _MAX_SUBDIVISIONS, or _ROUNDOFF_BISECTIONS bisections
-    whose halves sum to within 1e-5 of the part's value with at least 0.99
-    of its error (dqagse's roundoff test, iroff1); converged says whether
-    the first pass or the refined parts met the test."""
-    lo, hi = edges[:-1], edges[1:]
+def _refine(rule, lo, hi, cells, tol, rel):
+    """The refinement of the cells lo[j] to hi[j] (float arrays) from cells,
+    the (values, errors, accepted) arrays of their first pass: their (values,
+    errors, converged) arrays, cells itself when every cell was accepted.
+    rule(which, a, b) gives the arrays of the parts a[i] to b[i] of the cells
+    which[i], and tol is a float or one per cell.
+
+    Every missed cell is refined at once, breadth first: each level bisects,
+    in one rule call, the parts of every cell still refining whose errors
+    exceed their length share of its tol, the largest first, until the
+    cell's summed error meets max(tol, rel |value|) (dqagse's test),
+    _MAX_SUBDIVISIONS parts, or _ROUNDOFF_BISECTIONS bisections whose halves
+    sum to within 1e-5 of the part's value with at least 0.99 of its error
+    (dqagse's roundoff test, iroff1).  The parts of the cells still refining
+    are flat arrays, each cell's in order from its start, summed in that
+    order one part at a time, so a cell's bits do not depend on the others;
+    converged says whether the first pass or the refined parts met the
+    test."""
     values, errors, accepted = cells
-    missed = (~accepted).nonzero()[0].tolist()
-    if not missed:
-        return hi, values, errors, accepted
-    # each missed cell's parts (a, b, value, error), in order from its start
-    parts = {j: [(lo[j], hi[j], values[j].item(), errors[j].item())] for j in missed}
-    roundoff = dict.fromkeys(parts, 0)
-
-    def total(ps):
-        value, error = sum((p[2] for p in ps[1:]), ps[0][2]), sum(p[3] for p in ps)
-        return value, error, error <= max(tol, rel * abs(value))
-
-    def to_bisect(j, ps):
-        above = [p for p in ps if p[3] > tol * (p[1] - p[0]) / (hi[j] - lo[j])]
-        return sorted(above, key=lambda p: -p[3])[:_MAX_SUBDIVISIONS - len(ps)]
-
-    while split := [(j, p, 0.5 * (p[0] + p[1])) for j, ps in parts.items()
-                    if not total(ps)[2] and roundoff[j] < _ROUNDOFF_BISECTIONS
-                    for p in to_bisect(j, ps)]:
-        half_values, half_errors, _ = yield ([e for _, p, m in split for e in (p[0], m)],
-                                             [e for _, p, m in split for e in (m, p[1])], tol, cc)
-        halves = zip(half_values.tolist(), half_errors.tolist())
-        halved = {(j, p[0]): [(p[0], m, *next(halves)), (m, p[1], *next(halves))]
-                  for j, p, m in split}
-        for j, p, _ in split:
-            (_, _, v1, e1), (_, _, v2, e2) = halved[j, p[0]]
-            roundoff[j] += (abs(p[2] - (v1 + v2)) <= 1e-5 * abs(v1 + v2)
-                            and e1 + e2 >= 0.99 * p[3])
-        parts = {j: [q for p in ps for q in halved.get((j, p[0]), [p])]
-                 for j, ps in parts.items()}
+    owner = np.flatnonzero(~accepted)
+    if not owner.size:
+        return cells
     values, errors, converged = values.copy(), errors.copy(), accepted.copy()
-    for j in missed:
-        values[j], errors[j], converged[j] = total(parts[j])
-    return hi, values, errors, converged
+    tol = np.broadcast_to(tol, lo.shape)
+    # the cells still refining (ids, ascending), each cell's count of parts
+    # and bisections that gained only roundoff, and the parts (owner, a, b,
+    # value, error) of the cells still refining, each cell's in order
+    ids, (count, roundoff) = owner, np.zeros((2, lo.size), dtype=int)
+    count[ids] = 1
+    a, b, value, error = lo[owner], hi[owner], values[owner], errors[owner]
+    while True:
+        # each cell's parts summed in order, one add per part rank
+        n = count[ids]
+        first = np.cumsum(n) - n
+        total, summed = value[first], 0.0 + error[first]
+        if n.max() > 1:
+            by_size = np.argsort(-n, kind="stable")
+            more = ids.size - np.cumsum(np.bincount(n))  # the cells of more than r parts
+            for r in range(1, more.size - 1):
+                c = by_size[:more[r]]
+                total[c] += value[first[c] + r]
+                summed[c] += error[first[c] + r]
+        met = summed <= np.fmax(tol[ids], rel * _modulus(total))
+        values[ids], errors[ids], converged[ids] = total, summed, met
+        going = ~met & (roundoff[ids] < _ROUNDOFF_BISECTIONS)
+        if not going.any():
+            return values, errors, converged
+        # the parts above their length share of tol of the cells going on, the
+        # largest first in each cell (a stable sort), up to _MAX_SUBDIVISIONS
+        above = np.flatnonzero(np.repeat(going, n)
+                               & (error > tol[owner] * (b - a) / (hi[owner] - lo[owner])))
+        above = above[np.lexsort((-error[above], owner[above]))]
+        held = owner[above]
+        rank = np.arange(above.size) - np.searchsorted(held, held)
+        split = np.sort(above[rank < _MAX_SUBDIVISIONS - count[held]])
+        if not split.size:
+            return values, errors, converged
+        # the halves of every split part in order, in one rule call
+        which, mid = owner[split], 0.5 * (a[split] + b[split])
+        halves, half_errors, _ = rule(which.repeat(2), np.stack((a[split], mid), axis=1).ravel(),
+                                      np.stack((mid, b[split]), axis=1).ravel())
+        v1, v2, e1, e2 = halves[0::2], halves[1::2], half_errors[0::2], half_errors[1::2]
+        pair = v1 + v2
+        roundoff += np.bincount(which[(_modulus(value[split] - pair) <= 1e-5 * _modulus(pair))
+                                      & (e1 + e2 >= 0.99 * error[split])], minlength=lo.size)
+        count += np.bincount(which, minlength=lo.size)
+        # the parts of the cells split, each split part in its two halves
+        kept = np.zeros(lo.size, dtype=bool)
+        kept[which] = True
+        ids, copies = ids[kept[ids]], kept[owner].astype(int)
+        copies[split] = 2
+        at = np.cumsum(copies)[split] - 2
+        owner, a, b, value, error = [np.repeat(x, copies) for x in (owner, a, b, value, error)]
+        b[at] = a[at + 1] = mid
+        value[at], value[at + 1], error[at], error[at + 1] = v1, v2, e1, e2
 
 
 def quad(f, a, b, epsabs, epsrel, points=()):
@@ -440,7 +469,7 @@ def quad(f, a, b, epsabs, epsrel, points=()):
     between a, the points strictly inside and b, converged when the piece
     meets max(epsabs, epsrel |value|).
 
-    Each piece is a cell: one _qk21_cells call is its first pass, and _ruled
+    Each piece is a cell: one _qk21_cells call is its first pass, and _refine
     bisects a miss in its own coordinate: x between the outermost finite
     edges, and an infinite end beyond its outermost edge c in s in (0, 1],
     x = c +- L (1 - s)/s with L = max(1, |c|) (QUADPACK dqagie's map, scaled
@@ -457,20 +486,14 @@ def quad(f, a, b, epsabs, epsrel, points=()):
     def ruled(cell_edges, x_of):
         """The triples of the cells between cell_edges, each node u at x_of(u)
         = (x, dx/du)."""
-        def rule(lo, hi, tol):
-            lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        def rule(which, lo, hi):
             half = 0.5 * (hi - lo)
             x, dx = x_of(0.5 * (hi + lo) + half * _GK21_NODES[:, None])
             values = np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-            return _qk21_cells(values * dx, half, tol, epsrel)
+            return _qk21_cells(values * dx, half, epsabs, epsrel)
 
-        walk = _ruled(cell_edges, rule(cell_edges[:-1], cell_edges[1:], epsabs), epsabs, epsrel)
-        try:
-            lo, hi, tol, _ = next(walk)
-            while True:
-                lo, hi, tol, _ = walk.send(rule(lo, hi, tol))
-        except StopIteration as stop:
-            _, values, errors, converged = stop.value
+        lo, hi = np.array(cell_edges[:-1], dtype=float), np.array(cell_edges[1:], dtype=float)
+        values, errors, converged = _refine(rule, lo, hi, rule(None, lo, hi), epsabs, epsrel)
         return list(zip(values.real.tolist(), errors.tolist(), converged.tolist()))
 
     def beyond(c, way):
@@ -583,21 +606,20 @@ def _semi_infinite_osc(
     linear head's cells are ruled by _cc25_cells; the monotone head adds at
     most _MAX_HEAD_CELLS half-period edges, mapped to x by phase_inv.
 
-    Every block of cells, a head or a tail block, gets its first pass as one
-    request (lo, hi, tol, cc) of the pass loop, and a block with a miss
-    starts a walk of _ruled, whose requests for halves join the passes that
-    follow.  One phase_inv call maps the edges in u of every monotone head
-    before the first pass (the linear phase's edges are x already); each
-    tail pass takes the next _MIN_CELLS + _STABLE_STEPS cells of every sum
-    in its tail as one (sums x cells) block, its edges mapped by one
-    phase_inv call.  A pass rules the cells of every request, by rule, in
-    evaluations of at most _BLOCK_CELLS cells, however large a block: weight
-    and phase each take all their nodes as one float64 array
-    (SpectralDensity's array contract), and one rule call gives their
-    arrays.  Neither the inverse of an edge nor the value of a cell depends
-    on the others in its array, so each sum gets the bits it would get
-    alone.  A refined head is summed plainly under _judged (headed); a tail
-    block, once refined if it missed, goes to the array stage (tail):
+    The sums run in stages, each one call of ruled: the first pass of its
+    cells and the refinement of their misses together (_refine).  The heads
+    of all sums are the first stage, their edges in u mapped to x by one
+    phase_inv call (the linear phase's edges are x already); each sum's
+    head is then summed plainly under _judged (headed).  Then each pass of
+    the tail loop is a stage: the next _MIN_CELLS + _STABLE_STEPS cells of
+    every sum still in its tail as one (sums x cells) block, its edges
+    mapped by one phase_inv call.  A stage's rule calls take at most
+    _BLOCK_CELLS cells, however large a block: weight and phase each take
+    all their nodes as one float64 array (SpectralDensity's array
+    contract), and one rule call gives their arrays.  Neither the inverse
+    of an edge nor the value of a cell depends on the others in its array,
+    and _refine refines each cell on its own, so each sum gets the bits it
+    would get alone.  A tail block, refined, goes to the array stage (tail):
     cumulative sums of the values and errors, every sum's epsilon table
     extended column by column (_wynn_block), and _judged's rule and the stop
     rules as masks, in the arithmetic of Python's complex numbers (hypot for
@@ -645,23 +667,28 @@ def _semi_infinite_osc(
         return best, bound, (detail or
                              f"oscillatory cell sum did not stabilize within {max_cells} cells")
 
-    def rule(t, lo, hi, tol, cc):
-        """The block rule on the cells lo[j] to hi[j] at t[j] and tol[j] (flat
-        float arrays), by _cc25_cells when cc, else by _qk21_cells, in
-        evaluations of at most _BLOCK_CELLS cells (larger ones gain no speed
-        and cost memory): the cells' (values, errors, accepted) arrays."""
-        cells = []
-        for start in range(0, len(lo), _BLOCK_CELLS):
-            cut = slice(start, start + _BLOCK_CELLS)
-            centr, hlgth = 0.5 * (hi[cut] + lo[cut]), 0.5 * (hi[cut] - lo[cut])
-            if cc:
-                x = centr[:, None] + hlgth[:, None] * _CC25_NODES
-                cells.append(_cc25_cells(weight(x), centr, hlgth, t[cut], tol[cut], 1e-12))
-            else:
-                x = centr + hlgth * _GK21_NODES[:, None]
-                cells.append(_qk21_cells(weight(x) * np.exp(-1j * t[cut] * ph(x)), hlgth,
-                                         tol[cut], 1e-12))
-        return cells[0] if len(cells) == 1 else [np.concatenate(part) for part in zip(*cells)]
+    def ruled(t, lo, hi, tol, cc):
+        """The cells lo[j] to hi[j] at t[j] and tol[j] (flat float arrays),
+        their first pass and its refinement (_refine) by the block rule:
+        _cc25_cells when cc, else _qk21_cells, in evaluations of at most
+        _BLOCK_CELLS cells (larger ones gain no speed and cost memory).
+        Returns the cells' (values, errors, converged) arrays."""
+        def rule(which, a, b):
+            cells = []
+            for start in range(0, len(a), _BLOCK_CELLS):
+                cut = slice(start, start + _BLOCK_CELLS)
+                centr, hlgth = 0.5 * (b[cut] + a[cut]), 0.5 * (b[cut] - a[cut])
+                tc, tolc = t[which[cut]], tol[which[cut]]
+                if cc:
+                    x = centr[:, None] + hlgth[:, None] * _CC25_NODES
+                    cells.append(_cc25_cells(weight(x), centr, hlgth, tc, tolc, 1e-12))
+                else:
+                    x = centr + hlgth * _GK21_NODES[:, None]
+                    cells.append(_qk21_cells(weight(x) * np.exp(-1j * tc * ph(x)), hlgth,
+                                             tolc, 1e-12))
+            return cells[0] if len(cells) == 1 else [np.concatenate(part) for part in zip(*cells)]
+
+        return _refine(rule, lo, hi, rule(np.arange(lo.size), lo, hi), tol, 1e-12)
 
     # each sum's tail: where it stands after its head and its cells so far
     # (partial, quad_err, a_of, k cells), its last estimate and epsilon row,
@@ -675,9 +702,6 @@ def _semi_infinite_osc(
     was_small = np.zeros(n, dtype=bool)
     rows, block_hi = np.full((n, 1), np.nan, dtype=complex), np.zeros((n, m))
     j = np.arange(m)
-    requests = {}  # sum index -> its pending (lo, hi, tol, cc) for rule
-    walks = {}  # sum index -> its last walk of _ruled, and what takes its result
-    ready = {}  # sum index -> its refined tail block's (values, errors, converged)
     due = []  # the sums whose next tail block is due
 
     def tail(ids, vals, errs, converged):
@@ -741,21 +765,6 @@ def _semi_infinite_osc(
             finish(i, *unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
                                  float(a_of[i])))
 
-    def padded(valid, values, errors, accepted):
-        """The cells as blocks of valid's shape, in order in each row's valid
-        prefix, and past it cells of value 0, converged."""
-        stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
-        for part, column in zip(stage, (values, errors, accepted)):
-            part[valid] = column
-        return stage
-
-    def advance(i, cells=None):
-        walk, then = walks[i]
-        try:
-            requests[i] = walk.send(cells)
-        except StopIteration as stop:
-            then(i, *stop.value)
-
     def headed(i, ends, values, errors, converged, detail=None):
         """Sum i's head summed plainly in cell order under _judged: a window
         finishes, a failed head takes the failure exit, any other starts its
@@ -776,9 +785,6 @@ def _semi_infinite_osc(
                 rows[i, 0], row_len[i] = value, 1
             due.append(i)
 
-    def refined(i, ends, *cells):
-        ready[i] = cells
-
     # each head's edges in u, ordered from u0: its cuts, and a monotone
     # head's half-periods; a head without cells ends at x0 at once
     heads = {}
@@ -793,76 +799,39 @@ def _semi_infinite_osc(
             heads[i] = sorted(us | set(_head_cuts(u0, u_end, upoints)), reverse=way < 0)
         else:
             headed(i, [x0], *np.zeros((3, 0)))
-    # every monotone head's edges mapped to x by one phase_inv call; each
-    # head's first pass is one request, its tolerance split over its cells
+    # every monotone head's edges mapped to x by one phase_inv call; the
+    # heads are one stage, each head's tolerance split over its cells
     if phase_inv is not None and heads:
         xs = iter(phase_inv(np.array([u for us in heads.values() for u in us])).tolist())
         heads = {i: [next(xs) for _ in us] for i, us in heads.items()}
-    for i, hi in heads.items():
-        requests[i] = [x0, *hi[:-1]], hi, max(cfg.abs_tol / (8.0 * len(hi)), 1e-15), phase is None
-    while requests or due:
+    if heads:
+        sizes = [len(us) for us in heads.values()]
+        t, tol = np.repeat([[sums[i][0] for i in heads],
+                            [max(cfg.abs_tol / (8.0 * size), 1e-15) for size in sizes]], sizes, axis=1)
+        cells = ruled(t, np.array([x for us in heads.values() for x in (x0, *us[:-1])]),
+                      np.array([x for us in heads.values() for x in us]), tol, phase is None)
+        for (i, us), stop in zip(heads.items(), np.cumsum(sizes).tolist()):
+            headed(i, us, *(part[stop - len(us):stop] for part in cells))
+    while due:
         # one pass: the next tail block of every sum due one, its edges in u
         # mapped to x by one phase_inv call (its cells past _MAX_CELLS are
-        # not valid), ...
-        if tails := bool(due):
-            ids = np.array(due)
-            due.clear()
-            kk = k[ids, None]
-            valid = kk + j < max_cells
-            xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
-            if phase_inv is not None:
-                xs[valid] = phase_inv(xs[valid])
-            block_hi[ids] = xs
-        # ... then the cells of every request and tail block by rule, the
-        # tail blocks' after the other requests of _qk21_cells: a head's
-        # first pass starts its walk of _ruled, and a walk is sent its halves
-        pending = list(requests.items())
-        requests.clear()
-        for cc in (True, False):
-            group = [(i, request) for i, request in pending if request[3] == cc]
-            parts, sizes = [], [len(request[0]) for _, request in group]
-            if group:
-                t, tol = np.repeat([[sums[i][0] for i, _ in group],
-                                    [request[2] for _, request in group]], sizes, axis=1)
-                parts.append((t, np.concatenate([request[0] for _, request in group]),
-                              np.concatenate([request[1] for _, request in group]), tol))
-            if tails and not cc:
-                lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
-                parts.append((t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
-                              np.full(lo.size, cell_tol)))
-            if parts:
-                cells = rule(*(np.concatenate(p) if len(parts) > 1 else p[0]
-                               for p in zip(*parts)), cc)
-                for (i, (_, hi, tol, _)), stop in zip(group, np.cumsum(sizes).tolist()):
-                    block = [part[stop - len(hi):stop] for part in cells]
-                    if i in walks:
-                        advance(i, block)
-                    else:  # a head's first pass starts its walk
-                        walks[i] = _ruled([x0, *hi], block, tol, 1e-12, cc), headed
-                        advance(i)
-        # the tail blocks' first passes (past _MAX_CELLS, cells of value 0,
-        # converged): a block with a miss is refined by _ruled; the others,
-        # and refined blocks once done, go to the array stage
-        if tails:
-            stage = padded(valid, *(part[sum(sizes):] for part in cells))
-            if not stage[2].all():
-                missed = ~stage[2].all(axis=1)
-                for r in np.flatnonzero(missed).tolist():
-                    i, size = int(ids[r]), int(valid[r].sum())
-                    walks[i] = (_ruled([float(a_of[i]), *xs[r, :size].tolist()],
-                                       [part[r, :size] for part in stage], cell_tol, 1e-12), refined)
-                    advance(i)
-                ids, stage = ids[~missed], [part[~missed] for part in stage]
-        if ready:
-            more = padded(j < np.array([len(cells[0]) for cells in ready.values()])[:, None],
-                          *(np.concatenate(part) for part in zip(*ready.values())))
-            ids, stage = ((np.concatenate((ids, list(ready))),
-                           [np.concatenate(pair) for pair in zip(stage, more)]) if tails
-                          else (np.array(list(ready)), more))
-            ready.clear()
-            tails = True
-        if tails and ids.size:
-            tail(ids, *stage)
+        # not valid), ruled, and as a block of value 0, converged cells past
+        # its valid ones, to the array stage
+        ids = np.array(due)
+        due.clear()
+        kk = k[ids, None]
+        valid = kk + j < max_cells
+        xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
+        if phase_inv is not None:
+            xs[valid] = phase_inv(xs[valid])
+        block_hi[ids] = xs
+        lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
+        cells = ruled(t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
+                      np.full(lo.size, cell_tol), False)
+        stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
+        for part, column in zip(stage, cells):
+            part[valid] = column
+        tail(ids, *stage)
     return results
 
 
@@ -919,7 +888,8 @@ def restricted_amplitude(
     """int_lo^hi exp(-i t phase(E)) d(E) dE, clipped to the density's support.
 
     phase must be strictly increasing with range R, and it and its inverse
-    phase_inv take a float64 array, elementwise; one phase_inv call per pass
+    phase_inv, given together or not at all (a ValueError names the one
+    missing), take a float64 array, elementwise; one phase_inv call per pass
     maps every cell edge the pass needs.  Omitted, the phase is the identity
     (the plain Fourier transform, the only phase of a finite window).  t
     must be finite; t = 0 is the mass integral and t < 0 the conjugate of
@@ -950,6 +920,9 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
     (value, error bound, detail) triples.  On an infinite range the
     half-line sums of every t != 0, at |t| and in both directions on the
     full line, run as one batch."""
+    if (phase is None) != (phase_inv is None):
+        given, missing = ("phase", "phase_inv") if phase_inv is None else ("phase_inv", "phase")
+        raise ValueError(f"{given} needs {missing}: give both or neither")
     times = times.tolist()
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)

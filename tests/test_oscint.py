@@ -217,6 +217,24 @@ def test_restricted_amplitude_phase_is_rescaled_time():
         restricted_amplitude(d, -1.0, 1.0, 1.0, CFG, **doubled)
 
 
+@pytest.mark.parametrize("given,missing", [("phase", "phase_inv"), ("phase_inv", "phase")])
+def test_phase_without_its_inverse_is_named_before_any_quadrature(monkeypatch, given, missing):
+    # alone, either one would make the engine take u-edges for x-edges
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(oscint, "_mass", no_quadrature)
+    monkeypatch.setattr(oscint, "_semi_infinite_osc", no_quadrature)
+    p = exp_potential()
+    d = build_initial_state(p, DephasingParams(1.0, 0.3)).density
+    one = {"phase": p.W, "phase_inv": p.W_inverse}[given]
+    for call in (lambda: restricted_amplitude(d, -math.inf, math.inf, 2.0, CFG, **{given: one}),
+                 lambda: restricted_amplitude_series(d, -math.inf, math.inf, [0.0, 2.0], CFG,
+                                                     **{given: one})):
+        with pytest.raises(ValueError, match=f"^{given} needs {missing}:"):
+            call()
+
+
 def test_global_survival_basics():
     d = lorentzian_density(DephasingParams(1.0, 0.0))
     assert global_survival((1.0, 0.0), d, 0.0, CFG) == pytest.approx(1.0, abs=1e-9)
@@ -943,37 +961,87 @@ def test_missed_cells_are_refined_to_quad_without_quad(monkeypatch, way):
         assert abs(refined - (want if way > 0 else -want)) <= cell_tol, j
 
 
-def test_ruled_refines_only_the_missed_cells():
-    # _ruled starts from its block's first pass: with every cell accepted it
-    # returns those cells at once and asks for nothing; with one cell missed,
-    # its error above tol, its first request holds only that cell's halves
+def test_refine_bisects_only_the_missed_cells():
+    # _refine starts from the cells' first pass: with every cell accepted it
+    # returns those cells and calls no rule; with one cell missed, its error
+    # above tol, its one call holds only that cell's halves, whose sum it is
     f = lambda x: np.exp(-x * x - 3j * x)
-    edges, tol = [-2.0, -0.5, 0.4, 1.0, 2.5], 1e-9
-    cells = oscint._qk21_cells(*_gk21_cell_values(f, np.array(edges[:-1]), np.array(edges[1:])),
-                               tol, 1e-12)
+    edges, tol, calls = np.array([-2.0, -0.5, 0.4, 1.0, 2.5]), 1e-9, []
+    lo, hi = edges[:-1], edges[1:]
+
+    def rule(which, a, b):
+        calls.append((which, a, b))
+        return oscint._qk21_cells(*_gk21_cell_values(f, a, b), tol, 1e-12)
+
+    cells = oscint._qk21_cells(*_gk21_cell_values(f, lo, hi), tol, 1e-12)
     assert cells[2].all()
-    with pytest.raises(StopIteration) as stop:
-        next(oscint._ruled(edges, cells, tol, 1e-12))
-    ends, *got = stop.value.value
-    assert ends == edges[1:] and _same_bits(got, cells)
+    assert _same_bits(oscint._refine(rule, lo, hi, cells, tol, 1e-12), cells)
+    assert calls == []
 
     values, errors, accepted = (array.copy() for array in cells)
     errors[2], accepted[2] = 1.0, False
-    walk = oscint._ruled(edges, (values, errors, accepted), tol, 1e-12)
+    got_values, got_errors, converged = oscint._refine(rule, lo, hi, (values, errors, accepted),
+                                                       tol, 1e-12)
     middle = 0.5 * (edges[2] + edges[3])
-    assert next(walk) == ([edges[2], middle], [middle, edges[3]], tol, False)
+    [(which, a, b)] = calls
+    assert which.tolist() == [2, 2]
+    assert a.tolist() == [edges[2], middle] and b.tolist() == [middle, edges[3]]
     # the refined cell converges on its halves; the others are the first pass
-    halves = oscint._qk21_cells(*_gk21_cell_values(f, np.array([edges[2], middle]),
-                                                   np.array([middle, edges[3]])), tol, 1e-12)
-    with pytest.raises(StopIteration) as stop:
-        walk.send(halves)
-    _, got_values, got_errors, converged = stop.value.value
+    halves = oscint._qk21_cells(*_gk21_cell_values(f, a, b), tol, 1e-12)
     assert converged.all()
     assert got_values[2] == halves[0][0] + halves[0][1]
     assert got_errors[2] == halves[1][0] + halves[1][1]
     others = [0, 1, 3]
     assert _same_bits([got_values[others], got_errors[others]],
                       [cells[0][others], cells[1][others]])
+
+
+# integrands on [0, 1] whose cells, at tol 1e-10, are accepted, converge
+# after a few levels, stop on the roundoff test (noise below every scale),
+# and reach _MAX_SUBDIVISIONS parts (57 jumps)
+_REFINED_KINDS = {
+    "accepted": lambda x: np.exp(-x * x),
+    "converges": lambda x: 1.0 / (1e-2 + (x - 0.3) ** 2),
+    "roundoff": lambda x: 1.0 + 1e-9 * np.sin(1e12 * x),
+    "capped": lambda x: np.floor(57.3 * x + 0.1),
+}
+
+
+def test_refine_gives_each_cell_of_a_batch_its_bits_alone(monkeypatch):
+    # each cell's parts are bisected, summed and tested on their own, so a
+    # cell refined with others gets the bits it gets alone, however it stops
+    kinds, tol = list(_REFINED_KINDS.values()), 1e-10
+
+    def refined(cells):
+        calls = []
+
+        def rule(which, a, b):
+            x = 0.5 * (a + b) + 0.5 * (b - a) * oscint._GK21_NODES[:, None]
+            values = np.empty(x.shape)
+            for k, f in enumerate(kinds):
+                values[:, cells[which] == k] = f(x[:, cells[which] == k])
+            calls.append(which)
+            return oscint._qk21_cells(values, 0.5 * (b - a), tol, 1e-12)
+
+        lo, hi = np.zeros(cells.size), np.ones(cells.size)
+        first = rule(np.arange(cells.size), lo, hi)
+        return first, oscint._refine(rule, lo, hi, first, tol, 1e-12), calls[1:]
+
+    _, batch, _ = refined(np.arange(len(kinds)))
+    parts = {}
+    for j, name in enumerate(_REFINED_KINDS):
+        (_, _, [accepted]), alone, calls = refined(np.array([j]))
+        assert _same_bits([part[j:j + 1] for part in batch], alone), name
+        parts[name] = (accepted, bool(alone[2][0]), 1 + sum(len(which) for which in calls) // 2)
+    assert parts["accepted"] == (True, True, 1)
+    assert parts["converges"][:2] == (False, True) and parts["converges"][2] > 2
+    assert parts["roundoff"][:2] == (False, False)
+    assert 2 < parts["roundoff"][2] < oscint._MAX_SUBDIVISIONS
+    assert parts["capped"] == (False, False, oscint._MAX_SUBDIVISIONS)
+    # without the roundoff test, the noisy cell is bisected further
+    monkeypatch.setattr(oscint, "_ROUNDOFF_BISECTIONS", oscint._MAX_SUBDIVISIONS)
+    *_, calls = refined(np.array([2]))
+    assert 1 + sum(len(which) for which in calls) // 2 > parts["roundoff"][2]
 
 
 def test_cells_call_the_transported_density_only_on_arrays():
