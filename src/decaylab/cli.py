@@ -389,16 +389,17 @@ def cmd_potential(cfg: dict):
     state = potential.build_initial_state(pot, params)
     prefix = cfg["out"]
 
-    # density profile over the bulk of the transported distribution
+    # density profile over the bulk of the transported distribution, and the
+    # inverse round trip on [-20, 20]: the profile's ends and W(xr) are one
+    # W_inverse call, elementwise
     half = params.gamma / 2.0
     e_lo = params.omega0 + half * math.tan(math.pi * (0.005 - 0.5))
     e_hi = params.omega0 + half * math.tan(math.pi * (0.995 - 0.5))
-    xs = np.linspace(*pot.W_inverse(np.array([e_lo, e_hi])).tolist(), 401)
-    dens = state.density.density(xs)
-
-    # inverse round trip on [-20, 20]
     xr = np.linspace(-20.0, 20.0, 401)
-    resid = np.abs(pot.W_inverse(pot.W(xr)) - xr)
+    inverses = pot.W_inverse(np.concatenate(([e_lo, e_hi], pot.W(xr))))
+    xs = np.linspace(*inverses[:2].tolist(), 401)
+    dens = state.density.density(xs)
+    resid = np.abs(inverses[2:] - xr)
 
     series, failure = _partial(potential.generalized_factor_series, pot, params, grid, qcfg,
                                state)

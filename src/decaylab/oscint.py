@@ -25,7 +25,8 @@ Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
 A time grid is one batch: every public amplitude maps a grid to one triple
 per time, and the single-time functions are the batch of one.  On each
 pass, the next cells of every t still summing are evaluated together: one
-phase_inv call maps the edges of every block they start, the density and
+phase_inv call maps the edges of every block they start (the heads' call
+maps the first tail blocks too), the density and
 the phase each take their nodes as one float64 array, and one call of each
 rule gives their values, errors and verdicts as arrays, at most
 _BLOCK_CELLS cells an evaluation.  Each edge and each cell is computed
@@ -87,8 +88,8 @@ _STABLE_STEPS = 2
 _MAX_CELLS = 400
 _MIN_CELLS = 6
 # the most half-period cells of a monotone head (31,831 at gamma*t = 1e5):
-# the edges of every head are one phase_inv call, their cells one stage of
-# first pass and refinement
+# the edges of every head, with every sum's first tail block, are one
+# phase_inv call, their cells one stage of first pass and refinement
 _MAX_HEAD_CELLS = 65_536
 # the most cells of one evaluation of the integrand and the block rule, a
 # larger block's taken in slices: larger evaluations gain no speed and cost
@@ -609,11 +610,14 @@ def _semi_infinite_osc(
     The sums run in stages, each one call of ruled: the first pass of its
     cells and the refinement of their misses together (_refine).  The heads
     of all sums are the first stage, their edges in u mapped to x by one
-    phase_inv call (the linear phase's edges are x already); each sum's
-    head is then summed plainly under _judged (headed).  Then each pass of
-    the tail loop is a stage: the next _MIN_CELLS + _STABLE_STEPS cells of
-    every sum still in its tail as one (sums x cells) block, its edges
-    mapped by one phase_inv call.  A stage's rule calls take at most
+    phase_inv call (the linear phase's edges are x already), which also
+    maps the first tail block of every sum not over the cap (u_start and h
+    are fixed before any head is ruled; a sum whose head fails never uses
+    its block); each sum's head is then summed plainly under _judged
+    (headed).  Then each pass of the tail loop is a stage: the next
+    _MIN_CELLS + _STABLE_STEPS cells of every sum still in its tail as one
+    (sums x cells) block, its edges mapped by one phase_inv call from the
+    second pass on.  A stage's rule calls take at most
     _BLOCK_CELLS cells, however large a block: weight and phase each take
     all their nodes as one float64 array (SpectralDensity's array
     contract), and one rule call gives their arrays.  Neither the inverse
@@ -799,10 +803,18 @@ def _semi_infinite_osc(
             heads[i] = sorted(us | set(_head_cuts(u0, u_end, upoints)), reverse=way < 0)
         else:
             headed(i, [x0], *np.zeros((3, 0)))
-    # every monotone head's edges mapped to x by one phase_inv call; the
-    # heads are one stage, each head's tolerance split over its cells
-    if phase_inv is not None and heads:
-        xs = iter(phase_inv(np.array([u for us in heads.values() for u in us])).tolist())
+    # every monotone head's edges, and the first tail block's of every sum
+    # that may reach its tail (those due and those with a head, in that
+    # order), mapped to x by one phase_inv call; the heads are one stage,
+    # each head's tolerance split over its cells
+    mapped = phase_inv is not None and bool(due or heads)
+    if mapped:
+        firsts = np.array([*due, *heads], dtype=int)
+        head_us = [u for us in heads.values() for u in us]
+        edges = phase_inv(np.concatenate((head_us, (u_start[firsts, None]
+                                                    + (j + 1) * h[firsts, None]).ravel())))
+        block_hi[firsts] = edges[len(head_us):].reshape(-1, m)
+        xs = iter(edges[:len(head_us)].tolist())
         heads = {i: [next(xs) for _ in us] for i, us in heads.items()}
     if heads:
         sizes = [len(us) for us in heads.values()]
@@ -815,16 +827,20 @@ def _semi_infinite_osc(
     while due:
         # one pass: the next tail block of every sum due one, its edges in u
         # mapped to x by one phase_inv call (its cells past _MAX_CELLS are
-        # not valid), ruled, and as a block of value 0, converged cells past
-        # its valid ones, to the array stage
+        # not valid; the first pass's were mapped with the heads), ruled, and
+        # as a block of value 0, converged cells past its valid ones, to the
+        # array stage
         ids = np.array(due)
         due.clear()
         kk = k[ids, None]
         valid = kk + j < max_cells
-        xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
-        if phase_inv is not None:
-            xs[valid] = phase_inv(xs[valid])
-        block_hi[ids] = xs
+        if mapped:
+            xs, mapped = block_hi[ids], False
+        else:
+            xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
+            if phase_inv is not None:
+                xs[valid] = phase_inv(xs[valid])
+            block_hi[ids] = xs
         lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
         cells = ruled(t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
                       np.full(lo.size, cell_tol), False)
@@ -890,7 +906,8 @@ def restricted_amplitude(
     phase must be strictly increasing with range R, and it and its inverse
     phase_inv, given together or not at all (a ValueError names the one
     missing), take a float64 array, elementwise; one phase_inv call per pass
-    maps every cell edge the pass needs.  Omitted, the phase is the identity
+    maps every cell edge the pass needs, the heads' call the first tail
+    pass's too.  Omitted, the phase is the identity
     (the plain Fourier transform, the only phase of a finite window).  t
     must be finite; t = 0 is the mass integral and t < 0 the conjugate of
     the transform at -t.  Infinite ranges are summed in half-period cells

@@ -124,10 +124,14 @@ def induced_map(
     for smooth W of unit scale.  The inverse is W_inverse when supplied (an
     exact closed form); otherwise each target runs the same scalar steps,
     the array's targets side by side: doubling bracket expansion from
-    [-1, 1] (at most 200 doublings), bisection to 1e-12, and one Newton
-    step on W'.  W is evaluated once per step, on the targets still
-    stepping, so an array's inverses equal each target's alone bit for bit.
-    A target W never reaches raises RangeError naming the first such one.
+    [-1, 1] (at most 200 doublings), bisection to 1e-12 (at most 200
+    levels), and one Newton step on W'.  W is evaluated once per step, on
+    the targets still stepping, so an array's inverses equal each target's
+    alone bit for bit; the bisection keeps the brackets still moving as
+    compact arrays, in the targets' order, compacted only at a level where
+    some stop.  An empty array returns at once.  A target W never reaches
+    raises RangeError naming the first such one, and a W that is NaN at a
+    node raises RangeError naming the first such node.
 
     V and V_prime take float64 arrays, or floats only, in which case they
     are lifted here (see _elementwise); every callable of the bundle takes
@@ -190,6 +194,8 @@ def induced_map(
 
     def bisect_inverse(y):
         y = _finite_targets(y)
+        if not y.size:
+            return np.zeros(y.shape)
         targets = y.ravel()
         lo, hi = np.full(targets.size, -1.0), np.full(targets.size, 1.0)
         doublings = np.zeros(targets.size, dtype=int)
@@ -209,20 +215,26 @@ def induced_map(
                 f"failed after {_MAX_DOUBLINGS} doublings (bounded potential?)"
             )
         # bisect each bracket until its midpoint is an end, W hits the target
-        # there, or it is 1e-12 narrow
-        i = np.arange(targets.size)
+        # there, or it is 1e-12 narrow; the brackets still bisecting are the
+        # compact arrays (ids, L, H, Y) with their next midpoints, written
+        # back to lo and hi and compacted only at a level where some stop
+        ids, L, H, Y = np.arange(targets.size), lo.copy(), hi.copy(), targets
+        mid = 0.5 * (L + H)
+        going = (mid != L) & (mid != H)
         for _ in range(200):
-            mid = 0.5 * (lo[i] + hi[i])
-            moving = (mid != lo[i]) & (mid != hi[i])
-            i, mid = i[moving], mid[moving]
-            if not i.size:
-                break
+            if not going.all():
+                lo[ids], hi[ids] = L, H
+                ids, L, H, Y, mid = ids[going], L[going], H[going], Y[going], mid[going]
+                if not ids.size:
+                    break
             w_mid = _w_guarded(mid)
-            hit, below = w_mid == targets[i], w_mid < targets[i]
-            lo[i] = np.where(below | hit, mid, lo[i])
-            hi[i] = np.where(below, hi[i], mid)
-            wide = hi[i] - lo[i] > _BISECT_TOL * np.maximum(1.0, np.abs([lo[i], hi[i]]).max(0))
-            i = i[wide & ~hit]
+            hit, below = w_mid == Y, w_mid < Y
+            L = np.where(below | hit, mid, L)
+            H = np.where(below, H, mid)
+            wide = H - L > _BISECT_TOL * np.maximum(1.0, np.maximum(np.abs(L), np.abs(H)))
+            mid = 0.5 * (L + H)
+            going = wide & ~hit & (mid != L) & (mid != H)
+        lo[ids], hi[ids] = L, H
         x = 0.5 * (lo + hi)
         # one Newton step where W' is positive and finite (a difference
         # stencil may reach past the float range) and the step is shorter

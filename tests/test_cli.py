@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -187,6 +188,38 @@ def test_potential_exp_outputs(tmp_path):
     assert rt["roundtrip_residual"].max() <= 1e-9
 
 
+
+def test_potential_job_makes_two_inverse_calls_outside_the_engine(tmp_path, monkeypatch):
+    # one for the state's centre and feature points, one for the density
+    # profile's ends and the round trip together; the factor series makes
+    # its own
+    outside, inside = [], []
+    load, series = cli._load_potential_spec, cli.potential.generalized_factor_series
+
+    def spied(spec, fd_derivative):
+        pot = load(spec, fd_derivative)
+
+        def W_inverse(y):
+            (inside if inside else outside).append(np.shape(y))
+            return pot.W_inverse(y)
+
+        return dataclasses.replace(pot, W_inverse=W_inverse)
+
+    def factor_series(*args):
+        inside.append("series")
+        try:
+            return series(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(cli, "_load_potential_spec", spied)
+    monkeypatch.setattr(cli.potential, "generalized_factor_series", factor_series)
+    assert run("potential", "--potential", "exp", "--n-points", "8",
+               "--out", str(tmp_path / "p")) == 0
+    assert len(outside) == 2
+    assert outside[1] == (2 + 401,)
+
+
 def test_potential_bounded_exits_2(tmp_path):
     prefix = tmp_path / "bnd"
     code = run("potential", "--potential", "expr:2 - 1/(1+exp(x))", "--out", str(prefix))
@@ -245,6 +278,18 @@ def test_csv_round_trip_17_digits(tmp_path):
     # full double-precision round trip through the text format
     assert np.array_equal(cols["re"], series.values.real)
     assert np.array_equal(cols["im"], series.values.imag)
+
+
+
+def test_csv_rows_are_each_value_formatted_by_fmt(tmp_path):
+    # one "%.17g" pattern a row gives fmt's bytes, for the special values too
+    from decaylab.output import fmt, write_csv
+    a = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0, 1e22])
+    b = np.arange(a.size) * -1.5e-300
+    out = tmp_path / "fmt.csv"
+    write_csv(str(out), [("a", a), ("b", b)], {"k": 1})
+    rows = out.read_text().splitlines()[2:]
+    assert rows == [f"{fmt(x)},{fmt(y)}" for x, y in zip(a, b)]
 
 
 def test_structured_text_format(tmp_path):

@@ -472,6 +472,139 @@ def test_w_inverse_range_error_names_the_first_unreachable_target():
     assert "W never reaches -4:" in str(exc_info.value)
 
 
+
+def _level_by_level_inverse(p, y):
+    # W_inverse's bisection as each level once gathered and scattered it,
+    # every bracket indexed in the full arrays: the oracle of the compact one
+    def guarded(x):
+        with np.errstate(over="ignore"):
+            w = p.W(x)
+        if np.isnan(w).any():
+            raise RangeError(f"W({x[np.isnan(w)][0]:g}) evaluated to NaN")
+        return w
+
+    y = np.asarray(y, dtype=float)
+    targets = y.ravel()
+    lo, hi = np.full(targets.size, -1.0), np.full(targets.size, 1.0)
+    doublings = np.zeros(targets.size, dtype=int)
+    for end, sign in ((hi, 1.0), (lo, -1.0)):
+        i = np.flatnonzero(doublings <= 200)
+        while i.size:
+            i = i[sign * guarded(end[i]) < sign * targets[i]]
+            end[i] *= 2.0
+            doublings[i] += 1
+            i = i[doublings[i] <= 200]
+    if (doublings > 200).any():
+        raise RangeError(f"W never reaches {targets[doublings > 200][0]:g}: bracket expansion "
+                         f"failed after 200 doublings (bounded potential?)")
+    i = np.arange(targets.size)
+    for _ in range(200):
+        mid = 0.5 * (lo[i] + hi[i])
+        moving = (mid != lo[i]) & (mid != hi[i])
+        i, mid = i[moving], mid[moving]
+        if not i.size:
+            break
+        w_mid = guarded(mid)
+        hit, below = w_mid == targets[i], w_mid < targets[i]
+        lo[i] = np.where(below | hit, mid, lo[i])
+        hi[i] = np.where(below, hi[i], mid)
+        wide = hi[i] - lo[i] > 1e-12 * np.maximum(1.0, np.abs([lo[i], hi[i]]).max(0))
+        i = i[wide & ~hit]
+    x = 0.5 * (lo + hi)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = p.W_prime(x)
+        i = np.flatnonzero((slope > 0) & np.isfinite(slope))
+        step = (guarded(x[i]) - targets[i]) / slope[i]
+    short = np.isfinite(step) & (np.abs(step) < np.maximum(1.0, np.abs(x[i])))
+    x[i[short]] -= step[short]
+    return x.reshape(y.shape)
+
+
+def _inverse_or_error(inverse, y):
+    try:
+        return inverse(y).tobytes()
+    except RangeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["exp", "exp-fd", "expr-exp", "cubic-fd", "math-exp"])
+def test_compact_bisection_equals_the_level_by_level_loop(name):
+    # bit for bit, signed zeros and exact hits included, and the same
+    # RangeError where W does not reach a target (the cubic's W stops short
+    # of 1e300 within 200 doublings)
+    p = _ARRAY_POTENTIALS[name]()
+    rng = np.random.default_rng(31)
+    wide = 10.0 ** rng.uniform(-14.0, 14.0, 120) * rng.choice([-1.0, 1.0], 120)
+    hits = p.W(np.array([0.5, 0.25, -0.75, 1.5, 3.0, -6.0]))
+    y = np.concatenate((wide, hits, [0.0, -0.0]))
+    assert p.W_inverse(y).tobytes() == _level_by_level_inverse(p, y).tobytes()
+    extreme = np.concatenate((y, [1e300, -1e300, 1e-300, -1e-300, 1.7e308, -1.7e308]))
+    assert (_inverse_or_error(p.W_inverse, extreme)
+            == _inverse_or_error(lambda v: _level_by_level_inverse(p, v), extreme))
+    for shape in ((0,), (2, 0)):
+        empty = p.W_inverse(np.zeros(shape))
+        assert empty.shape == shape and empty.dtype == np.float64
+
+
+def test_w_inverse_nan_names_the_first_nan_node():
+    # W is NaN from |x| = 40 on: the bracket of 1e15 and 1e16 doubles to 64
+    nan_beyond_40 = induced_map(lambda x: np.where(x < 40.0, np.exp(x), np.nan))
+    with pytest.raises(RangeError, match=r"^W\(64\) evaluated to NaN$"):
+        nan_beyond_40.W_inverse(np.array([1.0, 1e15, 1e16]))
+    # W is NaN for 40 < |x| < 42, where the brackets of W(41) and -W(41) bisect
+    # at +-41.65625 on the same level, after the hit at 0 has been compacted
+    # away: the first NaN in the targets' order is named
+    nan_window = induced_map(lambda x: np.where((x > 40.0) & (x < 42.0), np.nan, np.exp(x)))
+    w41 = 2.0 * math.sinh(41.0)
+    for targets, node in (([0.0, w41, -w41], "41.6562"), ([0.0, -w41, w41], "-41.6562")):
+        with pytest.raises(RangeError, match=rf"^W\({node}\) evaluated to NaN$"):
+            nan_window.W_inverse(np.array(targets))
+
+
+def test_factor_series_maps_heads_and_first_tail_blocks_in_one_call(monkeypatch):
+    # one W_inverse call before the first rule call, for the heads and the
+    # first tail block of every sum; then one a later tail pass, each before
+    # the pass's rule calls and Wynn table (one _wynn_block call a pass)
+    events, targets = [], []
+    p = exp_potential()
+    bisect, block_rule, wynn = p.W_inverse, oscint._qk21_cells, oscint._wynn_block
+
+    def W_inverse(y):
+        events.append("inverse")
+        targets.append(y.copy())
+        return bisect(y)
+
+    def rule(*args):
+        events.append("rule")
+        return block_rule(*args)
+
+    def wynn_block(*args):
+        events.append("wynn")
+        return wynn(*args)
+
+    monkeypatch.setattr(oscint, "_qk21_cells", rule)
+    monkeypatch.setattr(oscint, "_wynn_block", wynn_block)
+    p = dataclasses.replace(p, W_inverse=W_inverse)
+    params = DephasingParams(1.0, 0.3)
+    state = build_initial_state(p, params)
+    events.clear()
+    targets.clear()
+    times = np.array([0.5, 2.0, 6.0])
+    series = generalized_factor_series(p, params, times, CFG, state)
+    assert np.abs(series.values - np.exp(-times / 2.0 - 0.3j * times)).max() <= 1e-9
+    assert events[:2] == ["inverse", "rule"]
+    passes = events.count("wynn")
+    assert passes >= 2
+    assert [e for e in events if e != "rule"] == ["inverse", "wynn"] * passes
+    # the first call ends with 8 edges of each of the 6 sums (3 times, both
+    # half-lines), each block half-periods pi/t apart
+    first_blocks = targets[0][-6 * 8:].reshape(6, 8)
+    steps = np.abs(np.diff(first_blocks, axis=1))
+    assert targets[0].size > 6 * 8
+    assert np.allclose(np.sort(steps[:, 0]), np.sort(np.tile(math.pi / times, 2)), rtol=1e-12)
+    assert np.allclose(steps, steps[:, :1], rtol=1e-9)
+
+
 def test_cells_call_v_on_arrays(monkeypatch):
     # in a factor evaluation V sees arrays only, inside W_inverse too, and
     # W_inverse maps the cell edges of both half-lines' sums at most once per
