@@ -100,6 +100,13 @@ def _spec_object(spec, what: str) -> dict:
     return spec
 
 
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _number(value, what: str) -> float:
     # float() takes numbers and numeric strings; JSON null or a list is a usage error
     try:
@@ -116,10 +123,7 @@ def _load_density_spec(spec, params: DephasingParams):
         if not text.startswith("{"):
             with open(text, "r") as fh:
                 text = fh.read()
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"density spec is not valid JSON: {exc}") from None
+        spec = _json(text, "density spec")
     kind = _spec_object(spec, "density").get("kind")
     if kind == "lorentzian":
         p = DephasingParams(_number(spec.get("gamma", params.gamma), "gamma"),
@@ -153,7 +157,7 @@ def _load_potential_spec(spec, fd_derivative: bool) -> potential.MonotonePotenti
     if isinstance(spec, str):
         text = spec.strip()
         if text.startswith("{"):
-            spec = json.loads(text)
+            spec = _json(text, "potential spec")
         elif text.startswith("expr:"):
             spec = {"kind": "user-expression", "expression": text[len("expr:"):]}
         else:
@@ -224,10 +228,7 @@ def _merge(command: str, args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config, "r") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file is not valid JSON: {exc}") from None
+            loaded = _json(fh.read(), "config file")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold one JSON object")
         unknown = set(loaded) - set(cfg) - {"out"}

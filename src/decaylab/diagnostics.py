@@ -106,7 +106,8 @@ def _pw_from_series(series: ComplexTimeSeries, t_lo: float, t_hi: float) -> floa
 def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[float, float]]:
     """(T, pw(T)) along an increasing sweep, computed incrementally.  An
     increment that does not converge raises the QuadratureFailure of its
-    integral over [previous T, T], with t = T."""
+    integral over [previous T, T], with t = T.  A callable amplitude takes
+    one float t: quad's integrand evaluates it at each node in turn."""
     cfg = cfg or QuadratureConfig()
     Ts = [float(T) for T in Ts]
     for T in Ts:
@@ -120,8 +121,9 @@ def pw_sweep(amplitude, Ts, cfg: QuadratureConfig | None = None) -> list[tuple[f
             out.append((T, _pw_from_series(amplitude, 0.0, T)))
         return out
 
-    def integrand(t: float) -> float:
-        return _neglog(abs(amplitude(t))) / (1.0 + t * t)
+    def integrand(t):
+        return np.array([_neglog(abs(amplitude(s))) / (1.0 + s * s)
+                         for s in t.ravel().tolist()]).reshape(t.shape)
 
     # one walk over [0, max T], cut at every T and at the decades, which keep
     # the adaptive subdivision shallow on long ranges: the right end of each

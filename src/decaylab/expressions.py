@@ -78,8 +78,10 @@ def parse_expression(src: str) -> Callable[[np.ndarray], np.ndarray]:
     stay evaluable everywhere.  A division by zero or a value that is not a
     real number (a pole, log or a fractional power of a negative, inf - inf)
     raises an ExpressionError naming the first x of the array, in its order,
-    where that happens.
+    where that happens, and so does a src that is not a string.
     """
+    if not isinstance(src, str):
+        raise ExpressionError(f"an expression must be a string, got {src!r}")
     text = src.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")

@@ -48,7 +48,7 @@ feature points.  quad, the one adaptive integrator of what is not
 oscillatory (those masses and diagnostics.pw_sweep), is built from the
 cells' parts: each of its pieces is a dqk21 cell, and first-pass misses,
 of pieces or of half-period or head cells, are bisected by one
-refinement, _refine.
+refinement, _refine, its integrand called on a level's nodes as one array.
 
 Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
 error bound, detail) triple; detail is None on success and otherwise names
@@ -228,15 +228,16 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 def _mass(d, lo, hi, cfg):
     """mass_integral as a (value, error bound, detail) triple: exact from a
-    cdf (bound 0), otherwise quad's of d's one float entry, __call__, cut at
-    the feature points."""
+    cdf (bound 0), otherwise quad's of d.density, cut at the feature points
+    (its nodes lie inside [lo, hi], already clipped to the support)."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
     if d.cdf is not None:
         return d.cdf(hi) - d.cdf(lo), 0.0, None
-    return _quad(d, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral", d.feature_points)
+    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral",
+                 d.feature_points)
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +467,17 @@ def _refine(rule, lo, hi, cells, tol, rel):
 
 def quad(f, a, b, epsabs, epsrel, points=()):
     """int_a^b f(x) dx by adaptive 21-point Gauss-Kronrod quadrature, f
-    called on one float at a time: one (value, error, converged) per piece
-    between a, the points strictly inside and b, converged when the piece
-    meets max(epsabs, epsrel |value|).
+    mapping a float64 array of nodes to their values elementwise: one
+    (value, error, converged) per piece between a, the points strictly
+    inside and b, converged when the piece meets max(epsabs, epsrel |value|).
 
-    Each piece is a cell: one _qk21_cells call is its first pass, and _refine
-    bisects a miss in its own coordinate: x between the outermost finite
-    edges, and an infinite end beyond its outermost edge c in s in (0, 1],
-    x = c +- L (1 - s)/s with L = max(1, |c|) (QUADPACK dqagie's map, scaled
-    to c).  The full line without points is one piece split at 0.  A
-    reversed range is minus the ascending one, piece by piece.
+    Each piece is a cell in its own coordinate: x between the outermost
+    finite edges (way 0), and s in (0, 1] on an infinite end beyond its
+    outermost edge c, x = c + way L (1 - s)/s with L = max(1, |c|) (QUADPACK
+    dqagie's map, scaled to c).  One _qk21_cells call is every piece's first
+    pass and _refine bisects all their misses, one f call a level.  The full
+    line without points is one piece split at 0.  A reversed range is minus
+    the ascending one, piece by piece.
     """
     if b < a:
         ascending = quad(f, b, a, epsabs, epsrel, points)
@@ -483,28 +485,25 @@ def quad(f, a, b, epsabs, epsrel, points=()):
     if a == b:  # an empty range, at an infinite end too
         return [(0.0, 0.0, True)]
     edges = [a, *sorted({p for p in points if a < p < b}), b]
-
-    def ruled(cell_edges, x_of):
-        """The triples of the cells between cell_edges, each node u at x_of(u)
-        = (x, dx/du)."""
-        def rule(which, lo, hi):
-            half = 0.5 * (hi - lo)
-            x, dx = x_of(0.5 * (hi + lo) + half * _GK21_NODES[:, None])
-            values = np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-            return _qk21_cells(values * dx, half, epsabs, epsrel)
-
-        lo, hi = np.array(cell_edges[:-1], dtype=float), np.array(cell_edges[1:], dtype=float)
-        values, errors, converged = _refine(rule, lo, hi, rule(None, lo, hi), epsabs, epsrel)
-        return list(zip(values.real.tolist(), errors.tolist(), converged.tolist()))
-
-    def beyond(c, way):
-        scale = max(1.0, abs(c))
-        return lambda s: (c + way * scale * (1.0 - s) / s, scale / (s * s))
-
     span = [e for e in edges if math.isfinite(e)] or [0.0]
-    pieces = [*(ruled([0.0, 1.0], beyond(span[0], -1.0)) if a == -math.inf else ()),
-              *ruled(span, lambda x: (x, 1.0)),
-              *(ruled([0.0, 1.0], beyond(span[-1], 1.0)) if b == math.inf else ())]
+    # each piece's cell lo to hi in u, its way and its edge c
+    lo, hi, way, c = np.array([*[(0.0, 1.0, -1.0, span[0])] * (a == -math.inf),
+                               *[(x, y, 0.0, 0.0) for x, y in zip(span, span[1:])],
+                               *[(0.0, 1.0, 1.0, span[-1])] * (b == math.inf)]).T
+    scale = np.maximum(1.0, np.abs(c))
+
+    def rule(which, lo, hi):
+        half = 0.5 * (hi - lo)
+        x = 0.5 * (hi + lo) + half * _GK21_NODES[:, None]
+        dx = np.ones_like(x)
+        j = np.flatnonzero(way[which])  # the cells of an infinite end, in s
+        s, k = x[:, j], which[j]
+        x[:, j], dx[:, j] = c[k] + way[k] * scale[k] * (1.0 - s) / s, scale[k] / (s * s)
+        return _qk21_cells(f(x) * dx, half, epsabs, epsrel)
+
+    values, errors, converged = _refine(rule, lo, hi, rule(np.arange(lo.size), lo, hi),
+                                        epsabs, epsrel)
+    pieces = list(zip(values.real.tolist(), errors.tolist(), converged.tolist()))
     if len(pieces) < len(edges):
         return pieces
     # the full line without points: its two halves are one piece

@@ -48,12 +48,11 @@ class SpectralDensity:
     Immutable after construction; evaluation is pure, so instances are safe
     for unrestricted concurrent use.
 
-    density takes a float64 array of any shape, 0-d included, and returns
-    its values elementwise: every transform's cells, first-pass misses
-    included, evaluate it once per block of nodes, and so a monotone phase W
-    with it (see potential.induced_map).  __call__ is the one entry that
-    takes a float, as a 0-d array; oscint.quad integrates the masses of a
-    density without a cdf through it, one float at a time.
+    density, the one way to evaluate a density, takes a float64 array of
+    any shape, 0-d included, and returns its values elementwise: every
+    transform's cells evaluate it once per block of nodes (and a monotone
+    phase W with it, see potential.induced_map), and oscint.quad, the masses
+    of a density without a cdf, once per refinement level.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at
@@ -72,13 +71,6 @@ class SpectralDensity:
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"empty support {self.support}")
-
-    def __call__(self, energy: float) -> float:
-        """Evaluate the density at one energy, as a 0-d array; zero outside
-        the declared support."""
-        lo, hi = self.support
-        e = float(energy)
-        return float(self.density(np.array(e))) if lo <= e <= hi else 0.0
 
 
 @dataclass(frozen=True)

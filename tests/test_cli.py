@@ -627,6 +627,27 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "spec.json"]
 
 
+# a potential spec whose expression is not a string, or that is not JSON: a
+# dict stands for a config file holding it
+@pytest.mark.parametrize("argv,named", [
+    (("--potential", '{"kind": "user-expression", "expression": 5}'),
+     "an expression must be a string, got 5"),
+    (("--potential", '{"kind": "user-expression", "expression": [1, 2]}'),
+     "an expression must be a string, got [1, 2]"),
+    (("--config", {"potential": {"kind": "user-expression", "expression": 5}}),
+     "an expression must be a string, got 5"),
+    (("--potential", '{"kind": "ramp"'), "potential spec is not valid JSON: "),
+])
+def test_malformed_potential_spec_exits_2_and_is_named(tmp_path, capsys, argv, named):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(argv[-1] if isinstance(argv[-1], dict) else {}))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+    assert run("potential", *argv, "--out", str(tmp_path / "p")) == 2
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("argv,name", [
     (("pw", "--amplitude", "global-survival", "--t-end", "inf"), "t_end"),
     (("potential", "--t-end", "inf"), "t_end"),

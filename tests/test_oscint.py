@@ -816,14 +816,14 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
 def test_nan_integrand_fails_its_mass():
     # a NaN error is not within any tolerance: the one convergence rule
     # fails it instead of returning nan
-    d = SpectralDensity(lambda e: math.nan if 0.2 < e < 0.3 else math.exp(-e),
+    d = SpectralDensity(lambda e: np.where((0.2 < e) & (e < 0.3), np.nan, np.exp(-e)),
                         support=(0.0, math.inf))
     with pytest.raises(QuadratureFailure):
         mass_integral(d, 0.0, math.inf, QuadratureConfig())
 
 
 def test_quad_over_a_reversed_range_is_minus_the_ascending_one():
-    f = lambda x: math.exp(-x) * math.cos(5.0 * x)
+    f = lambda x: np.exp(-x) * np.cos(5.0 * x)
     up = oscint._quad(f, 0.0, 3.0, 1e-12, 1e-12, CFG, "test")
     down = oscint._quad(f, 3.0, 0.0, 1e-12, 1e-12, CFG, "test")
     assert down == (-up[0], up[1], up[2])
@@ -841,18 +841,73 @@ _QUAD_CASES = {
 }
 
 
+def _lorentzian_and_wave(x, lib=np):
+    """quad's integrand on a float64 array, or on one float with lib = math
+    (scipy's)."""
+    return 1.0 / (1.0 + (x - 0.3) ** 2) + lib.exp(-x * x) * lib.cos(3.0 * x)
+
+
 @pytest.mark.parametrize("name", list(_QUAD_CASES))
 def test_quad_matches_scipy_piece_by_piece(name):
     a, b, points = _QUAD_CASES[name]
-    f = lambda x: 1.0 / (1.0 + (x - 0.3) ** 2) + math.exp(-x * x) * math.cos(3.0 * x)
     inside = sorted({p for p in points if min(a, b) < p < max(a, b)}, reverse=b < a)
     edges = [a, *inside, b]
-    pieces = oscint.quad(f, a, b, 1e-12, 1e-12, points)
+    pieces = oscint.quad(_lorentzian_and_wave, a, b, 1e-12, 1e-12, points)
     assert len(pieces) == len(edges) - 1
     for lo, hi, (value, error, converged) in zip(edges, edges[1:], pieces):
-        want, want_error = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)
+        want, want_error = quad(lambda x: _lorentzian_and_wave(x, math), lo, hi,
+                                epsabs=1e-13, epsrel=1e-13, limit=200)
         assert converged and error <= max(1e-12, 1e-12 * abs(value)), (lo, hi)
         assert abs(value - want) <= 1e-12 + want_error, (lo, hi)
+
+
+@pytest.mark.parametrize("end", [0.0, 2.5, -math.inf, math.inf])
+def test_quad_over_an_empty_range_never_calls_f(end):
+    def never(x):
+        raise AssertionError("f called on an empty range")
+
+    assert oscint.quad(never, end, end, 1e-12, 1e-12, (1.0,)) == [(0.0, 0.0, True)]
+
+
+def test_quad_calls_f_once_per_level_over_every_piece():
+    # the first pass is one call on the 21 nodes of each of the line's four
+    # pieces; each later call is one refinement level of every piece still
+    # refining: each piece gets the bits it gets alone, the calls are as many
+    # as the longest refinement's, and call r holds the nodes of level r of
+    # every piece
+    points, edges = (-4.0, 0.3, 2.5), [-math.inf, -4.0, 0.3, 2.5, math.inf]
+
+    def spied(calls):
+        def f(x):
+            calls.append(x.copy())
+            return _lorentzian_and_wave(x)
+        return f
+
+    calls, alone = [], [[] for _ in edges[1:]]
+    pieces = oscint.quad(spied(calls), -math.inf, math.inf, 1e-12, 1e-12, points)
+    first = calls[0]
+    assert isinstance(first, np.ndarray) and first.dtype == np.float64
+    assert first.shape == (21, 4)
+    want = [oscint.quad(spied(piece_calls), lo, hi, 1e-12, 1e-12)[0]
+            for lo, hi, piece_calls in zip(edges, edges[1:], alone)]
+    assert pieces == want
+    assert sum(len(piece_calls) > 1 for piece_calls in alone) >= 2  # several pieces refine
+    assert len(calls) == max(map(len, alone))
+    for r, x in enumerate(calls):
+        level = [piece_calls[r] for piece_calls in alone if r < len(piece_calls)]
+        assert sorted(x.ravel().tolist()) == sorted(np.concatenate(level, axis=1).ravel().tolist())
+
+
+def test_failure_bound_is_inf_when_the_remaining_mass_cannot_be_integrated():
+    # without a cdf, the mass beyond a failed sum's last cell is integrated;
+    # where the density is NaN that mass fails too, and the bound is inf
+    # instead of a finite number that would understate the error
+    base = lorentzian_density(DephasingParams(1.0, 0.0))
+    d = SpectralDensity(lambda e: np.where(e > 3.0, np.nan, base.density(e)),
+                        feature_points=base.feature_points)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        fourier_amplitude(d, 1.0, CFG)
+    assert exc_info.value.error_bound == math.inf
 
 
 def _mirrored(d, phase=None, phase_inv=None):
