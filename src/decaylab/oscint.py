@@ -13,7 +13,7 @@ finite end and no tail.  Each cell of a linear head, however many
 oscillations it spans, gets QUADPACK's dqc25f rule (_cc25_cells), exact for
 a table, whose cuts are its knots.  The monotone head is one block of
 half-period cells whose edges include its cuts.  _judged holds the one
-convergence rule, of quad and the cells.
+convergence rule, of quad and the cells, and _missed applies it to arrays.
 Infinite pieces are integrated over half-periods of the kernel (cells of
 phase length pi), with Wynn epsilon acceleration of the alternating cell
 sums; every piece walks outward from its split point, the piece below it
@@ -31,7 +31,8 @@ the phase each take their nodes as one float64 array, and one call of each
 rule gives their values, errors and verdicts as arrays, at most
 _BLOCK_CELLS cells an evaluation.  Each edge and each cell is computed
 elementwise, so its bits do not depend on its array, and a series is
-bit-identical to its pointwise values.  Each t keeps its own head; the
+bit-identical to its pointwise values.  Each t keeps its own head, but
+each way's cuts are made once and one mask judges every head cell; the
 tail is array-wide: every running sum's cells are summed, its Wynn table
 extended column by column and its stop rules applied as masks over all the
 sums together, in Python's complex arithmetic bit for bit.  Every stage,
@@ -68,6 +69,8 @@ batches agree exactly.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -190,6 +193,15 @@ def _judged(value, error, converged, cfg, what):
     converge" when it did not and its error exceeds cfg.target(value)."""
     failed = not converged and not error <= cfg.target(value)  # a NaN error fails
     return value, float(error), (f"{what} did not converge" if failed else None)
+
+
+def _missed(values, errors, converged, cfg):
+    """_judged's rule over arrays of cells, a mask of those that fail."""
+    failed = ~converged
+    if failed.any():
+        with np.errstate(all="ignore"):
+            failed &= ~(errors <= np.fmax(cfg.abs_tol, cfg.rel_tol * _modulus(values)))
+    return failed
 
 
 def _summed(pieces, cfg, what):
@@ -608,12 +620,15 @@ def _semi_infinite_osc(
 
     The sums run in stages, each one call of ruled: the first pass of its
     cells and the refinement of their misses together (_refine).  The heads
-    of all sums are the first stage, their edges in u mapped to x by one
-    phase_inv call (the linear phase's edges are x already), which also
-    maps the first tail block of every sum not over the cap (u_start and h
-    are fixed before any head is ruled; a sum whose head fails never uses
-    its block); each sum's head is then summed plainly under _judged
-    (headed).  Then each pass of the tail loop is a stage: the next
+    of all sums are the first stage: one _head_cuts call per way, to its
+    farthest end, whose prefix strictly short of a head's end is that
+    head's own cuts (_head_cuts keeps a point or a rung only short of its
+    end, and the rungs run away from u0 monotonically); their edges in u
+    mapped to x by one phase_inv call (the linear phase's edges are x
+    already), which also maps the first tail block of every sum not over
+    the cap (a sum whose head fails never uses its block); _judged's rule
+    one mask over every head cell, each head then summed plainly in cell
+    order.  Then each pass of the tail loop is a stage: the next
     _MIN_CELLS + _STABLE_STEPS cells of every sum still in its tail as one
     (sums x cells) block, its edges mapped by one phase_inv call from the
     second pass on.  A stage's rule calls take at most
@@ -716,10 +731,7 @@ def _semi_infinite_osc(
         kk = k[ids]
         kj = kk[:, None] + j  # each cell's index in its tail
         with np.errstate(all="ignore"):
-            size = _modulus(vals)
-            failed = ~converged
-            if failed.any():
-                failed &= ~(errs <= np.fmax(cfg.abs_tol, cfg.rel_tol * size))
+            size, failed = _modulus(vals), _missed(vals, errs, converged, cfg)
             sums_, errsum = (np.add.accumulate(np.concatenate((x[ids, None], y), axis=1),
                                                axis=1)[:, 1:]
                              for x, y in ((partial, vals), (quad_err, errs)))
@@ -768,61 +780,74 @@ def _semi_infinite_osc(
             finish(i, *unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
                                  float(a_of[i])))
 
-    def headed(i, ends, values, errors, converged, detail=None):
-        """Sum i's head summed plainly in cell order under _judged: a window
-        finishes, a failed head takes the failure exit, any other starts its
-        tail (the epsilon table extrapolates the tail only)."""
-        value, bound = 0.0 + 0.0j, 0.0
-        for cell in zip(values.tolist(), errors.tolist(), converged.tolist()):
-            val, err, cell_detail = _judged(*cell, cfg, head_name)
-            value += val
-            bound += err
-            detail = detail or cell_detail
-        if end is not None:
-            finish(i, value, bound, detail)
-        elif detail is not None:
-            finish(i, *unsettled(i, value, value, bound, ends[-1], detail))
-        else:
-            partial[i], quad_err[i], a_of[i] = value, bound, ends[-1]
-            if value != 0:  # the epsilon table starts with a nonzero head
-                rows[i, 0], row_len[i] = value, 1
-            due.append(i)
-
-    # each head's edges in u, ordered from u0: its cuts, and a monotone
-    # head's half-periods; a head without cells ends at x0 at once
-    heads = {}
+    # each sum's head: over the cap it fails at once, without cells its
+    # tail starts at x0, else (i, way, step, k_clear, u_end) joins heads
+    heads = []
     for i, (t, way) in enumerate(sums):
         h[i] = step = way * math.pi / t
         k_clear = int(math.ceil((u0 + way * reach - u0) / step)) if end is None else 0
         u_start[i] = u_end = u0 + k_clear * step if end is None else end
         if phase is not None and k_clear > _MAX_HEAD_CELLS:
-            headed(i, [x0], *np.zeros((3, 0)), f"head region spans {k_clear} oscillations")
+            finish(i, *unsettled(i, 0j, 0j, 0.0, x0, f"head region spans {k_clear} oscillations"))
         elif k_clear > 0 or end is not None:
-            us = {u0 + (c + 1) * step for c in range(k_clear)} if phase is not None else {u_end}
-            heads[i] = sorted(us | set(_head_cuts(u0, u_end, upoints)), reverse=way < 0)
+            heads.append((i, way, step, k_clear, u_end))
         else:
-            headed(i, [x0], *np.zeros((3, 0)))
+            a_of[i] = x0
+            due.append(i)
+    # each head's edges in u, ordered from u0: its way's cuts short of its
+    # end, then its end or a monotone head's half-periods
+    cuts = {}
+    for way in {way for _, way, *_ in heads}:
+        cs = _head_cuts(u0, way * max(way * u for _, w, *_, u in heads if w == way), upoints)
+        cuts[way] = cs, [way * c for c in cs]
+    edges = []
+    for _, way, step, k_clear, u_end in heads:
+        cs, keys = cuts[way]
+        short = cs[:bisect.bisect_left(keys, way * u_end)]
+        edges.append([*short, u_end] if phase is None else sorted(
+            {u0 + (c + 1) * step for c in range(k_clear)}.union(short), reverse=way < 0))
     # every monotone head's edges, and the first tail block's of every sum
     # that may reach its tail (those due and those with a head, in that
-    # order), mapped to x by one phase_inv call; the heads are one stage,
-    # each head's tolerance split over its cells
+    # order), mapped to x by one phase_inv call
+    hi = np.array([u for us in edges for u in us])
     mapped = phase_inv is not None and bool(due or heads)
     if mapped:
-        firsts = np.array([*due, *heads], dtype=int)
-        head_us = [u for us in heads.values() for u in us]
-        edges = phase_inv(np.concatenate((head_us, (u_start[firsts, None]
-                                                    + (j + 1) * h[firsts, None]).ravel())))
-        block_hi[firsts] = edges[len(head_us):].reshape(-1, m)
-        xs = iter(edges[:len(head_us)].tolist())
-        heads = {i: [next(xs) for _ in us] for i, us in heads.items()}
+        firsts = np.array([*due, *(i for i, *_ in heads)], dtype=int)
+        tails = (u_start[firsts, None] + (j + 1) * h[firsts, None]).ravel()
+        xs = phase_inv(np.concatenate((hi, tails)))
+        block_hi[firsts] = xs[hi.size:].reshape(-1, m)
+        hi = xs[:hi.size]
     if heads:
-        sizes = [len(us) for us in heads.values()]
-        t, tol = np.repeat([[sums[i][0] for i in heads],
-                            [max(cfg.abs_tol / (8.0 * size), 1e-15) for size in sizes]], sizes, axis=1)
-        cells = ruled(t, np.array([x for us in heads.values() for x in (x0, *us[:-1])]),
-                      np.array([x for us in heads.values() for x in us]), tol, phase is None)
-        for (i, us), stop in zip(heads.items(), np.cumsum(sizes).tolist()):
-            headed(i, us, *(part[stop - len(us):stop] for part in cells))
+        # one stage, each head's tolerance split over its cells, summed in
+        # cell order: a window finishes, a failed head takes the failure
+        # exit, any other starts its tail (the epsilon table extrapolates
+        # the tail only)
+        sizes = [len(us) for us in edges]
+        counts = np.array(sizes)
+        stops = np.cumsum(counts)
+        starts = stops - counts
+        lo = np.concatenate(([x0], hi[:-1]))
+        lo[starts] = x0
+        t = t_of[[i for i, *_ in heads]].repeat(counts)
+        tol = np.maximum(cfg.abs_tol / (8.0 * counts), 1e-15).repeat(counts)
+        values, errors, converged = ruled(t, lo, hi, tol, phase is None)
+        verdicts = np.logical_or.reduceat(_missed(values, errors, converged, cfg), starts).tolist()
+        cells = zip(values.tolist(), errors.tolist())
+        for (i, *_), size, bad, x_end in zip(heads, sizes, verdicts, hi[stops - 1].tolist()):
+            value, bound = 0j, 0.0
+            for val, err in itertools.islice(cells, size):
+                value += val
+                bound += err
+            detail = f"{head_name} did not converge" if bad else None
+            if end is not None:
+                finish(i, value, bound, detail)
+            elif bad:
+                finish(i, *unsettled(i, value, value, bound, x_end, detail))
+            else:
+                partial[i], quad_err[i], a_of[i] = value, bound, x_end
+                if value != 0:  # the epsilon table starts with a nonzero head
+                    rows[i, 0], row_len[i] = value, 1
+                due.append(i)
     while due:
         # one pass: the next tail block of every sum due one, its edges in u
         # mapped to x by one phase_inv call (its cells past _MAX_CELLS are

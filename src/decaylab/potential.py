@@ -116,8 +116,9 @@ def induced_map(
 ) -> MonotonePotential:
     """Validate V on a 1001-point grid over [-30, 30] and build the bundle.
 
-    Rejects negative values, any decrease, and non-strict growth on the
-    positive half-line, reporting the violating pair.  W' comes from the
+    Rejects negative values (and a V(-inf) that is NaN or negative), any
+    decrease, and non-strict growth on the positive half-line, reporting
+    the violating pair.  W' comes from the
     analytic V' when supplied and otherwise from the order-4 central
     difference with step h = 1e-3 * max(1, |x|), whose truncation error
     (h^4 W^(5) / 30) and roundoff (eps W / h) both stay near 1e-13 relative
@@ -167,6 +168,12 @@ def induced_map(
             f"V({_CHECK_GRID[i]:g}) = V({_CHECK_GRID[i+1]:g}) = {vals[i]:g}",
             pair=(float(_CHECK_GRID[i]), float(_CHECK_GRID[i + 1])),
         )
+    # beyond the grid too: a non-decreasing V is least at -inf
+    with np.errstate(all="ignore"):
+        bottom = float(V(np.array(-math.inf)))
+    if not bottom >= 0:
+        raise MonotonicityError(f"V must be non-negative: V(-inf) = {bottom:g}",
+                                pair=(-math.inf, bottom))
 
     def W(x):
         return V(x) - V(-x)
@@ -290,8 +297,8 @@ def build_initial_state(p: MonotonePotential, params: DephasingParams) -> Initia
     """
     top = float(p.V(np.array(math.inf)))
     if top != math.inf:
-        # V(-inf) lies in [0, V(0)], so W = V(x) - V(-x) is unbounded exactly
-        # when V(+inf) is
+        # V(-inf) lies in [0, V(0)] (induced_map checks it), so W = V(x) - V(-x)
+        # is unbounded exactly when V(+inf) is
         raise RangeError(f"V(+inf) = {top:g}: a bounded potential cannot carry the Lorentzian")
     lor = lorentzian_density(params)
     w, w_prime = p.W, p.W_prime

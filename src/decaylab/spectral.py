@@ -49,10 +49,11 @@ class SpectralDensity:
     for unrestricted concurrent use.
 
     density, the one way to evaluate a density, takes a float64 array of
-    any shape, 0-d included, and returns its values elementwise: every
-    transform's cells evaluate it once per block of nodes (and a monotone
-    phase W with it, see potential.induced_map), and oscint.quad, the masses
-    of a density without a cdf, once per refinement level.
+    any shape, 0-d included, and returns its values elementwise, 0 outside
+    support: every transform's cells evaluate it once per block of nodes
+    (and a monotone phase W with it, see potential.induced_map), and
+    oscint.quad, the masses of a density without a cdf, once per refinement
+    level.
 
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at
@@ -118,7 +119,7 @@ def exponential_density(rate: float = 1.0) -> SpectralDensity:
         raise ValueError(f"rate must be finite and strictly positive, got {rate}")
 
     def dens(e):
-        return rate * np.exp(-rate * e)
+        return np.where(e >= 0, rate * np.exp(-rate * np.maximum(e, 0.0)), 0.0)
 
     return SpectralDensity(
         density=dens,

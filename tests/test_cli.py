@@ -226,6 +226,15 @@ def test_potential_bounded_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("expression", ["x+31", "exp(x)-exp(-40)"])
+def test_potential_unbounded_below_exits_2_and_writes_nothing(tmp_path, expression):
+    # non-negative on the check grid only: V(-inf) < 0
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("potential", "--potential", f"expr:{expression}", "--out", str(out / "p")) == 2
+    assert list(out.iterdir()) == []
+
+
 def test_potential_non_monotone_exits_2(tmp_path):
     prefix = tmp_path / "osc"
     code = run("potential", "--potential", "expr:2 + 0.5*sinh(x) - x", "--out", str(prefix))

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 from dataclasses import replace
@@ -1132,18 +1133,43 @@ def test_a_cell_that_never_converges_fails_with_a_covering_bound(monkeypatch, na
     assert abs(failure.estimate - lorentz_exact(1.0, 0.3, t)) <= failure.error_bound
 
 
-@pytest.mark.parametrize("a,b,points", [
+_HEAD_CUT_CASES = [
     (0.3, -50.0, (-1.0, 0.1, 2.0, -7.0)),
     (0.0, -1.0, (0.5,)),
     (-2.0, -2.5, (-2.2, 3.0)),
     (1.0, -1e6, ()),
     (5.0, 4.0, (4.0, 5.0, 6.0)),
-])
+]
+
+
+@pytest.mark.parametrize("a,b,points", _HEAD_CUT_CASES)
 def test_head_cuts_downward_are_the_negated_upward_cuts(a, b, points):
     down = oscint._head_cuts(a, b, points)
     assert down == [-c for c in oscint._head_cuts(-a, -b, [-p for p in points])]
     assert down == sorted(down, reverse=True)  # ordered from a
     assert all(b < c < a for c in down)
+
+
+@pytest.mark.parametrize("a,b,points", [
+    *_HEAD_CUT_CASES,
+    *((-a, -b, tuple(-p for p in points)) for a, b, points in _HEAD_CUT_CASES),
+    (0.0, 40.0, (1.0, 2.5)),  # points on the way's side only
+    (0.0, -40.0, (1.0, 2.5)),  # points on the other side only
+    (0.0, 16.0, (1.0,)),  # b on a rung of the ladder 0 + 4^k
+    (0.0, 2.0, (0.5, 2.0, 3.0)),  # b a feature point
+    (0.3, 1e3, (-0.7, 0.2, 0.9, 5.3)),
+])
+def test_a_ways_heads_share_the_cuts_to_its_farthest_end(a, b, points):
+    # the engine cuts each way's heads once, to the farthest end b: the cuts
+    # strictly short of a nearer end are that end's own cuts, at the cuts
+    # themselves (rungs and feature points), between them and at b
+    way = 1.0 if b > a else -1.0
+    far = oscint._head_cuts(a, b, points)
+    keys = [way * c for c in far]
+    assert keys == sorted(keys)
+    ends = [*far, b, *(0.5 * (c + d) for c, d in zip([a, *far], [*far, b])), *points]
+    for end in (e for e in ends if way * e > way * a and way * e <= way * b):
+        assert far[:bisect.bisect_left(keys, way * end)] == oscint._head_cuts(a, end, points)
 
 
 def test_a_full_line_grid_is_one_engine_call(monkeypatch):
@@ -1311,6 +1337,46 @@ def test_series_equal_their_points_failures_included(monkeypatch, cfg, min_cells
             lambda ts: generalized_factor_series(p, params, ts, cfg, state),
             lambda t: generalized_dephasing_factor(p, params, t, cfg, state), _MIXED_GRID)
     assert failed >= 3  # at least every potential's head over the cap
+
+
+_LORENTZIAN = lorentzian_density(DephasingParams(1.0, 0.3))
+_TRIANGLE = table_density([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+_EXPONENTIAL = exponential_density(2.0)
+_HEADLESS = replace(_LORENTZIAN, feature_points=())
+_LOPSIDED = replace(_LORENTZIAN, feature_points=(-0.7, 0.3, 5.3))
+# each branch of the heads' stage, as (series, point) calls: a window (a
+# triangle table), a finite window of the full line, a half-line whose head
+# takes the ladder at small t, a line without a head, and a line whose two
+# ways have different cut lists
+_HEAD_BRANCHES = {
+    "triangle": (lambda ts, cfg: amplitude_series(_TRIANGLE, ts, cfg),
+                 lambda t, cfg: fourier_amplitude(_TRIANGLE, t, cfg)),
+    "window": (lambda ts, cfg: restricted_amplitude_series(_LORENTZIAN, -1.0, 2.0, ts, cfg),
+               lambda t, cfg: restricted_amplitude(_LORENTZIAN, -1.0, 2.0, t, cfg)),
+    "half_line": (lambda ts, cfg: amplitude_series(_EXPONENTIAL, ts, cfg),
+                  lambda t, cfg: fourier_amplitude(_EXPONENTIAL, t, cfg)),
+    "no_head": (lambda ts, cfg: amplitude_series(_HEADLESS, ts, cfg),
+                lambda t, cfg: fourier_amplitude(_HEADLESS, t, cfg)),
+    "two_ways": (lambda ts, cfg: amplitude_series(_LOPSIDED, ts, cfg),
+                 lambda t, cfg: fourier_amplitude(_LOPSIDED, t, cfg)),
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["converging", "failing"])
+@pytest.mark.parametrize("name", list(_HEAD_BRANCHES))
+def test_head_stage_series_equal_their_points(monkeypatch, name, failing):
+    # the heads of a series are one stage, their cuts shared per way: each
+    # point keeps the bits and the failure it has alone; failing, no cell
+    # meets its tolerance, so the heads (or, without one, the tails) fail
+    series, point = _HEAD_BRANCHES[name]
+    if failing:
+        for rule in ("_cc25_cells", "_qk21_cells"):
+            _block_rule_not_converged(monkeypatch, CFG.rel_tol * 10, rule)
+    failed = _assert_series_equals_points(lambda ts: series(ts, CFG), lambda t: point(t, CFG),
+                                          _MIXED_GRID)
+    # failing, most points fail; converging, only the line without a head
+    # at t = 1e-8, whose peak no cut resolves
+    assert failed >= 10 if failing else failed == (name == "no_head")
 
 
 # ---------------------------------------------------------------------------

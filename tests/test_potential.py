@@ -102,6 +102,22 @@ def test_monotonicity_rejections():
         induced_map(lambda x: 2.0 + math.sin(x))  # oscillating
 
 
+@pytest.mark.parametrize("expression,bottom",
+                         [("x+31", "-inf"), ("exp(x)-exp(-40)", "-4.24835e-18")])
+def test_potential_unbounded_below_is_rejected(expression, bottom):
+    # non-negative on the check grid [-30, 30], negative beyond it: V(-inf)
+    # names it
+    message = rf"^V must be non-negative: V\(-inf\) = {bottom}$"
+    with pytest.raises(MonotonicityError, match=message) as e:
+        induced_map(parse_expression(expression))
+    assert e.value.pair[0] == -math.inf
+
+
+def test_potential_nan_at_minus_infinity_is_rejected():
+    with pytest.raises(MonotonicityError, match=r"V\(-inf\) = nan"):
+        induced_map(lambda x: np.where(np.isinf(x), np.nan, np.exp(x)))
+
+
 def test_bounded_potential_range_failure():
     # arctan-like bounded V: W = 2 arctan(x) has range (-pi, pi), so far
     # targets must fail at bracket expansion

@@ -176,6 +176,15 @@ def test_exponential_density_basics():
     assert half_line_mass(d, "positive", CFG) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_exponential_density_is_zero_outside_its_support():
+    # like a table's: 0 below 0, with no overflow warning (warnings are
+    # errors here) far below it, and the formula on the support, 0 included
+    d = exponential_density(2.0)
+    xs = np.array([-1e3, -0.5, -0.0, 0.0, 0.5, 1e3])
+    assert d.density(xs).tolist() == [0.0, 0.0, 2.0, 2.0, 2.0 * math.exp(-1.0), 0.0]
+    assert d.density(np.array(-0.5)) == 0.0
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
 def test_exponential_rate_must_be_finite_and_positive(rate):
     # an infinite rate once gave nan amplitudes, the t = 0 mass without a failure
