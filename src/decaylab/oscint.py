@@ -12,8 +12,8 @@ feature points and geometrically beyond; a finite window is a head with a
 finite end and no tail.  Each cell of a linear head, however many
 oscillations it spans, gets QUADPACK's dqc25f rule (_cc25_cells), exact for
 a table, whose cuts are its knots.  The monotone head is one block of
-half-period cells whose edges include its cuts.  _judged holds the one
-convergence rule, of quad and the cells, and _missed applies it to arrays.
+half-period cells whose edges include its cuts.  _missed holds the one
+convergence rule, of quad, the cells and the sums, over arrays.
 Infinite pieces are integrated over half-periods of the kernel (cells of
 phase length pi), with Wynn epsilon acceleration of the alternating cell
 sums; every piece walks outward from its split point, the piece below it
@@ -22,8 +22,9 @@ cell, and each head cell of a monotone phase, gets QUADPACK's 21-point
 Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
 (_MIN_CELLS + _STABLE_STEPS).
 
-A time grid is one batch: every public amplitude maps a grid to one triple
-per time, and the single-time functions are the batch of one.  On each
+A time grid is one batch: every public amplitude maps a grid to three
+arrays, its values, error bounds and details (None on success), and the
+single-time functions are the batch of one.  On each
 pass, the next cells of every t still summing are evaluated together: one
 phase_inv call maps the edges of every block they start (the heads' call
 maps the first tail blocks too), the density and
@@ -51,13 +52,13 @@ cells' parts: each of its pieces is a dqk21 cell, and first-pass misses,
 of pieces or of half-period or head cells, are bisected by one
 refinement, _refine, its integrand called on a level's nodes as one array.
 
-Every piece (a half-line's cell sum, a mass, a ramp side) gives a (value,
-error bound, detail) triple; detail is None on success and otherwise names
-the failure, whose value is the best estimate.  Parts combine by one
-rule: values add with their weights, all bounds add, and the first failed
-part's detail is kept.
+Every part (a batch of half-line cell sums, a mass, a ramp side) gives a
+value, an error bound and a detail, None on success and otherwise naming the
+failure, whose value is the best estimate.  Parts combine by one rule, time
+by time as arrays: values add with their weights, all bounds add, and the
+first failed part's detail is kept.
 A single-time function raises the one QuadratureFailure of its combined
-triple, carrying its t; a series raises one SeriesFailure holding each
+value, carrying its t; a series raises one SeriesFailure holding each
 failed time's QuadratureFailure, the same one that time raises alone.
 Every entry checks its times first: finite, and for a series a 1-d,
 strictly increasing grid.
@@ -188,15 +189,9 @@ class ComplexTimeSeries:
 # scalar quadrature helpers
 
 
-def _judged(value, error, converged, cfg, what):
-    """(value, error, detail) under the one convergence rule: "<what> did not
-    converge" when it did not and its error exceeds cfg.target(value)."""
-    failed = not converged and not error <= cfg.target(value)  # a NaN error fails
-    return value, float(error), (f"{what} did not converge" if failed else None)
-
-
 def _missed(values, errors, converged, cfg):
-    """_judged's rule over arrays of cells, a mask of those that fail."""
+    """The one convergence rule over arrays (or scalars): the mask of results
+    that did not converge with an error above cfg.target(value), or NaN."""
     failed = ~converged
     if failed.any():
         with np.errstate(all="ignore"):
@@ -205,10 +200,12 @@ def _missed(values, errors, converged, cfg):
 
 
 def _summed(pieces, cfg, what):
-    """One _judged triple of pieces of quad: their values and errors add,
-    and it converged when every piece did."""
+    """One (value, error, detail) triple of pieces of quad: values and errors
+    add, converged when every piece did, "<what> did not converge" by _missed."""
     values, errors, converged = zip(*pieces)
-    return _judged(sum(values), sum(errors), all(converged), cfg, what)
+    value, error = sum(values), float(sum(errors))
+    return value, error, (f"{what} did not converge"
+                          if _missed(value, error, np.bool_(all(converged)), cfg) else None)
 
 
 def _quad(f, a, b, epsabs, epsrel, cfg, what, points=()):
@@ -222,15 +219,6 @@ def _checked(t, value, bound, detail):
     if detail is not None:
         raise QuadratureFailure(detail, value, bound, t=t)
     return value
-
-
-def _combine(parts):
-    """One (value, error bound, detail) triple from the triples of parts whose
-    values are already conjugated and weighted: values add in order, all
-    bounds add, and the first failed part's detail is kept."""
-    values, bounds, details = zip(*parts)
-    failed = [detail for detail in details if detail is not None]
-    return sum(values[1:], values[0]), sum(bounds), (failed[0] if failed else None)
 
 
 def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfig) -> float:
@@ -602,13 +590,14 @@ def _semi_infinite_osc(
     end: float | None = None,
 ):
     """int_{x0}^{way*inf} weight(x) exp(-i t phase(x)) dx for each (t, way) of
-    sums, t > 0 and way = +1 or -1, for an increasing phase: one (value,
-    error bound, detail) triple per sum; with a finite end (way = +1, the
-    linear phase), int_{x0}^{end}, a head with no tail.
+    sums, t > 0 and way = +1 or -1, for an increasing phase, as three arrays
+    written in place, one entry a sum: values, error bounds and details
+    (None on success); with a finite end (way = +1, the linear phase),
+    int_{x0}^{end}, a head with no tail.
 
     A sum walks away from x0 in signed half-periods h = way*pi/t: its cells
     end at phase_inv(u0 + (k+1)h), u0 = phase(x0), so a downward sum is
-    minus the integral until its triple is negated, once, when it stops.  The density
+    minus the integral until the values are negated, once, at the end.  The density
     bulk is integrated as a single head piece; only the clean alternating
     tail beyond it feeds the epsilon table, so a far-off peak cannot poison
     the extrapolation.  One head rule serves both phases: the head reaches
@@ -626,8 +615,8 @@ def _semi_infinite_osc(
     end, and the rungs run away from u0 monotonically); their edges in u
     mapped to x by one phase_inv call (the linear phase's edges are x
     already), which also maps the first tail block of every sum not over
-    the cap (a sum whose head fails never uses its block); _judged's rule
-    one mask over every head cell, each head then summed plainly in cell
+    the cap (a sum whose head fails never uses its block); _missed one
+    mask over every head cell, each head then summed plainly in cell
     order.  Then each pass of the tail loop is a stage: the next
     _MIN_CELLS + _STABLE_STEPS cells of every sum still in its tail as one
     (sums x cells) block, its edges mapped by one phase_inv call from the
@@ -639,15 +628,17 @@ def _semi_infinite_osc(
     and _refine refines each cell on its own, so each sum gets the bits it
     would get alone.  A tail block, refined, goes to the array stage (tail):
     cumulative sums of the values and errors, every sum's epsilon table
-    extended column by column (_wynn_block), and _judged's rule and the stop
+    extended column by column (_wynn_block), and _missed and the stop
     rules as masks, in the arithmetic of Python's complex numbers (hypot for
     abs), so each sum stops at the first cell where a rule fires and the
-    cells after it are discarded.  A head or cell that did not converge
-    (_judged's rule), a monotone head over the cap, or a tail sum not stable
-    within _MAX_CELLS cells leaves by the one failure exit: the best
-    estimate, its bound plus mass(lo, hi), the mass beyond the last cell
-    summed.  A sum that stops with a bound above cfg.target(value) fails,
-    naming its bound.
+    cells after it are discarded.  The sums that stop take their results by
+    mask: a truncated sum its partial sum, under errsum + 3 |cell|, any
+    other its Wynn estimate, under errsum + delta, failing, named by its
+    bound, when _missed finds the bound above its target.  A head or cell
+    that did not converge (_missed), a monotone head over the cap, or a tail
+    sum not stable within _MAX_CELLS cells leaves by the one failure exit,
+    the only per-sum path: the best estimate, its bound plus mass(lo, hi),
+    the mass beyond the last cell summed.
     """
     ph = phase or (lambda u: u)
     # the phase of the split point and of the feature points, one array call
@@ -662,28 +653,19 @@ def _semi_infinite_osc(
     stable_steps, negligible = _STABLE_STEPS, _NEGLIGIBLE_FACTOR * cfg.abs_tol
     # the floor of a Wynn-stable step, max(0.1 abs_tol, 0.1 rel_tol |est|, 5e-15)
     least = max(0.1 * cfg.abs_tol, 5e-15)
-    results = [None] * len(sums)
-
-    def finish(i, value, bound, detail):
-        results[i] = (-value if sums[i][1] < 0 else value), bound, detail
-
-    def settled(value, bound):
-        """A stopped sum's triple: it succeeds only within cfg.target(value)."""
-        if bound <= cfg.target(value):
-            return value, bound, None
-        return value, bound, f"oscillatory cell sum's error bound {bound:.3e} exceeds its tolerance"
 
     def unsettled(i, best, partial, quad_err, a, detail=None):
-        """The failure exit of sum i: its best estimate, under its bound plus
-        the mass beyond a, the end of the last cell summed."""
+        """The failure exit of sum i, written to its result: its best
+        estimate, under its bound plus the mass beyond a, the end of the last
+        cell summed."""
         bound = quad_err + abs(best - partial)
         if mass is not None:
             try:
                 bound += abs(mass(*sorted((a, sums[i][1] * math.inf))))
             except Exception:
                 bound = math.inf
-        return best, bound, (detail or
-                             f"oscillatory cell sum did not stabilize within {max_cells} cells")
+        values[i], bounds[i], details[i] = best, bound, (
+            detail or f"oscillatory cell sum did not stabilize within {max_cells} cells")
 
     def ruled(t, lo, hi, tol, cc):
         """The cells lo[j] to hi[j] at t[j] and tol[j] (flat float arrays),
@@ -713,6 +695,8 @@ def _semi_infinite_osc(
     # whether its last cell was negligible, its count of consecutive stable
     # estimates, and the x edges of its current block
     n = len(sums)
+    # each sum's result, written in place: value, error bound, detail
+    values, bounds, details = np.zeros(n, dtype=complex), np.zeros(n), [None] * n
     t_of = np.array([t for t, _ in sums], dtype=float)
     u_start, h, a_of, quad_err = np.zeros((4, n))
     partial, est_prev = np.zeros((2, n), dtype=complex)
@@ -748,19 +732,23 @@ def _semi_infinite_osc(
         stables = j - np.maximum.accumulate(np.where(stable, -1 - stable_run[ids, None], j),
                                             axis=1)
         stops = (failed | truncated | (stable & (stables >= stable_steps))) & (kj < max_cells)
-        stopped, first = stops.any(axis=1), stops.argmax(axis=1).tolist()
-        for r in np.flatnonzero(stopped).tolist():
-            i, c = int(ids[r]), first[r]
-            value, bound = complex(sums_[r, c]), float(errsum[r, c])
-            if failed[r, c]:
-                best = complex(est[r, c - 1] if c else est_prev[i] if k[i] else value)
-                finish(i, *unsettled(i, best, value, bound, float(block_hi[i, c]),
-                                     "half-period cell did not converge"))
-            elif truncated[r, c]:
-                finish(i, *settled(value, float(errsum[r, c] + 3.0 * size[r, c])))
-            else:
-                finish(i, *settled(complex(est[r, c]), float(errsum[r, c] + delta[r, c])))
-        if stopped.all():
+        stopped = stops.any(axis=1)
+        r = np.flatnonzero(stopped)
+        if r.size:
+            c = stops.argmax(axis=1)[r]
+            i, cut, missed = ids[r], truncated[r, c], failed[r, c]
+            values[i] = value = np.where(cut, sums_[r, c], est[r, c])
+            bounds[i] = bound = errsum[r, c] + np.where(cut, 3.0 * size[r, c], delta[r, c])
+            over = _missed(value, bound, missed, cfg)  # a missed cell's sum fails below
+            for s in i[over].tolist() if over.any() else ():
+                details[s] = (f"oscillatory cell sum's error bound {bounds[s]:.3e} "
+                              "exceeds its tolerance")
+            for q, cq in zip(r[missed].tolist(), c[missed].tolist()) if missed.any() else ():
+                s, value = int(ids[q]), complex(sums_[q, cq])
+                best = complex(est[q, cq - 1] if cq else est_prev[s] if k[s] else value)
+                unsettled(s, best, value, float(errsum[q, cq]), float(block_hi[s, cq]),
+                          "half-period cell did not converge")
+        if r.size == ids.size:
             return
         # the others go on from their block's last cell, or leave by the
         # failure exit after _MAX_CELLS cells
@@ -777,8 +765,8 @@ def _semi_infinite_osc(
         over = k[ids] >= max_cells
         due.extend(ids[~over].tolist())
         for i in ids[over].tolist():
-            finish(i, *unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
-                                 float(a_of[i])))
+            unsettled(i, complex(est_prev[i]), complex(partial[i]), float(quad_err[i]),
+                      float(a_of[i]))
 
     # each sum's head: over the cap it fails at once, without cells its
     # tail starts at x0, else (i, way, step, k_clear, u_end) joins heads
@@ -788,7 +776,7 @@ def _semi_infinite_osc(
         k_clear = int(math.ceil((u0 + way * reach - u0) / step)) if end is None else 0
         u_start[i] = u_end = u0 + k_clear * step if end is None else end
         if phase is not None and k_clear > _MAX_HEAD_CELLS:
-            finish(i, *unsettled(i, 0j, 0j, 0.0, x0, f"head region spans {k_clear} oscillations"))
+            unsettled(i, 0j, 0j, 0.0, x0, f"head region spans {k_clear} oscillations")
         elif k_clear > 0 or end is not None:
             heads.append((i, way, step, k_clear, u_end))
         else:
@@ -819,7 +807,7 @@ def _semi_infinite_osc(
         hi = xs[:hi.size]
     if heads:
         # one stage, each head's tolerance split over its cells, summed in
-        # cell order: a window finishes, a failed head takes the failure
+        # cell order: a window is its result, a failed head takes the failure
         # exit, any other starts its tail (the epsilon table extrapolates
         # the tail only)
         sizes = [len(us) for us in edges]
@@ -830,9 +818,10 @@ def _semi_infinite_osc(
         lo[starts] = x0
         t = t_of[[i for i, *_ in heads]].repeat(counts)
         tol = np.maximum(cfg.abs_tol / (8.0 * counts), 1e-15).repeat(counts)
-        values, errors, converged = ruled(t, lo, hi, tol, phase is None)
-        verdicts = np.logical_or.reduceat(_missed(values, errors, converged, cfg), starts).tolist()
-        cells = zip(values.tolist(), errors.tolist())
+        cell_values, errors, converged = ruled(t, lo, hi, tol, phase is None)
+        verdicts = np.logical_or.reduceat(_missed(cell_values, errors, converged, cfg),
+                                          starts).tolist()
+        cells = zip(cell_values.tolist(), errors.tolist())
         for (i, *_), size, bad, x_end in zip(heads, sizes, verdicts, hi[stops - 1].tolist()):
             value, bound = 0j, 0.0
             for val, err in itertools.islice(cells, size):
@@ -840,9 +829,9 @@ def _semi_infinite_osc(
                 bound += err
             detail = f"{head_name} did not converge" if bad else None
             if end is not None:
-                finish(i, value, bound, detail)
+                values[i], bounds[i], details[i] = value, bound, detail
             elif bad:
-                finish(i, *unsettled(i, value, value, bound, x_end, detail))
+                unsettled(i, value, value, bound, x_end, detail)
             else:
                 partial[i], quad_err[i], a_of[i] = value, bound, x_end
                 if value != 0:  # the epsilon table starts with a nonzero head
@@ -872,7 +861,10 @@ def _semi_infinite_osc(
         for part, column in zip(stage, cells):
             part[valid] = column
         tail(ids, *stage)
-    return results
+    # a downward sum is minus its integral: negated once, as Python negates a
+    # complex (a product with -1 would change signed zeros)
+    np.negative(values, out=values, where=h < 0)
+    return values, bounds, details
 
 
 # ---------------------------------------------------------------------------
@@ -896,10 +888,11 @@ def _time_grid(times) -> np.ndarray:
 
 
 def _point(amplitudes, t):
-    """The batch of one: amplitudes, a map from a time grid to one triple
-    per time, at t alone; raises the QuadratureFailure of a failed triple."""
-    [triple] = amplitudes(_time_grid([t]))
-    return _checked(t, *triple)
+    """The batch of one: amplitudes, a map from a time grid to its (values,
+    bounds, details) arrays, at t alone; raises the QuadratureFailure of a
+    failed value."""
+    values, bounds, [detail] = amplitudes(_time_grid([t]))
+    return _checked(t, complex(values[0]), float(bounds[0]), detail)
 
 
 def _series(amplitudes, times) -> ComplexTimeSeries:
@@ -907,10 +900,10 @@ def _series(amplitudes, times) -> ComplexTimeSeries:
     their best estimates; their failures, each with its t, are raised
     together as one SeriesFailure that carries the series."""
     t = _time_grid(times)
-    triples = amplitudes(t)
-    failures = [QuadratureFailure(detail, value, bound, t=ti)
-                for ti, (value, bound, detail) in zip(t.tolist(), triples) if detail is not None]
-    series = ComplexTimeSeries(t, np.array([value for value, _, _ in triples], dtype=complex))
+    values, bounds, details = amplitudes(t)
+    failures = [QuadratureFailure(detail, complex(values[i]), float(bounds[i]), t=float(t[i]))
+                for i, detail in enumerate(details) if detail is not None]
+    series = ComplexTimeSeries(t, values)
     if failures:
         raise SeriesFailure(series, failures)
     return series
@@ -957,28 +950,23 @@ def restricted_amplitude_series(
 
 
 def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
-    """restricted_amplitude at each t of times (a float array) as a list of
-    (value, error bound, detail) triples.  On an infinite range the
-    half-line sums of every t != 0, at |t| and in both directions on the
+    """restricted_amplitude at each t of times (a strictly monotone float
+    array) as (values, error bounds, details) arrays.  On an infinite range
+    the half-line sums of every t != 0, at |t| and in both directions on the
     full line, run as one batch."""
     if (phase is None) != (phase_inv is None):
         given, missing = ("phase", "phase_inv") if phase_inv is None else ("phase_inv", "phase")
         raise ValueError(f"{given} needs {missing}: give both or neither")
-    times = times.tolist()
+    n = times.size
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
-        return [(0.0 + 0.0j, 0.0, None)] * len(times)
-    triples, moving = [None] * len(times), []
-    for i, t in enumerate(times):
-        if t == 0:
-            val, err, detail = _mass(d, lo, hi, cfg)
-            triples[i] = (complex(val), err, detail)
-        else:
-            moving.append(i)
+        return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
+    ts = times.tolist()
+    moving = [abs(t) for t in ts if t]
     if moving:
         # a window or a half-line walks from its finite end, the full line both
-        # ways from the centre, in one batch; a line's pieces combine lower first
+        # ways from the centre, in one batch; a line's lower piece comes first
         end = hi if math.isfinite(lo) and math.isfinite(hi) else None
         if end is not None and phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
@@ -989,13 +977,23 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
         else:
             x0, ways = d.center, (-1, 1)
         loose = QuadratureConfig(1e-6, 1e-6)
-        sums = [(abs(times[i]), way) for way in ways for i in moving]
-        pieces = _semi_infinite_osc(d.density, sums, x0, cfg, phase, phase_inv, d.feature_points,
-                                    lambda a, b: mass_integral(d, a, b, loose), end)
-        for j, i in enumerate(moving):
-            triples[i] = _combine(pieces[j::len(moving)])
-    return [(value.conjugate(), bound, detail) if t < 0 else (value, bound, detail)
-            for t, (value, bound, detail) in zip(times, triples)]
+        values, bounds, details = _semi_infinite_osc(
+            d.density, [(t, way) for way in ways for t in moving], x0, cfg, phase, phase_inv,
+            d.feature_points, lambda a, b: mass_integral(d, a, b, loose), end)
+        if len(ways) == 2:
+            m = len(moving)
+            values, bounds = values[:m] + values[m:], bounds[:m] + bounds[m:]
+            details = [low if low is not None else up for low, up in zip(details, details[m:])]
+    else:
+        values, bounds, details = np.zeros(0, dtype=complex), np.zeros(0), []
+    if len(moving) < n:  # the one t = 0 of a monotone grid: the mass
+        i = ts.index(0.0)
+        mass, error, detail = _mass(d, lo, hi, cfg)
+        values, bounds = np.insert(values, i, mass), np.insert(bounds, i, error)
+        details.insert(i, detail)
+    if n and min(ts[0], ts[-1]) < 0:
+        np.conjugate(values, out=values, where=times < 0)
+    return values, bounds, details
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -1030,8 +1028,8 @@ def halfline_amplitude(
 
 
 def _halfline_amplitudes(d, ramp_side, times, cfg):
-    """halfline_amplitude at each t of times as (value, error bound, detail)
-    triples, the frozen half-line mass one part of each."""
+    """halfline_amplitude at each t of times as (values, error bounds,
+    details) arrays, the frozen half-line mass the first part of each."""
     # (frozen half, active half, sign of the active transform's time): the
     # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
     # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
@@ -1042,8 +1040,10 @@ def _halfline_amplitudes(d, ramp_side, times, cfg):
     if ramp_side not in sides:
         raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
     still, active, sign = sides[ramp_side]
-    frozen = _mass(d, *still, cfg)
-    return [_combine([frozen, part]) for part in _amplitudes(d, *active, sign * times, cfg)]
+    mass, error, detail = _mass(d, *still, cfg)
+    values, bounds, details = _amplitudes(d, *active, sign * times, cfg)
+    return (mass + values, error + bounds,
+            details if detail is None else [detail] * len(details))
 
 
 def global_survival(
@@ -1057,15 +1057,19 @@ def global_survival(
 
 
 def _global_survivals(chi_weights, d, times, cfg):
-    """global_survival at each t of times as (value, error bound, detail)
-    triples."""
+    """global_survival at each t of times as (values, error bounds, details)
+    arrays, the w0 side first in each."""
     w0, w1 = chi_weights
     if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-12):
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
-    sides = [[(w * value, w * bound, detail)
-              for value, bound, detail in _halfline_amplitudes(d, side, times, cfg)]
-             for w, side in ((w0, "positive"), (w1, "negative")) if w]
-    return [_combine(parts) for parts in zip(*sides)]
+    (w, (values, bounds, details)), *other = [
+        (w, _halfline_amplitudes(d, side, times, cfg))
+        for w, side in ((w0, "positive"), (w1, "negative")) if w]
+    values, bounds = w * values, w * bounds
+    for w, (more, more_bounds, more_details) in other:
+        values, bounds = values + w * more, bounds + w * more_bounds
+        details = [a if a is not None else b for a, b in zip(details, more_details)]
+    return values, bounds, details
 
 
 def global_survival_series(

@@ -197,14 +197,7 @@ def half_line_mass(d: SpectralDensity, side: str, cfg=None) -> float:
     """
     from . import oscint
 
-    cfg = cfg or oscint.QuadratureConfig()
-    lo, hi = d.support
-    if side == "negative":
-        lo, hi = lo, min(hi, 0.0)
-    elif side == "positive":
-        lo, hi = max(lo, 0.0), hi
-    else:
+    if side not in ("negative", "positive"):
         raise ValueError(f"side must be 'negative' or 'positive', got {side!r}")
-    if not lo < hi:
-        return 0.0
-    return oscint.mass_integral(d, lo, hi, cfg)
+    lo, hi = (-math.inf, 0.0) if side == "negative" else (0.0, math.inf)
+    return oscint.mass_integral(d, lo, hi, cfg or oscint.QuadratureConfig())

@@ -766,7 +766,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
                                      np.array([0.0]), np.array([h]))
     _, _, [accepted] = oscint._qk21_cells(values, half, CFG.abs_tol / 64.0, 1e-12)
     assert not accepted
-    [(got, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
+    [got], _, _ = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
 
     # reference: every cell through adaptive quad
     block_rule = oscint._qk21_cells
@@ -776,7 +776,7 @@ def test_subdivided_cell_falls_back_to_adaptive_quad(monkeypatch):
         return values, errors, np.zeros_like(accepted)
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    [(want, _, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
+    [want], _, _ = oscint._semi_infinite_osc(d.density, [(t, 1)], 0.0, CFG)
     assert got == want  # accepted cells are quad's to the bit
 
 
@@ -794,7 +794,7 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return adaptive(*args, **kwargs)
 
     monkeypatch.setattr(oscint, "_quad", counting)
-    [(got, got_err, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
+    [got], [got_err], _ = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
                                                     p.W_inverse, d.feature_points)
     # no cell, head or tail, needed adaptive quad
     assert quad_calls == []
@@ -806,7 +806,7 @@ def test_monotone_head_cells_match_adaptive_quad(monkeypatch):
         return values, errors, np.zeros_like(accepted)
 
     monkeypatch.setattr(oscint, "_qk21_cells", reject_all)
-    [(want, want_err, _)] = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
+    [want], [want_err], _ = oscint._semi_infinite_osc(d.density, [(t, 1)], x0, CFG, p.W,
                                                       p.W_inverse, d.feature_points)
     # accepted cells are quad's to rounding, their error estimates to the
     # Kronrod-Gauss cancellation
@@ -1005,7 +1005,7 @@ def test_missed_cells_are_refined_to_quad_without_quad(monkeypatch, way):
 
     monkeypatch.setattr(oscint, "_quad", no_quad)
     weight_of, calls = _reject_first_block(monkeypatch)
-    [(got, _, detail)] = oscint._semi_infinite_osc(weight_of(d.density), [(t, way)], x0, CFG)
+    [got], _, [detail] = oscint._semi_infinite_osc(weight_of(d.density), [(t, way)], x0, CFG)
     assert detail is None
     (centres, halves, _), (_, _, (parts, _, _)) = calls[:2]
     assert len(parts) == 2 * len(centres)  # each missed cell in two halves
@@ -1541,3 +1541,127 @@ def test_evaluations_are_sliced_to_block_cells(monkeypatch):
     fields = lambda f: None if f is None else (f.detail, f.estimate, f.error_bound, f.t)
     assert [fields(f) for _, f in got] == [fields(f) for _, f in want]
     assert want[-1][1] is not None
+
+
+# ---------------------------------------------------------------------------
+# the exits of a sum and the combination of its parts, time by time
+
+
+def _block_rule_within_target(monkeypatch, share):
+    """Make the half-period cells' block rule accept every cell with an error
+    of share times the cell's own target at CFG, max(abs_tol, rel_tol
+    |value|): each cell passes the one convergence rule, and a sum's errors
+    add up past its target."""
+    block_rule = oscint._qk21_cells
+
+    def within(*args):
+        values, _, accepted = block_rule(*args)
+        errors = share * np.fmax(CFG.abs_tol, CFG.rel_tol * np.abs(values))
+        return values, errors, np.ones_like(accepted)
+
+    monkeypatch.setattr(oscint, "_qk21_cells", within)
+
+
+def test_a_sum_whose_bound_exceeds_its_target_fails_naming_it(monkeypatch):
+    # every tail cell within its target, the half-line's summed bound over
+    # it: the sum fails, named by its bound, with its estimate within it
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    point = lambda t: restricted_amplitude(d, 0.0, math.inf, t, CFG)
+    times = [0.5, 2.0]
+    want = [point(t) for t in times]
+    _block_rule_within_target(monkeypatch, 0.9)
+    for t, value in zip(times, want):
+        with pytest.raises(QuadratureFailure) as exc_info:
+            point(t)
+        failure = exc_info.value
+        assert failure.detail == (f"oscillatory cell sum's error bound {failure.error_bound:.3e} "
+                                  "exceeds its tolerance")
+        assert failure.error_bound > CFG.abs_tol
+        assert abs(failure.estimate - value) <= failure.error_bound
+    assert _assert_series_equals_points(
+        lambda ts: restricted_amplitude_series(d, 0.0, math.inf, ts, CFG), point, times) == 2
+
+
+def test_a_sum_at_max_cells_fails_with_the_mass_it_left_out(monkeypatch):
+    # three tail cells, before any stop rule may fire: the half-line sum is
+    # not stable, and its bound holds the mass beyond its last cell, at 4
+    # half-periods (the head's one, up to the feature point 1.3, and three)
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    t, masses = 2.0, []
+    _starve(monkeypatch, 3, 6)
+
+    def mass(d, a, b, cfg):
+        masses.append((a, b, mass_integral(d, a, b, cfg)))
+        return masses[-1][-1]
+
+    monkeypatch.setattr(oscint, "mass_integral", mass)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        restricted_amplitude(d, 0.0, math.inf, t, CFG)
+    failure = exc_info.value
+    assert failure.detail == "oscillatory cell sum did not stabilize within 3 cells"
+    [(a, b, unsummed)] = masses
+    assert (a, b) == (pytest.approx(4 * math.pi / t), math.inf)
+    assert unsummed > 0.01
+    assert failure.error_bound >= unsummed
+    assert abs(failure.estimate - lorentz_positive_half(1.0, 0.3, t)) <= failure.error_bound
+
+
+def _every_sum_failing(monkeypatch):
+    """Make every half-line sum fail, its value kept, with a detail naming
+    its way and a bound of 0.25 downward and 0.5 upward."""
+    engine = oscint._semi_infinite_osc
+
+    def failing(weight, sums, *args):
+        values, _, _ = engine(weight, sums, *args)
+        return (values, np.array([0.25 if way < 0 else 0.5 for _, way in sums]),
+                ["downward sum failed" if way < 0 else "upward sum failed" for _, way in sums])
+
+    monkeypatch.setattr(oscint, "_semi_infinite_osc", failing)
+
+
+def test_a_full_line_keeps_its_lower_pieces_detail_and_adds_the_bounds(monkeypatch):
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    times = [-2.0, 0.5, 3.0]
+    want = [fourier_amplitude(d, t, CFG) for t in times]
+    _every_sum_failing(monkeypatch)
+    for t, value in zip(times, want):
+        with pytest.raises(QuadratureFailure) as exc_info:
+            fourier_amplitude(d, t, CFG)
+        failure = exc_info.value
+        assert (failure.detail, failure.error_bound, failure.t) == ("downward sum failed", 0.75, t)
+        assert failure.estimate == value
+    assert _assert_series_equals_points(lambda ts: amplitude_series(d, ts, CFG),
+                                        lambda t: fourier_amplitude(d, t, CFG), times) == 3
+
+
+@pytest.mark.parametrize("side,bound", [("positive", 1.5), ("negative", 1.25)])
+def test_a_ramp_side_keeps_its_frozen_mass_detail(monkeypatch, side, bound):
+    # without a cdf the frozen half's mass is integrated: it fails (bound
+    # 1.0), and so does the active half's sum (upward 0.5, downward 0.25)
+    d = replace(lorentzian_density(DephasingParams(1.0, 0.3)), cdf=None)
+    want = halfline_amplitude(d, side, 2.0, CFG)
+    _not_converged(monkeypatch)
+    _every_sum_failing(monkeypatch)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        halfline_amplitude(d, side, 2.0, CFG)
+    failure = exc_info.value
+    assert (failure.detail, failure.error_bound) == ("mass integral did not converge", bound)
+    assert failure.estimate == want
+
+
+@pytest.mark.parametrize("weights,detail", [((0.3, 0.7), "upward sum failed"),
+                                            ((1.0, 0.0), "upward sum failed"),
+                                            ((0.0, 1.0), "downward sum failed")])
+def test_a_global_survival_keeps_its_w0_sides_detail_and_weights_the_bounds(
+        monkeypatch, weights, detail):
+    # the w0 side's ramp walks up from 0 (bound 0.5), the w1 side's down
+    # (bound 0.25); a side of weight 0 is left out
+    d = lorentzian_density(DephasingParams(1.0, 0.3))
+    want = global_survival(weights, d, 2.0, CFG)
+    _every_sum_failing(monkeypatch)
+    with pytest.raises(QuadratureFailure) as exc_info:
+        global_survival(weights, d, 2.0, CFG)
+    failure = exc_info.value
+    w0, w1 = weights
+    assert (failure.detail, failure.error_bound) == (detail, w0 * 0.5 + w1 * 0.25)
+    assert failure.estimate == want
