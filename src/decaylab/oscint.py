@@ -22,6 +22,15 @@ cell, and each head cell of a monotone phase, gets QUADPACK's 21-point
 Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
 (_MIN_CELLS + _STABLE_STEPS).
 
+The linear phase runs in the offset y = x - x0 from its split point x0, so
+a narrow line far from 0 keeps its digits: its weight is the density's
+offset form (SpectralDensity.offset_density), every half-period edge is a
+multiple k h of h = +-pi/t, and the first pass of a tail cell [K h,
+(K+1) h] takes the kernel (-1)^K times one fixed 21-vector
+(_half_period_cells), with no exp to take.  Each finished sum is
+multiplied once by exp(-i t x0), its phase reduced mod 2 pi from the exact
+product t x0 (_phase_factors).  A monotone phase runs in x.
+
 A time grid is one batch: every public amplitude maps a grid to three
 arrays, its values, error bounds and details (None on success), and the
 single-time functions are the batch of one.  On each
@@ -45,8 +54,8 @@ tails converge through the acceleration instead of an (infeasibly large)
 explicit cutoff, and the analytic tail mass only enters a failure's bound.
 
 A mass is exact when the density has a cdf (a difference of two values);
-only a density without one has its masses integrated by quad, cut at its
-feature points.  quad, the one adaptive integrator of what is not
+only a density without one has its masses integrated by quad, in the offset
+from its centre, cut at its feature points.  quad, the one adaptive integrator of what is not
 oscillatory (those masses and diagnostics.pw_sweep), is built from the
 cells' parts: each of its pieces is a dqk21 cell, and first-pass misses,
 of pieces or of half-period or head cells, are bisected by one
@@ -228,16 +237,28 @@ def mass_integral(d: SpectralDensity, lo: float, hi: float, cfg: QuadratureConfi
 
 def _mass(d, lo, hi, cfg):
     """mass_integral as a (value, error bound, detail) triple: exact from a
-    cdf (bound 0), otherwise quad's of d.density, cut at the feature points
-    (its nodes lie inside [lo, hi], already clipped to the support)."""
+    cdf (bound 0), otherwise quad's of the density in the offset from its
+    centre c, over [lo - c, hi - c] cut at the feature points' offsets (its
+    nodes lie inside [lo, hi], already clipped to the support)."""
     slo, shi = d.support
     lo, hi = max(lo, slo), min(hi, shi)
     if not lo < hi:
         return 0.0, 0.0, None
     if d.cdf is not None:
         return d.cdf(hi) - d.cdf(lo), 0.0, None
-    return _quad(d.density, lo, hi, cfg.abs_tol, cfg.rel_tol, cfg, "mass integral",
-                 d.feature_points)
+    c = d.center
+    return _quad(_offset_weight(d, c), lo - c, hi - c, cfg.abs_tol, cfg.rel_tol, cfg,
+                 "mass integral", [p - c for p in d.feature_points])
+
+
+def _offset_weight(d, x0):
+    """The density at x0 + y as a function of the offset y (a float64
+    array): d.offset_density at the offset x0 - center + y when the density
+    has one, else d.density(x0 + y); either itself when its shift is 0."""
+    if d.offset_density is None:
+        return d.density if x0 == 0 else lambda y: d.density(x0 + y)
+    shift = x0 - d.center
+    return d.offset_density if shift == 0 else lambda y: d.offset_density(shift + y)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +292,12 @@ _WG[1::2] = [
 # weights on them, the Gauss weights zero at the Kronrod-only nodes
 _GK21_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
 _GK21_WEIGHTS = np.array([np.concatenate((w, w[-2::-1])) for w in (_WGK, _WG)])
+# the nodes' places (1 + xi)/2 in a cell, and the kernel exp(-i pi (1 + xi)/2)
+# there: on the half-period [K h, (K+1) h] of the linear phase at t = pi/h,
+# exp(-i t y) is (-1)^K times it (times its conjugate on a downward one, h < 0)
+_GK21_PLACES = (0.5 * (1.0 + _GK21_NODES))[:, None]
+_GK21_HALF_PERIOD = np.exp(-1j * np.pi * _GK21_PLACES)
+_GK21_HALF_PERIOD_DOWN = _GK21_HALF_PERIOD.conj()
 _EPMACH = np.finfo(float).eps
 _DBL_MAX = np.finfo(float).max
 _UFLOW = np.finfo(float).tiny
@@ -311,6 +338,24 @@ def _qk21_cells(values, half_lengths, epsabs, epsrel):
     roundoff = (abserr <= (100.0 * _EPMACH) * resabs) & (abserr > errbnd)
     ok = ~roundoff & (((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0))
     return result[:n] + 1j * result[n:], abserr[:n] + abserr[n:], ok[:n] & ok[n:]
+
+
+def _half_period_cells(weight, K, h, epsabs, epsrel):
+    """_qk21_cells on the half-periods [K[i] h[i], (K[i]+1) h[i]] of the
+    linear phase at t = pi/|h[i]| (K and h float arrays, K whole), weight a
+    function of the offset y: the kernel exp(-i t y) is (-1)^K times
+    _GK21_HALF_PERIOD (its conjugate when h < 0), with no exp to take.
+
+    Each cell is the half-period itself, its nodes (K + (1 + xi)/2) h to
+    two roundings and its half-length h/2 exact, so its value is the
+    integral at pi/|h|, the time of the float h: t/(1 + s/pi), where the
+    slip s = t|h| - pi of h = fl(pi/t) is at most pi 2^-53 + (pi - fl(pi))
+    < 4.8e-16, a relative shift of the time below 1.6e-16.  Against the
+    kernel at t itself, the phase at a node of cell K is off by (K + 1) |s|
+    at most."""
+    kernel = np.where(h > 0, _GK21_HALF_PERIOD, _GK21_HALF_PERIOD_DOWN)
+    return _qk21_cells(weight((K + _GK21_PLACES) * h) * (1.0 - 2.0 * (K % 2)) * kernel, 0.5 * h,
+                       epsabs, epsrel)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +640,14 @@ def _semi_infinite_osc(
     (None on success); with a finite end (way = +1, the linear phase),
     int_{x0}^{end}, a head with no tail.
 
+    The linear phase (phase None) integrates in the offset y = x - x0, so
+    its u0 is 0 and weight takes y: weight(y) is the density at x0 + y.  Its
+    head cuts, half-period edges, window end and failure-exit masses read
+    offsets (points, end and mass stay in x); a first-pass tail cell is the
+    half-period [K h, (K+1) h], K = k_clear + k, by _half_period_cells'
+    fixed kernel, its refined parts by exp(-i t y); and each finished sum is
+    multiplied once by exp(-i t x0) (_phase_factors), unless x0 = 0.
+
     A sum walks away from x0 in signed half-periods h = way*pi/t: its cells
     end at phase_inv(u0 + (k+1)h), u0 = phase(x0), so a downward sum is
     minus the integral until the values are negated, once, at the end.  The density
@@ -640,6 +693,12 @@ def _semi_infinite_osc(
     the only per-sum path: the best estimate, its bound plus mass(lo, hi),
     the mass beyond the last cell summed.
     """
+    # the linear phase runs in the offset y = x - x0 from origin = x0, so
+    # that its edges are multiples of h (weight takes y); a monotone one in x
+    origin = x0 if phase is None else 0.0
+    if phase is None:
+        x0, points = 0.0, [p - origin for p in points]
+        end = None if end is None else end - origin
     ph = phase or (lambda u: u)
     # the phase of the split point and of the feature points, one array call
     u0, *upoints = ph(np.array([x0, *points], dtype=float)).tolist()
@@ -661,24 +720,31 @@ def _semi_infinite_osc(
         bound = quad_err + abs(best - partial)
         if mass is not None:
             try:
-                bound += abs(mass(*sorted((a, sums[i][1] * math.inf))))
+                bound += abs(mass(*sorted((origin + a, sums[i][1] * math.inf))))
             except Exception:
                 bound = math.inf
         values[i], bounds[i], details[i] = best, bound, (
             detail or f"oscillatory cell sum did not stabilize within {max_cells} cells")
 
-    def ruled(t, lo, hi, tol, cc):
+    def ruled(t, lo, hi, tol, cc, half_periods=None):
         """The cells lo[j] to hi[j] at t[j] and tol[j] (flat float arrays),
         their first pass and its refinement (_refine) by the block rule:
         _cc25_cells when cc, else _qk21_cells, in evaluations of at most
         _BLOCK_CELLS cells (larger ones gain no speed and cost memory).
+        half_periods, the (K, h) arrays of a linear tail's cells, makes the
+        first pass _half_period_cells'; refined parts take exp(-i t y).
         Returns the cells' (values, errors, converged) arrays."""
-        def rule(which, a, b):
+        def rule(which, a, b, first=False):
             cells = []
             for start in range(0, len(a), _BLOCK_CELLS):
                 cut = slice(start, start + _BLOCK_CELLS)
+                tolc = tol[which[cut]]
+                if first:
+                    cells.append(_half_period_cells(weight, half_periods[0][cut],
+                                                    half_periods[1][cut], tolc, 1e-12))
+                    continue
+                tc = t[which[cut]]
                 centr, hlgth = 0.5 * (b[cut] + a[cut]), 0.5 * (b[cut] - a[cut])
-                tc, tolc = t[which[cut]], tol[which[cut]]
                 if cc:
                     x = centr[:, None] + hlgth[:, None] * _CC25_NODES
                     cells.append(_cc25_cells(weight(x), centr, hlgth, tc, tolc, 1e-12))
@@ -688,7 +754,8 @@ def _semi_infinite_osc(
                                              tolc, 1e-12))
             return cells[0] if len(cells) == 1 else [np.concatenate(part) for part in zip(*cells)]
 
-        return _refine(rule, lo, hi, rule(np.arange(lo.size), lo, hi), tol, 1e-12)
+        return _refine(rule, lo, hi, rule(np.arange(lo.size), lo, hi, half_periods is not None),
+                       tol, 1e-12)
 
     # each sum's tail: where it stands after its head and its cells so far
     # (partial, quad_err, a_of, k cells), its last estimate and epsilon row,
@@ -698,7 +765,7 @@ def _semi_infinite_osc(
     # each sum's result, written in place: value, error bound, detail
     values, bounds, details = np.zeros(n, dtype=complex), np.zeros(n), [None] * n
     t_of = np.array([t for t, _ in sums], dtype=float)
-    u_start, h, a_of, quad_err = np.zeros((4, n))
+    u_start, h, a_of, quad_err, k_start = np.zeros((5, n))
     partial, est_prev = np.zeros((2, n), dtype=complex)
     k, stable_run, row_len = np.zeros((3, n), dtype=int)
     was_small = np.zeros(n, dtype=bool)
@@ -775,6 +842,7 @@ def _semi_infinite_osc(
         h[i] = step = way * math.pi / t
         k_clear = int(math.ceil((u0 + way * reach - u0) / step)) if end is None else 0
         u_start[i] = u_end = u0 + k_clear * step if end is None else end
+        k_start[i] = k_clear
         if phase is not None and k_clear > _MAX_HEAD_CELLS:
             unsettled(i, 0j, 0j, 0.0, x0, f"head region spans {k_clear} oscillations")
         elif k_clear > 0 or end is not None:
@@ -845,18 +913,20 @@ def _semi_infinite_osc(
         # array stage
         ids = np.array(due)
         due.clear()
-        kk = k[ids, None]
-        valid = kk + j < max_cells
+        kj = k[ids, None] + j
+        valid = kj < max_cells
         if mapped:
             xs, mapped = block_hi[ids], False
         else:
-            xs = u_start[ids, None] + (kk + j + 1) * h[ids, None]
+            xs = u_start[ids, None] + (kj + 1) * h[ids, None]
             if phase_inv is not None:
                 xs[valid] = phase_inv(xs[valid])
             block_hi[ids] = xs
         lo = np.concatenate((a_of[ids, None], xs[:, :-1]), axis=1)[valid]
-        cells = ruled(t_of[ids].repeat(valid.sum(axis=1)), lo, xs[valid],
-                      np.full(lo.size, cell_tol), False)
+        counts = valid.sum(axis=1)
+        cells = ruled(t_of[ids].repeat(counts), lo, xs[valid], np.full(lo.size, cell_tol), False,
+                      None if phase is not None
+                      else ((k_start[ids, None] + kj)[valid], h[ids].repeat(counts)))
         stage = [np.zeros(valid.shape, dtype=complex), np.zeros(valid.shape), ~valid]
         for part, column in zip(stage, cells):
             part[valid] = column
@@ -864,7 +934,53 @@ def _semi_infinite_osc(
     # a downward sum is minus its integral: negated once, as Python negates a
     # complex (a product with -1 would change signed zeros)
     np.negative(values, out=values, where=h < 0)
+    if origin:
+        # out of place: numpy's in-place complex product of one element
+        # rounds as Python's does, not as its array loop, which fuses
+        values = values * _phase_factors(t_of, origin)
     return values, bounds, details
+
+
+# ---------------------------------------------------------------------------
+# the phase factor exp(-i t x0) of the linear phase's offsets
+
+# 2^256/(2 pi) rounded to an integer (254 bits), for the turns x0/(2 pi)
+_TURNS_256 = 18428883373056725475459024596439793651824491331936921676307065986443608256856
+_SPLITTER = 134217729.0  # 2^27 + 1, Dekker's split of a double into halves
+
+
+def _turns(x0):
+    """x0/(2 pi) as two doubles q1 + q2, to about 2^-106 relative: exact
+    integer products and Python's correctly rounded integer division."""
+    num, den = x0.as_integer_ratio()
+    top, bottom = num * _TURNS_256, den << 256
+    q1 = top / bottom
+    a, b = q1.as_integer_ratio()
+    return q1, (top * b - a * bottom) / (bottom * b)
+
+
+def _phase_factors(t, x0):
+    """exp(-i t x0) for each t of a float array and a finite float x0, its
+    phase reduced mod 2 pi from the exact product t x0.
+
+    In turns, t x0/(2 pi) = t q1 + t q2 (_turns); t q1 = p + e exactly
+    (Dekker's two-product, Numer. Math. 18 (1971) 224-242), and the whole
+    turns of p are dropped before anything rounds, as in Payne & Hanek's
+    reduction (SIGNUM Newsl. 18 (1983) 19-24) with x0's own constant.  The
+    rest, a few turns at most, is summed in doubles: the phase is t x0 mod
+    2 pi to a few 1e-16 for |t x0| up to 1e17 (its error grows as |t x0|
+    2^-106 beyond), where exp(-1j * t * x0) is off by |t x0| 2^-53."""
+    q1, q2 = _turns(x0)
+    c = _SPLITTER * q1
+    qh = c - (c - q1)
+    ql = q1 - qh
+    c = _SPLITTER * t
+    th = c - (c - t)
+    tl = t - th
+    p = t * q1
+    e = ((th * qh - p) + th * ql + tl * qh) + tl * ql
+    f = (p - np.rint(p)) + (e + t * q2)
+    return np.exp(-2j * np.pi * (f - np.rint(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -949,14 +1065,15 @@ def restricted_amplitude_series(
     return _series(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), times)
 
 
-def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, split=None):
+def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, halves=False):
     """restricted_amplitude at each t of times (a strictly monotone float
     array) as (values, error bounds, details) arrays.  On an infinite range
     the half-line sums of every t != 0, at |t| and in both directions on the
-    full line, run as one batch.  Given a split point, the full line walks
-    from it and its two pieces are two such triples, not added: the piece
-    above at t and the piece below at -t (the active halves of the two ramp
-    sides of global_survival)."""
+    full line, run as one batch, the linear phase's weight the density's
+    offset form from the split point (_offset_weight).  With halves, the
+    full line walks from 0 and its two pieces are two such triples, not
+    added: the piece above at t and the piece below at -t (the active halves
+    of global_survival's two ramp sides)."""
     if (phase is None) != (phase_inv is None):
         given, missing = ("phase", "phase_inv") if phase_inv is None else ("phase_inv", "phase")
         raise ValueError(f"{given} needs {missing}: give both or neither")
@@ -967,11 +1084,12 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, split=None):
         return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
     ts = times.tolist()
     moving = [abs(t) for t in ts if t]
+    m = len(moving)
     values, bounds, details = np.zeros(0, dtype=complex), np.zeros(0), []
     if moving:
         # a window or a half-line walks from its finite end, the full line both
-        # ways from the centre or the split point, in one batch; a line's lower
-        # piece comes first
+        # ways from the centre (from 0 with halves), in one batch; a line's
+        # lower piece comes first
         end = hi if math.isfinite(lo) and math.isfinite(hi) else None
         if end is not None and phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
@@ -980,14 +1098,18 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, split=None):
         elif math.isfinite(hi):
             x0, ways = hi, (-1,)
         else:
-            x0, ways = d.center if split is None else split, (-1, 1)
+            x0, ways = 0.0 if halves else d.center, (-1, 1)
         loose = QuadratureConfig(1e-6, 1e-6)
         values, bounds, details = _semi_infinite_osc(
-            d.density, [(t, way) for way in ways for t in moving], x0, cfg, phase, phase_inv,
+            _offset_weight(d, x0) if phase is None else d.density,
+            [(t, way) for way in ways for t in moving], x0, cfg, phase, phase_inv,
             d.feature_points, lambda a, b: mass_integral(d, a, b, loose), end)
+        if len(ways) == 2 and not halves:
+            values, bounds = values[:m] + values[m:], bounds[:m] + bounds[m:]
+            details = [low if low is not None else up for low, up in zip(details, details[m:])]
 
     def finished(values, bounds, details, lo, hi, times):
-        if len(moving) < n:  # the one t = 0 of a monotone grid: the mass
+        if m < n:  # the one t = 0 of a monotone grid: the mass
             i = ts.index(0.0)
             mass, error, detail = _mass(d, lo, hi, cfg)
             values, bounds = np.insert(values, i, mass), np.insert(bounds, i, error)
@@ -996,13 +1118,9 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, split=None):
             np.conjugate(values, out=values, where=times < 0)
         return values, bounds, details
 
-    m = len(moving)
-    if split is not None:
-        return (finished(values[m:], bounds[m:], details[m:], split, hi, times),
-                finished(values[:m], bounds[:m], details[:m], lo, split, -times))
-    if math.isinf(lo) and math.isinf(hi) and m:
-        values, bounds = values[:m] + values[m:], bounds[:m] + bounds[m:]
-        details = [low if low is not None else up for low, up in zip(details, details[m:])]
+    if halves:
+        return (finished(values[m:], bounds[m:], details[m:], 0.0, hi, times),
+                finished(values[:m], bounds[:m], details[:m], lo, 0.0, -times))
     return finished(values, bounds, details, lo, hi, times)
 
 
@@ -1056,7 +1174,7 @@ def _halfline_amplitudes(d, sides, times, cfg):
             raise ValueError(f"ramp_side must be 'positive' or 'negative', got {side!r}")
     if len(sides) == 2 and d.support[0] == -math.inf and d.support[1] == math.inf:
         active = dict(zip(("positive", "negative"),
-                          _amplitudes(d, -math.inf, math.inf, times, cfg, split=0.0)))
+                          _amplitudes(d, -math.inf, math.inf, times, cfg, halves=True)))
     else:
         active = {side: _amplitudes(d, *_RAMP_SIDES[side][1], _RAMP_SIDES[side][2] * times, cfg)
                   for side in sides}

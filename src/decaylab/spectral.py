@@ -58,7 +58,15 @@ class SpectralDensity:
     cdf, when given, is the exact mass below an energy: cdf(hi) - cdf(lo) is
     the mass on [lo, hi] within the support, and cdf must be defined at
     -inf and +inf.  Masses then cost two calls and carry no error; a density
-    without one has its masses integrated by adaptive quadrature.
+    without one has its masses integrated by adaptive quadrature, in the
+    offset from center.
+
+    offset_density, when given, is the density as a function of the offset
+    y from center, on the same array contract: density(center + y) without
+    the rounding of center + y, which a narrow line far from 0 cannot
+    afford (the Lorentzian's is (gamma/2pi) / (y^2 + gamma^2/4)).  Omitted,
+    it is density(center + y).  The linear phase's cells and the masses
+    without a cdf evaluate it.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -67,6 +75,7 @@ class SpectralDensity:
     cdf: Callable[[float], float] | None = None
     feature_points: tuple[float, ...] = ()
     label: str = "density"
+    offset_density: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -91,8 +100,9 @@ class InitialStateSpec:
 def lorentzian_density(params: DephasingParams) -> SpectralDensity:
     """Cauchy-Lorentz density (gamma/2pi) / ((E - omega0)^2 + gamma^2/4) on the line.
 
-    Its Fourier transform is the pure exponential exp(-gamma|t|/2 - i omega0 t)
-    and its cdf 1/2 + arctan((E - omega0)/(gamma/2))/pi.
+    Its Fourier transform is the pure exponential exp(-gamma|t|/2 - i omega0 t),
+    its cdf 1/2 + arctan((E - omega0)/(gamma/2))/pi and its offset density
+    (gamma/2pi) / (y^2 + gamma^2/4), y = E - omega0.
     """
     gamma, omega0 = params.gamma, params.omega0
     coef = gamma / (2.0 * math.pi)
@@ -103,6 +113,9 @@ def lorentzian_density(params: DephasingParams) -> SpectralDensity:
         delta = e - omega0
         return coef / (delta * delta + qsq)
 
+    def offset(y):
+        return coef / (y * y + qsq)
+
     return SpectralDensity(
         density=dens,
         support=(-math.inf, math.inf),
@@ -110,6 +123,7 @@ def lorentzian_density(params: DephasingParams) -> SpectralDensity:
         cdf=lambda e: 0.5 + math.atan2(e - omega0, half) / math.pi,
         feature_points=(omega0 - gamma, omega0, omega0 + gamma),
         label=f"lorentzian(gamma={params.gamma:g}, omega0={params.omega0:g})",
+        offset_density=offset,
     )
 
 

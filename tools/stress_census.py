@@ -194,7 +194,7 @@ def census(detail: bool) -> dict:
         counts[name] = tally
         print(f"{name:26s} " + " ".join(f"{k}={tally[k]}" for k in KINDS)
               + f"  ({time.perf_counter() - start:.2f} s)", file=sys.stderr)
-        if detail:
+        if detail and lines:
             print("\n".join(lines), file=sys.stderr)
     return counts
 
