@@ -17,7 +17,8 @@ convergence rule, of quad, the cells and the sums, over arrays.
 Infinite pieces are integrated over half-periods of the kernel (cells of
 phase length pi), with Wynn epsilon acceleration of the alternating cell
 sums; every piece walks outward from its split point, the piece below it
-downward, and the two pieces of the full line are one batch.  Each tail
+downward, and the two pieces of the full line are one batch (so are
+global_survival's two half-lines from 0).  Each tail
 cell, and each head cell of a monotone phase, gets QUADPACK's 21-point
 Gauss-Kronrod rule (dqk21) in numpy, tail cells eight per pass
 (_MIN_CELLS + _STABLE_STEPS).
@@ -54,9 +55,10 @@ tails converge through the acceleration instead of an (infeasibly large)
 explicit cutoff, and the analytic tail mass only enters a failure's bound.
 
 A mass is exact when the density has a cdf (a difference of two values);
-only a density without one has its masses integrated by quad, in the offset
-from its centre, cut at its feature points.  quad, the one adaptive integrator of what is not
-oscillatory (those masses and diagnostics.pw_sweep), is built from the
+only a density without one has its masses integrated by quad, in the
+offset from its centre, cut at its feature points.  quad, the one adaptive
+integrator of what is not oscillatory (those masses and
+diagnostics.pw_sweep), is built from the
 cells' parts: each of its pieces is a dqk21 cell, and first-pass misses,
 of pieces or of half-period or head cells, are bisected by one
 refinement, _refine, its integrand called on a level's nodes as one array.
@@ -969,18 +971,36 @@ def _phase_factors(t, x0):
     reduction (SIGNUM Newsl. 18 (1983) 19-24) with x0's own constant.  The
     rest, a few turns at most, is summed in doubles: the phase is t x0 mod
     2 pi to a few 1e-16 for |t x0| up to 1e17 (its error grows as |t x0|
-    2^-106 beyond), where exp(-1j * t * x0) is off by |t x0| 2^-53."""
+    2^-106 beyond), where exp(-1j * t * x0) is off by |t x0| 2^-53.
+
+    A batch of fewer than 8 times (a scatter job's) takes that rest in
+    Python floats, whose arithmetic is numpy's bit for bit, instead of
+    about 20 numpy calls; a signed zero it may leave is cleared by the last
+    reduction, so each factor's bits do not depend on its batch."""
     q1, q2 = _turns(x0)
     c = _SPLITTER * q1
     qh = c - (c - q1)
-    ql = q1 - qh
+    q = q1, qh, q1 - qh, q2
+    f = (np.array([_turns_left(s, *q, _rint) for s in t.tolist()]) if t.size < 8
+         else _turns_left(t, *q, np.rint))
+    return np.exp(-2j * np.pi * (f - np.rint(f)))
+
+
+def _turns_left(t, q1, qh, ql, q2, rint):
+    """t (q1 + q2) less the whole turns of t q1, for a float t with rint
+    _rint or a float array with np.rint: t q1 = p + e by Dekker's
+    two-product (q1 = qh + ql split in halves), p's whole turns dropped."""
     c = _SPLITTER * t
     th = c - (c - t)
     tl = t - th
     p = t * q1
     e = ((th * qh - p) + th * ql + tl * qh) + tl * ql
-    f = (p - np.rint(p)) + (e + t * q2)
-    return np.exp(-2j * np.pi * (f - np.rint(f)))
+    return (p - rint(p)) + (e + t * q2)
+
+
+def _rint(x):
+    """np.rint of a float: round half to even, an infinity or NaN itself."""
+    return float(round(x)) if math.isfinite(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -1203,9 +1223,8 @@ def _global_survivals(chi_weights, d, times, cfg):
     w0, w1 = chi_weights
     if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-12):
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
-    weighted = [(w, side) for w, side in ((w0, "positive"), (w1, "negative")) if w]
-    (w, (values, bounds, details)), *other = zip(
-        [w for w, _ in weighted], _halfline_amplitudes(d, [side for _, side in weighted], times, cfg))
+    ws, sides = zip(*[(w, side) for w, side in ((w0, "positive"), (w1, "negative")) if w])
+    (w, (values, bounds, details)), *other = zip(ws, _halfline_amplitudes(d, sides, times, cfg))
     values, bounds = w * values, w * bounds
     for w, (more, more_bounds, more_details) in other:
         values, bounds = values + w * more, bounds + w * more_bounds

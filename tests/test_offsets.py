@@ -23,7 +23,15 @@ from decaylab import (
     oscint,
 )
 
-mp.mp.dps = 40
+
+@pytest.fixture(autouse=True)
+def _forty_digits():
+    # other tests set mpmath's global precision lower; every reference here
+    # is taken at 40 digits whatever ran before
+    with mp.workdps(40):
+        yield
+
+
 # the largest slip |t |h| - pi| of h = fl(pi/t): the rounding of the
 # division, pi 2^-53, and of pi itself, pi - fl(pi) = 1.2246e-16
 SLIP = math.pi * 2.0 ** -53 + 1.2246467991473532e-16
@@ -91,12 +99,17 @@ def test_phase_factor_matches_mpmath(product, tol):
             assert abs(value - want) <= tol, (ti, x0)
 
 
-def test_phase_factor_of_each_time_is_its_own():
-    # elementwise: a time's factor does not depend on its array
-    t = np.geomspace(1e-3, 1e9, 41)
-    together = oscint._phase_factors(t, 123456.789)
-    alone = [oscint._phase_factors(t[i:i + 1], 123456.789)[0] for i in range(t.size)]
+@pytest.mark.parametrize("x0", [123456.789, -0.3, 5e-324, -1e300])
+def test_phase_factor_of_each_time_is_its_own(x0):
+    # elementwise: a time's factor does not depend on its array, though a
+    # batch of fewer than 8 times takes Python floats and a larger one numpy
+    t = np.concatenate((np.geomspace(1e-3, 1e9, 41), [5e-324, 1e-300, 2.0 ** 52, 1e300, 1e308]))
+    with np.errstate(all="ignore"):
+        together = oscint._phase_factors(t, x0)
+        alone = [oscint._phase_factors(t[i:i + 1], x0)[0] for i in range(t.size)]
+        pairs = [oscint._phase_factors(t[i:i + 2], x0) for i in range(0, t.size, 2)]
     assert together.view(np.int64).tolist() == np.array(alone).view(np.int64).tolist()
+    assert together.view(np.int64).tolist() == np.concatenate(pairs).view(np.int64).tolist()
 
 
 # the narrow-line grid of the stress census: gamma = 1, omega0 = 1e6..1e10 at
