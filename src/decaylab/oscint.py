@@ -971,36 +971,18 @@ def _phase_factors(t, x0):
     reduction (SIGNUM Newsl. 18 (1983) 19-24) with x0's own constant.  The
     rest, a few turns at most, is summed in doubles: the phase is t x0 mod
     2 pi to a few 1e-16 for |t x0| up to 1e17 (its error grows as |t x0|
-    2^-106 beyond), where exp(-1j * t * x0) is off by |t x0| 2^-53.
-
-    A batch of fewer than 8 times (a scatter job's) takes that rest in
-    Python floats, whose arithmetic is numpy's bit for bit, instead of
-    about 20 numpy calls; a signed zero it may leave is cleared by the last
-    reduction, so each factor's bits do not depend on its batch."""
+    2^-106 beyond), where exp(-1j * t * x0) is off by |t x0| 2^-53."""
     q1, q2 = _turns(x0)
     c = _SPLITTER * q1
     qh = c - (c - q1)
-    q = q1, qh, q1 - qh, q2
-    f = (np.array([_turns_left(s, *q, _rint) for s in t.tolist()]) if t.size < 8
-         else _turns_left(t, *q, np.rint))
-    return np.exp(-2j * np.pi * (f - np.rint(f)))
-
-
-def _turns_left(t, q1, qh, ql, q2, rint):
-    """t (q1 + q2) less the whole turns of t q1, for a float t with rint
-    _rint or a float array with np.rint: t q1 = p + e by Dekker's
-    two-product (q1 = qh + ql split in halves), p's whole turns dropped."""
+    ql = q1 - qh
     c = _SPLITTER * t
     th = c - (c - t)
     tl = t - th
     p = t * q1
     e = ((th * qh - p) + th * ql + tl * qh) + tl * ql
-    return (p - rint(p)) + (e + t * q2)
-
-
-def _rint(x):
-    """np.rint of a float: round half to even, an infinity or NaN itself."""
-    return float(round(x)) if math.isfinite(x) else x
+    f = (p - np.rint(p)) + (e + t * q2)
+    return np.exp(-2j * np.pi * (f - np.rint(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -99,19 +99,6 @@ def test_phase_factor_matches_mpmath(product, tol):
             assert abs(value - want) <= tol, (ti, x0)
 
 
-@pytest.mark.parametrize("x0", [123456.789, -0.3, 5e-324, -1e300])
-def test_phase_factor_of_each_time_is_its_own(x0):
-    # elementwise: a time's factor does not depend on its array, though a
-    # batch of fewer than 8 times takes Python floats and a larger one numpy
-    t = np.concatenate((np.geomspace(1e-3, 1e9, 41), [5e-324, 1e-300, 2.0 ** 52, 1e300, 1e308]))
-    with np.errstate(all="ignore"):
-        together = oscint._phase_factors(t, x0)
-        alone = [oscint._phase_factors(t[i:i + 1], x0)[0] for i in range(t.size)]
-        pairs = [oscint._phase_factors(t[i:i + 2], x0) for i in range(0, t.size, 2)]
-    assert together.view(np.int64).tolist() == np.array(alone).view(np.int64).tolist()
-    assert together.view(np.int64).tolist() == np.concatenate(pairs).view(np.int64).tolist()
-
-
 # the narrow-line grid of the stress census: gamma = 1, omega0 = 1e6..1e10 at
 # t = 1e-3..30, and omega0 = 1e10 at t = 1e7.  In absolute coordinates 8 of
 # its 62 points missed silently and 34 raised (one with a bound below its
