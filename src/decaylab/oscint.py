@@ -1067,15 +1067,12 @@ def restricted_amplitude_series(
     return _series(lambda ts: _amplitudes(d, lo, hi, ts, cfg, phase, phase_inv), times)
 
 
-def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, halves=False):
+def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None):
     """restricted_amplitude at each t of times (a strictly monotone float
     array) as (values, error bounds, details) arrays.  On an infinite range
     the half-line sums of every t != 0, at |t| and in both directions on the
     full line, run as one batch, the linear phase's weight the density's
-    offset form from the split point (_offset_weight).  With halves, the
-    full line walks from 0 and its two pieces are two such triples, not
-    added: the piece above at t and the piece below at -t (the active halves
-    of global_survival's two ramp sides)."""
+    offset form from the split point (_offset_weight)."""
     if (phase is None) != (phase_inv is None):
         given, missing = ("phase", "phase_inv") if phase_inv is None else ("phase_inv", "phase")
         raise ValueError(f"{given} needs {missing}: give both or neither")
@@ -1086,12 +1083,9 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, halves=False)
         return np.zeros(n, dtype=complex), np.zeros(n), [None] * n
     ts = times.tolist()
     moving = [abs(t) for t in ts if t]
-    m = len(moving)
-    values, bounds, details = np.zeros(0, dtype=complex), np.zeros(0), []
     if moving:
         # a window or a half-line walks from its finite end, the full line both
-        # ways from the centre (from 0 with halves), in one batch; a line's
-        # lower piece comes first
+        # ways from the centre, in one batch; a line's lower piece comes first
         end = hi if math.isfinite(lo) and math.isfinite(hi) else None
         if end is not None and phase is not None:
             raise ValueError("a nonlinear phase needs an infinite range")
@@ -1100,30 +1094,26 @@ def _amplitudes(d, lo, hi, times, cfg, phase=None, phase_inv=None, halves=False)
         elif math.isfinite(hi):
             x0, ways = hi, (-1,)
         else:
-            x0, ways = 0.0 if halves else d.center, (-1, 1)
+            x0, ways = d.center, (-1, 1)
         loose = QuadratureConfig(1e-6, 1e-6)
         values, bounds, details = _semi_infinite_osc(
             _offset_weight(d, x0) if phase is None else d.density,
             [(t, way) for way in ways for t in moving], x0, cfg, phase, phase_inv,
             d.feature_points, lambda a, b: mass_integral(d, a, b, loose), end)
-        if len(ways) == 2 and not halves:
+        if len(ways) == 2:
+            m = len(moving)
             values, bounds = values[:m] + values[m:], bounds[:m] + bounds[m:]
             details = [low if low is not None else up for low, up in zip(details, details[m:])]
-
-    def finished(values, bounds, details, lo, hi, times):
-        if m < n:  # the one t = 0 of a monotone grid: the mass
-            i = ts.index(0.0)
-            mass, error, detail = _mass(d, lo, hi, cfg)
-            values, bounds = np.insert(values, i, mass), np.insert(bounds, i, error)
-            details.insert(i, detail)
-        if n and min(times[0], times[-1]) < 0:
-            np.conjugate(values, out=values, where=times < 0)
-        return values, bounds, details
-
-    if halves:
-        return (finished(values[m:], bounds[m:], details[m:], 0.0, hi, times),
-                finished(values[:m], bounds[:m], details[:m], lo, 0.0, -times))
-    return finished(values, bounds, details, lo, hi, times)
+    else:
+        values, bounds, details = np.zeros(0, dtype=complex), np.zeros(0), []
+    if len(moving) < n:  # the one t = 0 of a monotone grid: the mass
+        i = ts.index(0.0)
+        mass, error, detail = _mass(d, lo, hi, cfg)
+        values, bounds = np.insert(values, i, mass), np.insert(bounds, i, error)
+        details.insert(i, detail)
+    if n and min(ts[0], ts[-1]) < 0:
+        np.conjugate(values, out=values, where=times < 0)
+    return values, bounds, details
 
 
 def fourier_amplitude(d: SpectralDensity, t: float, cfg: QuadratureConfig) -> complex:
@@ -1154,39 +1144,26 @@ def halfline_amplitude(
     max(+-x, 0): one half-line is frozen at phase 1, the other contributes the
     Fourier integral of the density in the ramp's eigenvalue coordinate.
     """
-    return _point(lambda ts: _halfline_amplitudes(d, [ramp_side], ts, cfg)[0], t)
+    return _point(lambda ts: _halfline_amplitudes(d, ramp_side, ts, cfg), t)
 
 
-# each ramp side's (frozen half, active half, sign of the active transform's
-# time): the negative-side ramp's eigenvalue is -x >= 0 on the active side,
-# so int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
-_RAMP_SIDES = {
-    "positive": ((-math.inf, 0.0), (0.0, math.inf), 1.0),
-    "negative": ((0.0, math.inf), (-math.inf, 0.0), -1.0),
-}
-
-
-def _halfline_amplitudes(d, sides, times, cfg):
-    """halfline_amplitude of each ramp side of sides at each t of times, one
-    (values, error bounds, details) triple a side, the frozen half-line mass
-    the first part of each.  Both sides' active halves of a density on the
-    whole line are one batch, the line split at 0."""
-    for side in sides:
-        if side not in _RAMP_SIDES:
-            raise ValueError(f"ramp_side must be 'positive' or 'negative', got {side!r}")
-    if len(sides) == 2 and d.support[0] == -math.inf and d.support[1] == math.inf:
-        active = dict(zip(("positive", "negative"),
-                          _amplitudes(d, -math.inf, math.inf, times, cfg, halves=True)))
-    else:
-        active = {side: _amplitudes(d, *_RAMP_SIDES[side][1], _RAMP_SIDES[side][2] * times, cfg)
-                  for side in sides}
-    parts = []
-    for side in sides:
-        mass, error, detail = _mass(d, *_RAMP_SIDES[side][0], cfg)
-        values, bounds, details = active[side]
-        parts.append((mass + values, error + bounds,
-                      details if detail is None else [detail] * len(details)))
-    return parts
+def _halfline_amplitudes(d, ramp_side, times, cfg):
+    """halfline_amplitude at each t of times as (values, error bounds,
+    details) arrays, the frozen half-line mass the first part of each."""
+    # (frozen half, active half, sign of the active transform's time): the
+    # negative-side ramp's eigenvalue is -x >= 0 on the active side, so
+    # int_{-inf}^0 e^{-i(-x)t} d(x) dx is the restricted transform at -t
+    sides = {
+        "positive": ((-math.inf, 0.0), (0.0, math.inf), 1.0),
+        "negative": ((0.0, math.inf), (-math.inf, 0.0), -1.0),
+    }
+    if ramp_side not in sides:
+        raise ValueError(f"ramp_side must be 'positive' or 'negative', got {ramp_side!r}")
+    still, active, sign = sides[ramp_side]
+    mass, error, detail = _mass(d, *still, cfg)
+    values, bounds, details = _amplitudes(d, *active, sign * times, cfg)
+    return (mass + values, error + bounds,
+            details if detail is None else [detail] * len(details))
 
 
 def global_survival(
@@ -1205,8 +1182,9 @@ def _global_survivals(chi_weights, d, times, cfg):
     w0, w1 = chi_weights
     if not (w0 >= 0 and w1 >= 0 and abs(w0 + w1 - 1.0) <= 1e-12):
         raise ValueError(f"spin weights must be non-negative and sum to 1, got {chi_weights}")
-    ws, sides = zip(*[(w, side) for w, side in ((w0, "positive"), (w1, "negative")) if w])
-    (w, (values, bounds, details)), *other = zip(ws, _halfline_amplitudes(d, sides, times, cfg))
+    (w, (values, bounds, details)), *other = [
+        (w, _halfline_amplitudes(d, side, times, cfg))
+        for w, side in ((w0, "positive"), (w1, "negative")) if w]
     values, bounds = w * values, w * bounds
     for w, (more, more_bounds, more_details) in other:
         values, bounds = values + w * more, bounds + w * more_bounds
