@@ -66,7 +66,9 @@ class SpectralDensity:
     the rounding of center + y, which a narrow line far from 0 cannot
     afford (the Lorentzian's is (gamma/2pi) / (y^2 + gamma^2/4)).  Omitted,
     it is density(center + y).  The linear phase's cells and the masses
-    without a cdf evaluate it.
+    without a cdf evaluate it, not density: dataclasses.replace of density
+    or center keeps the old offset_density, so such a copy must replace it
+    too, or set it to None.
     """
 
     density: Callable[[np.ndarray], np.ndarray]

@@ -912,11 +912,14 @@ def test_failure_bound_is_inf_when_the_remaining_mass_cannot_be_integrated():
 
 
 def _mirrored(d, phase=None, phase_inv=None):
-    """d reflected, y = -x: the density d(-y) with its points negated, and
-    the phase -phase(-y) with its inverse -phase_inv(-u)."""
+    """d reflected, y = -x: the density d(-y) with its points negated (its
+    offset density too), and the phase -phase(-y) with its inverse
+    -phase_inv(-u)."""
+    offset = d.offset_density
     mirror = replace(d, density=lambda y: d.density(-y), center=-d.center,
                      cdf=lambda y: 1.0 - d.cdf(-y),
-                     feature_points=tuple(-p for p in d.feature_points))
+                     feature_points=tuple(-p for p in d.feature_points),
+                     offset_density=None if offset is None else lambda y: offset(-y))
     if phase is None:
         return mirror, {}
     return mirror, dict(phase=lambda y: -phase(-y), phase_inv=lambda u: -phase_inv(-u))
@@ -950,6 +953,28 @@ def test_lower_half_line_equals_the_conjugated_mirror_image():
             got = restricted_amplitude_series(d, -math.inf, x0, _REFLECTION_TIMES, cfg)
             want = restricted_amplitude_series(mirror, -x0, math.inf, _REFLECTION_TIMES, cfg)
             assert np.array_equal(got.values, want.values.conj()), (cfg, x0)
+
+
+def test_a_lopsided_offset_density_is_mirrored_with_its_density():
+    # the linear phase's cells evaluate the offset density, not density: a
+    # mirror image that kept a lopsided line's offset density would sum the
+    # line unmirrored and miss the reflection by far more than rounding
+    a = lorentzian_density(DephasingParams(1.0, 0.3))
+    b = lorentzian_density(DephasingParams(0.5, 0.8))
+    d = SpectralDensity(lambda x: 0.7 * a.density(x) + 0.3 * b.density(x), center=0.3,
+                        cdf=lambda x: 0.7 * a.cdf(x) + 0.3 * b.cdf(x),
+                        feature_points=(-0.7, 0.3, 0.8, 1.3),
+                        offset_density=lambda y: 0.7 * a.offset_density(y)
+                        + 0.3 * b.offset_density(y - 0.5))
+    mirror, _ = _mirrored(d)
+    stale = replace(mirror, offset_density=d.offset_density)
+    for cfg in (CFG, TIGHT):
+        for x0 in (d.center, 2.5, -4.0):
+            got = restricted_amplitude_series(d, -math.inf, x0, _REFLECTION_TIMES, cfg)
+            want = restricted_amplitude_series(mirror, -x0, math.inf, _REFLECTION_TIMES, cfg)
+            assert np.array_equal(got.values, want.values.conj()), (cfg, x0)
+            kept = restricted_amplitude_series(stale, -x0, math.inf, _REFLECTION_TIMES, cfg)
+            assert np.max(np.abs(kept.values.conj() - got.values)) > 1e-4, (cfg, x0)
 
 
 def _reject_first_block(monkeypatch):
